@@ -40,7 +40,6 @@ from .distance_sets import (
     grid_distance_set,
     min_gap,
     moser_count_check,
-    write_results_csv,
 )
 from .geometry_kernel import (
     ConcurrenceReport,

@@ -1,19 +1,21 @@
 """Gauge distance sets and the annulus/cone counting apparatus.
 
 The distance set of A under a body K collects every pairwise gauge distance,
-including the zero from coincident pairs.  Floating mode merges values into
+including the zero from coincident pairs.  One kernel builds it from difference
+vectors with pair counts, every pair once or a grid's closed-form multiset.
+Floating mode merges the sorted gauge values with one greedy routine into
 clusters of spread <= tol (distinctness at double precision needs a tolerance);
-exact mode works for polygon bodies (rational gauge) and for the disc (exact
-squared values), so lattice counts are tolerance-free.
+exact mode groups integer vectors by an exact key for polygon bodies (rational
+gauge) and the disc (squared length), so lattice counts are tolerance-free.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import repeat
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .convex_body import (
     gauge_many,
     max_chebyshev_radius,
 )
+from .geometry_kernel import _scale_to_ints
 from .point_sets import PointSet
 
 __all__ = [
@@ -39,18 +42,17 @@ __all__ = [
     "grid_distance_set",
     "min_gap",
     "moser_count_check",
-    "write_results_csv",
 ]
-
-Number = Union[float, Fraction]
 
 
 @dataclass(frozen=True)
 class DistanceSet:
     """Sorted distinct distance values with pair multiplicities.
 
-    values are strictly increasing with consecutive gaps > tol; the zero
-    distance is always present (pairs x == y count), with multiplicity n.
+    values never decrease and consecutive values differ by more than tol, except
+    that distinct exact disc distances rounding to one double stay separate equal
+    values; the zero distance is always present (pairs x == y count), with
+    multiplicity n.
     """
 
     values: tuple
@@ -61,24 +63,31 @@ class DistanceSet:
         return len(self.values)
 
 
-def _cluster(sorted_vals: Sequence[float], tol: float) -> tuple[list, list[int]]:
-    reps: list = []
-    counts: list[int] = []
-    start = None
-    run = 0
-    for v in sorted_vals:
-        if start is None or v - start > tol:
-            if start is not None:
-                reps.append(start)
-                counts.append(run)
-            start = v
-            run = 1
-        else:
-            run += 1
-    if start is not None:
-        reps.append(start)
-        counts.append(run)
-    return reps, counts
+def _cluster(sorted_vals: np.ndarray, tol: float, weights=None) -> tuple[list, list[int]]:
+    """Greedy clusters (value - first <= tol) of sorted values: firsts and sizes.
+
+    Rounded subtraction is monotone, so a gap > tol always starts a cluster and
+    a run of smaller gaps spanning <= tol is one; only wider runs are walked.
+    Sizes are summed weights when weights are given; sorted_vals is non-empty.
+    """
+    n = len(sorted_vals)
+    runs = np.concatenate(([0], np.flatnonzero(np.diff(sorted_vals) > tol) + 1, [n]))
+    starts = runs[:-1]
+    split = []
+    for r in np.flatnonzero(sorted_vals[runs[1:] - 1] - sorted_vals[starts] > tol).tolist():
+        lo, hi = runs[r], runs[r + 1]
+        first = sorted_vals[lo]
+        for j, v in enumerate(sorted_vals[lo + 1 : hi].tolist(), lo + 1):
+            if v - first > tol:
+                split.append(j)
+                first = v
+    if split:
+        starts = np.sort(np.concatenate((starts, split)))
+    if weights is None:
+        counts = np.diff(np.append(starts, n))
+    else:
+        counts = np.add.reduceat(weights, starts)
+    return sorted_vals[starts].tolist(), counts.tolist()
 
 
 def _as_points(source) -> np.ndarray:
@@ -88,6 +97,48 @@ def _as_points(source) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
     return pts
+
+
+def _fraction_sqrt(q: Fraction) -> float:
+    return math.sqrt(q.numerator) / math.sqrt(q.denominator)
+
+
+def _exact_distance_set(body: ConvexBody, n: int, vectors, scale: Fraction) -> DistanceSet:
+    """Distance set of n points from (integer vector, pair count) items.
+
+    The items cover the pairs of distinct points, whose differences are
+    ``scale`` times the vectors.  Vectors are grouped by an exact key, the
+    polygon gauge or the disc's squared length, which fixes the distance.
+    """
+    if isinstance(body, SymmetricPolygon):
+        key, value = (lambda v: gauge_exact(body, v)), (lambda k: k * scale)
+    elif isinstance(body, Disc):
+        q = scale * scale / Fraction(body.radius) ** 2
+        key, value = (lambda v: v[0] * v[0] + v[1] * v[1]), (lambda k: _fraction_sqrt(k * q))
+    else:
+        raise ValueError("exact distance sets need a polygon or disc body")
+    acc = {0: n}  # the coincident pairs; 0 equals the zero key of either body
+    for v, c in vectors:
+        k = key(v)
+        acc[k] = acc.get(k, 0) + c
+    # ties in value (disc roots rounding to one double) stay apart, ordered by key
+    items = sorted((value(k), k, c) for k, c in acc.items())
+    return DistanceSet(tuple(v for v, _, _ in items), tuple(c for _, _, c in items), 0.0)
+
+
+def _float_distance_set(n: int, vals: np.ndarray, tol, weights=None) -> DistanceSet:
+    """Distance set of n points from gauge values (sorted here in place) whose
+    first is the 0.0 of one coincident pair; ``weights`` are their pair counts."""
+    if weights is None:
+        vals.sort()
+    else:
+        order = np.argsort(vals, kind="stable")
+        vals, weights = vals[order], weights[order]
+    if tol is None:
+        tol = 1e-9 * float(vals[-1])
+    reps, counts = _cluster(vals, tol, weights)
+    counts[0] += n - 1  # the other coincident pairs land in the zero cluster
+    return DistanceSet(tuple(reps), tuple(counts), float(tol))
 
 
 def distance_set(
@@ -108,49 +159,17 @@ def distance_set(
     if n == 0:
         raise ValueError("distance set of an empty point collection")
     if exact:
-        return _distance_set_exact(body, pts)
-    chunks = [np.zeros(1)]
+        ints, den = _scale_to_ints(pts)
+        diffs = (
+            (x2 - x1, y2 - y1) for i, (x1, y1) in enumerate(ints) for x2, y2 in ints[i + 1 :]
+        )
+        return _exact_distance_set(body, n, zip(diffs, repeat(1)), Fraction(1, den))
+    vals = np.zeros(1 + n * (n - 1) // 2)
+    pos = 1
     for i in range(n - 1):
-        diffs = pts[i + 1 :] - pts[i]
-        chunks.append(gauge_many(body, diffs))
-    vals = np.sort(np.concatenate(chunks))
-    if tol is None:
-        tol = 1e-9 * float(vals[-1])
-    reps, counts = _cluster(vals.tolist(), tol)
-    counts[0] += n - 1  # the n coincident pairs all land in the zero cluster
-    return DistanceSet(tuple(reps), tuple(counts), float(tol))
-
-
-def _distance_set_exact(body: ConvexBody, pts: np.ndarray) -> DistanceSet:
-    n = len(pts)
-    acc: dict = {}
-    if isinstance(body, SymmetricPolygon):
-        fr = [(Fraction(x), Fraction(y)) for x, y in pts]
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = gauge_exact(body, (fr[j][0] - fr[i][0], fr[j][1] - fr[i][1]))
-                acc[d] = acc.get(d, 0) + 1
-        zero = Fraction(0)
-    elif isinstance(body, Disc):
-        fr = [(Fraction(x), Fraction(y)) for x, y in pts]
-        r2 = Fraction(body.radius) ** 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                q = ((fr[j][0] - fr[i][0]) ** 2 + (fr[j][1] - fr[i][1]) ** 2) / r2
-                acc[q] = acc.get(q, 0) + 1
-        acc = {_fraction_sqrt(q): c for q, c in acc.items()}
-        zero = 0.0
-    else:
-        raise ValueError("exact distance sets need a polygon or disc body")
-    acc[zero] = acc.get(zero, 0) + n
-    items = sorted(acc.items())
-    return DistanceSet(
-        tuple(v for v, _ in items), tuple(c for _, c in items), 0.0
-    )
-
-
-def _fraction_sqrt(q: Fraction) -> float:
-    return math.sqrt(q.numerator) / math.sqrt(q.denominator)
+        vals[pos : pos + n - 1 - i] = gauge_many(body, pts[i + 1 :] - pts[i])
+        pos += n - 1 - i
+    return _float_distance_set(n, vals, tol)
 
 
 def grid_distance_set(
@@ -178,57 +197,16 @@ def grid_distance_set(
         (dx, dy) for dx in range(1, n_cols) for dy in range(-(n_rows - 1), n_rows)
     )
     mult = [(n_cols - abs(dx)) * (n_rows - abs(dy)) for dx, dy in reps]
-
     if exact:
-        s = Fraction(spacing)
-        acc: dict = {}
-        if isinstance(body, SymmetricPolygon):
-            for (dx, dy), c in zip(reps, mult):
-                v = gauge_exact(body, (dx, dy)) * s
-                acc[v] = acc.get(v, 0) + c
-            zero = Fraction(0)
-        elif isinstance(body, Disc):
-            r2 = Fraction(body.radius) ** 2
-            for (dx, dy), c in zip(reps, mult):
-                q = (dx * dx + dy * dy) * s * s / r2
-                acc[q] = acc.get(q, 0) + c
-            acc = {_fraction_sqrt(q): c for q, c in acc.items()}
-            zero = 0.0
-        else:
-            raise ValueError("exact distance sets need a polygon or disc body")
-        acc[zero] = acc.get(zero, 0) + total
-        items = sorted(acc.items())
-        return DistanceSet(
-            tuple(v for v, _ in items), tuple(c for _, c in items), 0.0
-        )
-
+        return _exact_distance_set(body, total, zip(reps, mult), Fraction(spacing))
     diffs = np.array(reps, dtype=float).reshape(-1, 2) * spacing
-    vals = np.concatenate([[0.0], gauge_many(body, diffs)]) if len(diffs) else np.zeros(1)
-    counts = np.concatenate([[total], mult]).astype(int) if len(diffs) else np.array([total])
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    counts = counts[order]
-    if tol is None:
-        tol = 1e-9 * float(vals[-1])
-    reps_out: list[float] = []
-    counts_out: list[int] = []
-    start = None
-    acc_count = 0
-    for v, c in zip(vals.tolist(), counts.tolist()):
-        if start is None or v - start > tol:
-            if start is not None:
-                reps_out.append(start)
-                counts_out.append(acc_count)
-            start, acc_count = v, c
-        else:
-            acc_count += c
-    reps_out.append(start)
-    counts_out.append(acc_count)
-    return DistanceSet(tuple(reps_out), tuple(counts_out), float(tol))
+    vals = np.concatenate(([0.0], gauge_many(body, diffs)))
+    return _float_distance_set(total, vals, tol, np.array([1] + mult))
 
 
 def min_gap(ds: DistanceSet):
-    """Smallest difference between consecutive distinct values; None if < 2 values."""
+    """Smallest difference between consecutive values (0.0 for equal exact
+    disc values); None if < 2 values."""
     if len(ds.values) < 2:
         return None
     return min(b - a for a, b in zip(ds.values, ds.values[1:]))
@@ -309,7 +287,7 @@ def distance_lists_from_two_points(
             continue
         vals = np.sort(gauge_many(body, subset.points - np.asarray(base, dtype=float)))
         t = 1e-9 * float(vals[-1]) if tol is None else tol
-        reps, _ = _cluster(vals.tolist(), t)
+        reps, _ = _cluster(vals, t)
         out.append(tuple(reps))
     return out[0], out[1]
 
@@ -352,19 +330,3 @@ def moser_count_check(
         truncated = width * (N + 1) * reach > ps.R + 1e-9
         rows.append(MoserRow(int(N), count, bound, count >= bound, truncated))
     return rows
-
-
-def write_results_csv(rows: Sequence[tuple], path) -> None:
-    """Write "R,n_points,n_distances,min_gap" rows; min_gap empty when undefined."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["R", "n_points", "n_distances", "min_gap"])
-        for R, n_points, n_distances, gap in rows:
-            writer.writerow(
-                [
-                    repr(float(R)),
-                    int(n_points),
-                    int(n_distances),
-                    "" if gap is None else repr(float(gap)),
-                ]
-            )

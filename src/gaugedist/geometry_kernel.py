@@ -160,16 +160,14 @@ def boundary_intersection(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _scale_to_ints(V1, V2):
-    F1 = [(Fraction(x), Fraction(y)) for x, y in V1]
-    F2 = [(Fraction(x), Fraction(y)) for x, y in V2]
+def _scale_to_ints(*point_lists):
+    """``(*lists, den)``: each point p as ``den * p``, den the lcm of all denominators."""
+    fracs = [[(Fraction(x), Fraction(y)) for x, y in pts] for pts in point_lists]
     den = 1
-    for pts in (F1, F2):
+    for pts in fracs:
         for x, y in pts:
             den = math.lcm(den, x.denominator, y.denominator)
-    A = [(int(x * den), int(y * den)) for x, y in F1]
-    B = [(int(x * den), int(y * den)) for x, y in F2]
-    return A, B, den
+    return (*([(int(x * den), int(y * den)) for x, y in pts] for pts in fracs), den)
 
 
 def _int_line_key(point, direction):

@@ -6,6 +6,7 @@ test, no half-plane normal form), distance oracles are brute-force pair loops,
 and orientation checks use exact rational cross products.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,45 @@ def brute_pairwise_values(gauge_fn, points):
         for q in pts[i:]:
             vals.append(gauge_fn((q[0] - p[0], q[1] - p[1])))
     return sorted(vals)
+
+
+def brute_exact_counts(key, points):
+    """Sorted (exact key, pair count) over all pairs i <= j, diagonal included.
+
+    ``key`` receives the exact rational difference vector of each pair.
+    """
+    fr = [(Fraction(x), Fraction(y)) for x, y in points]
+    acc = Counter(
+        key((q[0] - p[0], q[1] - p[1])) for i, p in enumerate(fr) for q in fr[i:]
+    )
+    return sorted(acc.items())
+
+
+def exact_polygon_gauge(vertices, x) -> Fraction:
+    """Exact gauge of a rational point: the largest cross(x, b - a) / cross(a, b)
+    over the edges (a, b) of a CCW polygon with the origin inside."""
+    fx, fy = Fraction(x[0]), Fraction(x[1])
+    verts = [(Fraction(a), Fraction(b)) for a, b in vertices]
+    best = Fraction(0)
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        best = max(best, (fx * (by - ay) - fy * (bx - ax)) / (ax * by - ay * bx))
+    return best
+
+
+def greedy_cluster(sorted_vals, tol, weights=None):
+    """Reference clustering, one value at a time: a value more than tol above
+    its cluster's first value starts the next cluster.  Returns the firsts and
+    the sizes (summed weights when given)."""
+    reps, counts = [], []
+    start = None
+    for v, w in zip(sorted_vals, [1] * len(sorted_vals) if weights is None else weights):
+        if start is None or v - start > tol:
+            reps.append(v)
+            counts.append(w)
+            start = v
+        else:
+            counts[-1] += w
+    return reps, counts
 
 
 def brute_min_pairwise_euclid(points) -> float:

@@ -22,15 +22,34 @@ from gaugedist import (
     grid_distance_set,
     min_gap,
     moser_count_check,
+    random_symmetric_polygon,
     square,
-    write_results_csv,
 )
+from gaugedist.distance_sets import _cluster
 
-from oracles import brute_pairwise_values
+from oracles import (
+    brute_exact_counts,
+    brute_pairwise_values,
+    exact_polygon_gauge,
+    greedy_cluster,
+)
 
 
 def lattice_points(n):
     return np.array([[i, j] for i in range(n + 1) for j in range(n + 1)], dtype=float)
+
+
+def grid_points(cols, rows, spacing):
+    return np.array(
+        [[i * spacing, j * spacing] for i in range(cols) for j in range(rows)], dtype=float
+    )
+
+
+# dyadic rationals m * 2**e: exact as doubles, mixed denominators
+dyadic = st.builds(
+    lambda m, e: m * 2.0**e, st.integers(-(2**12), 2**12), st.integers(-52, 4)
+)
+dyadic_spacing = st.builds(lambda m, e: m * 2.0**e, st.sampled_from([1, 3, 5]), st.integers(-6, 3))
 
 
 class TestDistanceSet:
@@ -86,6 +105,16 @@ class TestDistanceSet:
         ds = distance_set(square(), lattice_points(3), exact=True)
         assert all(isinstance(v, Fraction) and v.denominator == 1 for v in ds.values)
 
+    def test_exact_disc_keeps_distances_whose_roots_round_together(self):
+        # the differences (10, 10) and (10, 10 + 2**-49) have distinct exact
+        # squares whose square roots round to one double
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0], [11.0, 11.0 + 2.0**-49]])
+        ds = distance_set(Disc(1.0), pts, exact=True)
+        assert len(ds) == 7
+        assert sum(ds.multiplicities) == 10
+        assert list(ds.values) == sorted(ds.values)
+        assert min_gap(ds) == 0.0
+
     def test_cluster_count_monotone_in_tol(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-4, 4, size=(30, 2))
@@ -110,6 +139,35 @@ class TestGridFastPath:
         fast = grid_distance_set(body, 4, 4, 1.0, exact=False, tol=1e-9)
         assert np.allclose(slow.values, fast.values, rtol=0, atol=1e-9)
         assert slow.multiplicities == fast.multiplicities
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cols=st.integers(1, 6),
+        rows=st.integers(1, 6),
+        spacing=dyadic_spacing,
+        body=st.one_of(
+            st.sampled_from([square(), diamond(), Disc(1.0), Disc(0.75)]),
+            st.builds(random_symmetric_polygon, st.integers(2, 6), st.integers(0, 10**6)),
+        ),
+    )
+    def test_drawn_grid_matches_pair_loop_exact(self, cols, rows, spacing, body):
+        fast = grid_distance_set(body, cols, rows, spacing, exact=True)
+        slow = distance_set(body, grid_points(cols, rows, spacing), exact=True)
+        assert fast == slow
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cols=st.integers(1, 6),
+        rows=st.integers(1, 6),
+        spacing=dyadic_spacing,
+        p=st.sampled_from([1.25, 1.5, 2.0, 3.0, 7.5]),
+        tol=st.sampled_from([None, 0.0, 1e-9]),
+    )
+    def test_drawn_grid_matches_pair_loop_float(self, cols, rows, spacing, p, tol):
+        body = PBall(p, 1.0)
+        fast = grid_distance_set(body, cols, rows, spacing, tol=tol, exact=False)
+        slow = distance_set(body, grid_points(cols, rows, spacing), tol=tol)
+        assert fast == slow
 
     def test_rectangular_grid_spacing(self):
         ds = grid_distance_set(square(), 3, 2, 0.5, exact=True)
@@ -260,9 +318,57 @@ def test_distance_set_of_two_points_is_the_gauge(dx, dy):
         assert len(ds) == 2 and ds.values[1] == expected
 
 
-def test_results_csv(tmp_path):
-    path = tmp_path / "r.csv"
-    write_results_csv([(5.0, 121, 11, 1.0), (10.0, 441, 21, None)], path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "R,n_points,n_distances,min_gap"
-    assert text.splitlines()[2] == "10.0,441,21,"
+@st.composite
+def near_duplicate_runs(draw):
+    """Sorted floats made of short runs whose steps sit around the tested tols."""
+    vals = []
+    for base in draw(st.lists(st.floats(0, 10), min_size=1, max_size=15)):
+        step = draw(st.sampled_from([0.0, 1e-12, 4e-10, 1e-9, 3e-4, 1e-3, 0.3, 1.0]))
+        vals.extend(base + k * step for k in range(draw(st.integers(1, 8))))
+    return sorted(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vals=near_duplicate_runs(),
+    tol=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+    weighted=st.booleans(),
+    data=st.data(),
+)
+def test_cluster_matches_greedy_loop(vals, tol, weighted, data):
+    weights = None
+    if weighted:
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(vals), max_size=len(vals)))
+    assert _cluster(np.array(vals), tol, weights) == greedy_cluster(vals, tol, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pts=st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=7),
+    body=st.one_of(
+        st.sampled_from([square(), diamond()]),
+        st.builds(random_symmetric_polygon, st.integers(2, 6), st.integers(0, 10**6)),
+    ),
+)
+def test_exact_pair_path_matches_fraction_brute_force_polygon(pts, body):
+    ds = distance_set(body, np.array(pts), exact=True)
+    expected = brute_exact_counts(lambda v: exact_polygon_gauge(body.vertices, v), pts)
+    assert list(zip(ds.values, ds.multiplicities)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pts=st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=7),
+    radius=st.sampled_from([1.0, 0.75, 3.0]),
+)
+def test_exact_pair_path_matches_fraction_brute_force_disc(pts, radius):
+    ds = distance_set(Disc(radius), np.array(pts), exact=True)
+    r2 = Fraction(radius) ** 2
+    counts = brute_exact_counts(lambda v: (v[0] ** 2 + v[1] ** 2) / r2, pts)
+    # one entry per distinct exact square, valued sqrt(numerator) / sqrt(denominator)
+    # and ordered by (value, square)
+    expected = sorted(
+        (math.sqrt(q.numerator) / math.sqrt(q.denominator), q, c) for q, c in counts
+    )
+    assert ds.values == tuple(v for v, _, _ in expected)
+    assert ds.multiplicities == tuple(c for _, _, c in expected)
