@@ -4,9 +4,12 @@ A body K here is a polygon, a Euclidean disc, or a p-ball; each induces the
 gauge ``||x||_K = inf {t > 0 : x in t*K}``, a norm whose unit ball is K.  The
 polygon gauge is evaluated through the half-plane normal form (a max of linear
 functionals, O(edges) per point); a ray-casting evaluator lives in the test
-suite as an independent oracle.  For polygons an exact-rational evaluator is
-also provided so lattice experiments can count distinct distances without any
-clustering tolerance.
+suite as an independent oracle.  Polygon vertices are doubles, hence dyadic
+rationals, so each polygon also has an integer form: integer rows coef_i and an
+integer q with q * gauge(x) = max_i <coef_i, x>.  At integer points the gauge
+is therefore an integer over q, which lets lattice experiments count distinct
+distances by integer equality, without any clustering tolerance; the exact
+evaluator returns the same value as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -104,18 +107,21 @@ class SymmetricPolygon:
         return normals, offsets
 
     @cached_property
-    def _exact_functionals(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        # per edge: (ey, -ex, <v_i, n_raw>) with n_raw = (ey, -ex); gauge is
-        # max_i <x, n_raw_i> / <v_i, n_raw_i>, exact for rational x
+    def _integer_form(self) -> tuple[np.ndarray, int]:
+        # gauge(x) = max_i <x, n_i> / h_i over the edges v_i -> w_i, with
+        # n_i = (ey, -ex) and h_i = <v_i, n_i> > 0 on a valid body.  With q the
+        # lcm of the denominators of n_i / h_i, the rows coef_i = q * n_i / h_i
+        # are integers (Python ints in an (m, 2) object array).
         verts = [(Fraction(x), Fraction(y)) for x, y in self.vertices]
-        m = len(verts)
-        funcs = []
-        for i in range(m):
-            vx, vy = verts[i]
-            wx, wy = verts[(i + 1) % m]
+        ratios = []
+        for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1]):
             ex, ey = wx - vx, wy - vy
-            funcs.append((ey, -ex, vx * ey - vy * ex))
-        return tuple(funcs)
+            h = vx * ey - vy * ex
+            ratios.append((ey / h, -ex / h))
+        q = math.lcm(*(r.denominator for row in ratios for r in row))
+        coef = np.array([(int(a * q), int(b * q)) for a, b in ratios], dtype=object)
+        coef.setflags(write=False)
+        return coef, q
 
 
 @dataclass(frozen=True)
@@ -264,17 +270,17 @@ def gauge_exact(poly: SymmetricPolygon, x) -> Fraction:
     """Exact gauge of a rational point with respect to a polygon.
 
     Doubles are dyadic rationals, so any float input is converted losslessly.
+    The point is scaled by the lcm d of its denominators to integers X, and
+    the gauge is max_i <coef_i, X> / (q * d) in the polygon's integer form.
     """
     if not isinstance(poly, SymmetricPolygon):
         raise InvalidBodyError("gauge_exact is defined for polygon bodies")
     _ensure_valid(poly)
     fx, fy = Fraction(x[0]), Fraction(x[1])
-    best = Fraction(0)
-    for a, b, den in poly._exact_functionals:
-        val = (fx * a + fy * b) / den
-        if val > best:
-            best = val
-    return best
+    d = math.lcm(fx.denominator, fy.denominator)
+    X, Y = int(fx * d), int(fy * d)
+    coef, q = poly._integer_form
+    return Fraction(max(a * X + b * Y for a, b in coef), q * d)
 
 
 def boundary_point(body: ConvexBody, theta: float) -> tuple[float, float]:

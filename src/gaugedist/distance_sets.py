@@ -5,8 +5,11 @@ including the zero from coincident pairs.  One kernel builds it from difference
 vectors with pair counts, every pair once or a grid's closed-form multiset.
 Floating mode merges the sorted gauge values with one greedy routine into
 clusters of spread <= tol (distinctness at double precision needs a tolerance);
-exact mode groups integer vectors by an exact key for polygon bodies (rational
-gauge) and the disc (squared length), so lattice counts are tolerance-free.
+exact mode takes integer vectors and a rational scale, and groups them by an
+integer key, q * gauge in the polygon's integer form or the disc's squared
+length, so lattice counts are tolerance-free.  Keys are int64 when a bound
+rules out overflow and Python ints otherwise; each distinct key is valued once,
+as an exact Fraction for polygons and a rounded square root for the disc.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +26,6 @@ from .convex_body import (
     Disc,
     SymmetricPolygon,
     _ensure_valid,
-    gauge_exact,
     gauge_many,
     max_chebyshev_radius,
 )
@@ -99,31 +100,71 @@ def _as_points(source) -> np.ndarray:
     return pts
 
 
-def _fraction_sqrt(q: Fraction) -> float:
-    return math.sqrt(q.numerator) / math.sqrt(q.denominator)
+def _exact_keys(body: ConvexBody, V: np.ndarray) -> np.ndarray:
+    """Exact integer keys of the integer vectors V, shape (m, 2): q * gauge in
+    the polygon's integer form, or the squared length for the disc.
+
+    The keys are int64 when a bound rules out overflow and Python ints (object
+    dtype) otherwise; the arithmetic is the same either way.
+    """
+    vmax = int(np.abs(V).max()) if len(V) else 0
+    if isinstance(body, SymmetricPolygon):
+        coef, _ = body._integer_form
+        # max(vmax, 1): the coefficients themselves must fit as well
+        bound = max(vmax, 1) * max(abs(a) + abs(b) for a, b in coef)
+    else:
+        coef, bound = None, 2 * vmax * vmax
+    dtype = np.int64 if bound < 2**63 else object
+    x, y = V.astype(dtype).T
+    if coef is None:
+        return x * x + y * y
+    cx, cy = coef.astype(dtype).T
+    # elementwise rather than matmul, which has no object-dtype path
+    return np.max(x[:, None] * cx + y[:, None] * cy, axis=1)
 
 
-def _exact_distance_set(body: ConvexBody, n: int, vectors, scale: Fraction) -> DistanceSet:
-    """Distance set of n points from (integer vector, pair count) items.
+def _exact_distance_set(
+    body: ConvexBody, n: int, V: np.ndarray, mult: np.ndarray, scale: Fraction
+) -> DistanceSet:
+    """Distance set of n points from integer vectors V, shape (m, 2), with
+    pair counts ``mult``.
 
-    The items cover the pairs of distinct points, whose differences are
-    ``scale`` times the vectors.  Vectors are grouped by an exact key, the
-    polygon gauge or the disc's squared length, which fixes the distance.
+    The vectors cover the pairs of distinct points, whose differences are
+    ``scale`` times V.  Vectors are grouped by their exact integer key, which
+    fixes the distance, and each distinct key is valued once.
     """
     if isinstance(body, SymmetricPolygon):
-        key, value = (lambda v: gauge_exact(body, v)), (lambda k: k * scale)
+        f = scale / body._integer_form[1]  # the distance is k * f
+
+        def value(k):
+            return Fraction(k * f.numerator, f.denominator)
+
     elif isinstance(body, Disc):
-        q = scale * scale / Fraction(body.radius) ** 2
-        key, value = (lambda v: v[0] * v[0] + v[1] * v[1]), (lambda k: _fraction_sqrt(k * q))
+        c = scale * scale / Fraction(body.radius) ** 2  # the distance is sqrt(k * c)
+        num, den = c.numerator, c.denominator
+
+        def value(k):
+            # sqrt(numerator) / sqrt(denominator) of k * c in lowest terms
+            g = math.gcd(k, den)
+            return math.sqrt(k // g * num) / math.sqrt(den // g)
+
     else:
         raise ValueError("exact distance sets need a polygon or disc body")
-    acc = {0: n}  # the coincident pairs; 0 equals the zero key of either body
-    for v, c in vectors:
-        k = key(v)
-        acc[k] = acc.get(k, 0) + c
-    # ties in value (disc roots rounding to one double) stay apart, ordered by key
-    items = sorted((value(k), k, c) for k, c in acc.items())
-    return DistanceSet(tuple(v for v, _, _ in items), tuple(c for _, _, c in items), 0.0)
+    keys = _exact_keys(body, V)
+    # the n coincident pairs have key 0, like zero vectors from repeated points
+    keys = np.concatenate((np.zeros(1, keys.dtype), keys))
+    mult = np.concatenate(([n], mult))
+    order = np.argsort(keys)
+    keys, mult = keys[order], mult[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys, counts = keys[starts].tolist(), np.add.reduceat(mult, starts).tolist()
+    values = [value(k) for k in keys]
+    if isinstance(body, Disc):
+        # rounded roots need not follow their keys; order by (value, key), so
+        # distinct keys whose roots round to one double stay separate equal values
+        order = np.argsort(values, kind="stable").tolist()
+        values, counts = [values[i] for i in order], [counts[i] for i in order]
+    return DistanceSet(tuple(values), tuple(counts), 0.0)
 
 
 def _float_distance_set(n: int, vals: np.ndarray, tol, weights=None) -> DistanceSet:
@@ -160,10 +201,12 @@ def distance_set(
         raise ValueError("distance set of an empty point collection")
     if exact:
         ints, den = _scale_to_ints(pts)
-        diffs = (
-            (x2 - x1, y2 - y1) for i, (x1, y1) in enumerate(ints) for x2, y2 in ints[i + 1 :]
-        )
-        return _exact_distance_set(body, n, zip(diffs, repeat(1)), Fraction(1, den))
+        # int64 while differences of the scaled points cannot overflow
+        big = max(max(abs(x), abs(y)) for x, y in ints) >= 2**62
+        P = np.array(ints, dtype=object if big else np.int64)
+        i, j = np.triu_indices(n, 1)
+        mult = np.ones(len(i), dtype=np.int64)
+        return _exact_distance_set(body, n, P[j] - P[i], mult, Fraction(1, den))
     vals = np.zeros(1 + n * (n - 1) // 2)
     pos = 1
     for i in range(n - 1):
@@ -191,17 +234,17 @@ def grid_distance_set(
     if n_cols < 1 or n_rows < 1:
         raise ValueError("grid must have at least one point per side")
     total = n_cols * n_rows
-    # representatives of +-(dx, dy): dx > 0 with any dy, or dx == 0 with dy > 0
-    reps = [(0, dy) for dy in range(1, n_rows)]
-    reps.extend(
-        (dx, dy) for dx in range(1, n_cols) for dy in range(-(n_rows - 1), n_rows)
-    )
-    mult = [(n_cols - abs(dx)) * (n_rows - abs(dy)) for dx, dy in reps]
+    # representatives of +-(dx, dy): dx == 0 with dy > 0, then dx > 0 with any dy
+    dys = np.arange(-(n_rows - 1), n_rows, dtype=np.int64)
+    dxs = np.arange(1, n_cols, dtype=np.int64)
+    dx = np.concatenate((np.zeros(n_rows - 1, np.int64), np.repeat(dxs, len(dys))))
+    dy = np.concatenate((dys[n_rows:], np.tile(dys, n_cols - 1)))
+    mult = (n_cols - dx) * (n_rows - np.abs(dy))
+    reps = np.stack((dx, dy), axis=1)
     if exact:
-        return _exact_distance_set(body, total, zip(reps, mult), Fraction(spacing))
-    diffs = np.array(reps, dtype=float).reshape(-1, 2) * spacing
-    vals = np.concatenate(([0.0], gauge_many(body, diffs)))
-    return _float_distance_set(total, vals, tol, np.array([1] + mult))
+        return _exact_distance_set(body, total, reps, mult, Fraction(spacing))
+    vals = np.concatenate(([0.0], gauge_many(body, reps * spacing)))
+    return _float_distance_set(total, vals, tol, np.concatenate(([1], mult)))
 
 
 def min_gap(ds: DistanceSet):

@@ -26,7 +26,7 @@ from gaugedist import (
     validate,
 )
 
-from oracles import raycast_gauge
+from oracles import exact_polygon_gauge, raycast_gauge
 
 
 class TestValidate:
@@ -126,6 +126,30 @@ class TestGauge:
     def test_exact_gauge_fractions(self):
         assert gauge_exact(square(), (Fraction(1, 3), Fraction(1, 7))) == Fraction(1, 3)
         assert gauge_exact(diamond(), (Fraction(1, 3), Fraction(1, 7))) == Fraction(10, 21)
+
+    def test_exact_gauge_rejects_invalid_and_curved_bodies(self):
+        bad = SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)])
+        for body in (bad, Disc(1.0), PBall(1.5, 1.0)):
+            with pytest.raises(InvalidBodyError):
+                gauge_exact(body, (1.0, 0.0))
+
+
+# dyadic rationals m * 2**e with denominators up to 2**52
+dyadic = st.builds(lambda m, e: m * 2.0**e, st.integers(-(2**20), 2**20), st.integers(-52, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.tuples(dyadic, dyadic),
+    body=st.one_of(
+        st.sampled_from([square(), diamond(), square(0.375)]),
+        st.builds(random_symmetric_polygon, st.integers(2, 7), st.integers(0, 10**6)),
+    ),
+)
+def test_exact_gauge_matches_fraction_oracle(x, body):
+    g = gauge_exact(body, x)
+    assert type(g) is Fraction
+    assert g == exact_polygon_gauge(body.vertices, x)
 
 
 @settings(max_examples=60, deadline=None)

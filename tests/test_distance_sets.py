@@ -25,7 +25,7 @@ from gaugedist import (
     random_symmetric_polygon,
     square,
 )
-from gaugedist.distance_sets import _cluster
+from gaugedist.distance_sets import _cluster, _exact_keys
 
 from oracles import (
     brute_exact_counts,
@@ -342,6 +342,31 @@ def test_cluster_matches_greedy_loop(vals, tol, weighted, data):
     assert _cluster(np.array(vals), tol, weights) == greedy_cluster(vals, tol, weights)
 
 
+def polygon_oracle(body, pts):
+    """(values, multiplicities) of the exact polygon distance set, by brute force."""
+    counts = brute_exact_counts(lambda v: exact_polygon_gauge(body.vertices, v), pts)
+    return tuple(v for v, _ in counts), tuple(c for _, c in counts)
+
+
+def disc_oracle(radius, pts):
+    """(values, multiplicities) of the exact disc distance set, by brute force:
+    one entry per distinct exact square, valued sqrt(numerator) / sqrt(denominator)
+    and ordered by (value, square)."""
+    r2 = Fraction(radius) ** 2
+    counts = brute_exact_counts(lambda v: (v[0] ** 2 + v[1] ** 2) / r2, pts)
+    items = sorted((math.sqrt(q.numerator) / math.sqrt(q.denominator), q, c) for q, c in counts)
+    return tuple(v for v, _, _ in items), tuple(c for _, _, c in items)
+
+
+def assert_matches_oracle(body, pts):
+    ds = distance_set(body, np.array(pts, dtype=float), exact=True)
+    if isinstance(body, Disc):
+        expected = disc_oracle(body.radius, pts)
+    else:
+        expected = polygon_oracle(body, pts)
+    assert (ds.values, ds.multiplicities) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     pts=st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=7),
@@ -351,9 +376,7 @@ def test_cluster_matches_greedy_loop(vals, tol, weighted, data):
     ),
 )
 def test_exact_pair_path_matches_fraction_brute_force_polygon(pts, body):
-    ds = distance_set(body, np.array(pts), exact=True)
-    expected = brute_exact_counts(lambda v: exact_polygon_gauge(body.vertices, v), pts)
-    assert list(zip(ds.values, ds.multiplicities)) == expected
+    assert_matches_oracle(body, pts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,13 +385,114 @@ def test_exact_pair_path_matches_fraction_brute_force_polygon(pts, body):
     radius=st.sampled_from([1.0, 0.75, 3.0]),
 )
 def test_exact_pair_path_matches_fraction_brute_force_disc(pts, radius):
-    ds = distance_set(Disc(radius), np.array(pts), exact=True)
-    r2 = Fraction(radius) ** 2
-    counts = brute_exact_counts(lambda v: (v[0] ** 2 + v[1] ** 2) / r2, pts)
-    # one entry per distinct exact square, valued sqrt(numerator) / sqrt(denominator)
-    # and ordered by (value, square)
-    expected = sorted(
-        (math.sqrt(q.numerator) / math.sqrt(q.denominator), q, c) for q, c in counts
+    assert_matches_oracle(Disc(radius), pts)
+
+
+# odd multiples of 2**-52 next to coordinates up to 2**62: scaled to integers by
+# the lcm of their denominators they reach 2**114, past int64
+wide_dyadic = st.builds(
+    lambda m, e: m * 2.0**e, st.integers(-(2**52), 2**52), st.sampled_from([-52, -20, 0, 10])
+)
+# q exceeds 2**62 and the integer coefficients have about 96 bits
+BIG_POLYGON = random_symmetric_polygon(3, 0)
+
+
+class TestIntegerKeys:
+    def test_big_polygon_has_wide_integer_form(self):
+        coef, q = BIG_POLYGON._integer_form
+        assert q > 2**62
+        assert max(abs(c) for c in coef.ravel()) > 2**90
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pts=st.lists(st.tuples(wide_dyadic, wide_dyadic), min_size=1, max_size=6),
+        body=st.sampled_from([square(), diamond(), Disc(1.0), Disc(0.75), BIG_POLYGON]),
     )
-    assert ds.values == tuple(v for v, _, _ in expected)
-    assert ds.multiplicities == tuple(c for _, _, c in expected)
+    def test_wide_points_match_oracle(self, pts, body):
+        assert_matches_oracle(body, pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(1.0, 2.0**-52), (3.0, -1.0), (0.5, 0.25)],  # disc keys overflow int64
+            [(2.0**10, 2.0**-52), (0.0, 0.0), (-(2.0**10), 1.0)],  # every key overflows
+        ],
+    )
+    @pytest.mark.parametrize("body", [square(), Disc(1.0)])
+    def test_fine_denominators_match_oracle(self, pts, body):
+        assert_matches_oracle(body, pts)
+
+    def test_big_polygon_single_point_and_unit_grid(self):
+        one = distance_set(BIG_POLYGON, np.array([[0.5, -0.25]]), exact=True)
+        assert one == grid_distance_set(BIG_POLYGON, 1, 1, 1.0, exact=True)
+        assert one.values == (0,) and one.multiplicities == (1,)
+
+    def test_big_polygon_small_grid_matches_oracle(self):
+        ds = grid_distance_set(BIG_POLYGON, 3, 2, 0.5, exact=True)
+        assert (ds.values, ds.multiplicities) == polygon_oracle(
+            BIG_POLYGON, grid_points(3, 2, 0.5).tolist()
+        )
+
+    @pytest.mark.parametrize("body", [square(), BIG_POLYGON, Disc(1.0)])
+    def test_coincident_points_merge_with_the_diagonal(self, body):
+        ds = distance_set(body, np.array([[0.0, 0.0], [0.0, 0.0]]), exact=True)
+        assert ds.values == (0,) and ds.multiplicities == (3,)
+        pts = [(1.0, 2.0), (0.0, 0.0), (1.0, 2.0), (0.0, 0.0), (3.0, 2.0**-52)]
+        assert_matches_oracle(body, pts)
+
+    # (body, |largest vector coordinate| just below the bound, just at it):
+    # keys are at most max|V| * max_i(|coef_i,x| + |coef_i,y|) for a polygon
+    # (row sums 2 and 4 here) and 2 * max|V|**2 for the disc
+    BOUNDS = [
+        (diamond(), 2**62 - 1, 2**62),
+        (diamond(0.5), 2**61 - 1, 2**61),
+        (Disc(1.0), 2**31 - 1, 2**31),
+    ]
+
+    @pytest.mark.parametrize("body, below, at", BOUNDS, ids=["diamond", "diamond-half", "disc"])
+    def test_key_dtype_switches_at_the_int64_bound(self, body, below, at):
+        for c, dtype in ((below, np.int64), (at, object)):
+            V = np.array([[c, c], [-c, 1], [0, 0]], dtype=object)
+            keys = _exact_keys(body, V)
+            assert keys.dtype == dtype
+            if isinstance(body, Disc):
+                expected = [x * x + y * y for x, y in V.tolist()]
+            else:
+                coef, _ = body._integer_form
+                expected = [max(a * x + b * y for a, b in coef) for x, y in V.tolist()]
+            assert keys.tolist() == expected
+            assert max(expected) >= 2**63 - 2**33  # the keys do reach the bound
+
+    @pytest.mark.parametrize(
+        "body, pts",
+        [
+            # scaled by 2**62, the vector (1 - 2**-52, 1 - 2**-52) has l1 norm 2**63 - 2**11
+            (diamond(), [(2.0**-62, 0.0), (0.0, 0.0), (1 - 2.0**-52, 1 - 2.0**-52)]),
+            (diamond(0.5), [(2.0**-62, 0.0), (0.0, 0.0), (0.5 - 2.0**-53, 0.5 - 2.0**-53)]),
+            (diamond(0.5), [(2.0**-62, 0.0), (0.0, 0.0), (0.5, 0.5)]),  # key 2**63
+            (Disc(1.0), [(0.0, 0.0), (2.0**31 - 1, 2.0**31 - 1), (1.0, 3.0)]),
+            (Disc(1.0), [(0.0, 0.0), (2.0**31, 2.0**31), (1.0, 3.0)]),  # key 2**63
+        ],
+    )
+    def test_pair_path_at_the_int64_bound_matches_oracle(self, body, pts):
+        assert_matches_oracle(body, pts)
+
+    def test_disc_values_follow_rounded_roots_not_keys(self):
+        # scaled by 2**52 the vectors are (X, 0) and (X, 1) with X = 6563534842873445;
+        # under r = 0.75 the root of the larger square X**2 + 1 rounds below that of X**2
+        x = 6563534842873445 * 2.0**-52
+        pts = [(0.0, 0.0), (x, 0.0), (x, 2.0**-52)]
+        ds = distance_set(Disc(0.75), np.array(pts), exact=True)
+        assert list(ds.values) == sorted(ds.values)
+        assert_matches_oracle(Disc(0.75), pts)
+
+    @pytest.mark.parametrize("body", [square(), diamond(), BIG_POLYGON])
+    def test_polygon_values_are_fractions(self, body):
+        # the report writer prints a Fraction as a float; an int would print as "1"
+        for ds in (
+            grid_distance_set(body, 3, 3, 1.0, exact=True),
+            distance_set(body, lattice_points(2), exact=True),
+            distance_set(body, np.array([[0.0, 2.0**-52], [2.0**10, 1.0]]), exact=True),
+        ):
+            assert all(type(v) is Fraction for v in ds.values)
+            assert all(type(c) is int for c in ds.multiplicities)

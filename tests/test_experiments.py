@@ -138,6 +138,14 @@ class TestWriters:
         assert with_ts.read_text().startswith("# generated ")
         assert without.read_text().startswith("R,n_points,")
 
+    def test_exact_polygon_min_gap_is_written_as_a_float(self, tmp_path):
+        # exact polygon distances are Fractions, which the writer prints as
+        # floats; an int or np.int64 reaching it would print "1"
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(run_sweep(square(), LATTICE, [5], exact=True), path, timestamp=False)
+        row = path.read_text().splitlines()[1].split(",")
+        assert row[3] == "1.0"
+
     def test_jsonl_roundtrip(self, tmp_path):
         batch = run_lemma_checks("13", 10, seed=4)
         path = tmp_path / "rows.jsonl"
