@@ -44,7 +44,6 @@ from .distance_sets import (
 from .geometry_kernel import (
     ConcurrenceReport,
     IntersectionResult,
-    Line,
     RootScan,
     Segment,
     boundary_intersection,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -342,8 +343,17 @@ def run_moser(
     return moser_count_check(ps, body, cone, inner_cone, N_range, width)
 
 
-def _timestamp_line() -> str:
-    return f"# generated {datetime.now(timezone.utc).isoformat()}"
+def _generated() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
+@contextmanager
+def _open_report(path, header: Optional[str]):
+    """Open a report for writing with LF line ends, starting with ``header`` if given."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        yield fh
 
 
 def _fmt(v) -> str:
@@ -358,33 +368,23 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def write_sweep_csv(rows: Sequence[ExperimentRow], path, timestamp: bool = True) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if timestamp:
-            fh.write(_timestamp_line() + "\n")
+def _write_csv(rows, columns: tuple[str, ...], path, timestamp: bool) -> None:
+    with _open_report(path, f"# generated {_generated()}" if timestamp else None) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["R", "n_points", "n_distances", "min_gap", "alpha_hat"])
-        for r in rows:
-            writer.writerow(
-                [_fmt(r.R), _fmt(r.n_points), _fmt(r.n_distances), _fmt(r.min_gap), _fmt(r.alpha_hat)]
-            )
+        writer.writerow(columns)
+        writer.writerows([_fmt(getattr(r, c)) for c in columns] for r in rows)
+
+
+def write_sweep_csv(rows: Sequence[ExperimentRow], path, timestamp: bool = True) -> None:
+    _write_csv(rows, ("R", "n_points", "n_distances", "min_gap", "alpha_hat"), path, timestamp)
 
 
 def write_moser_csv(rows: Sequence[MoserRow], path, timestamp: bool = True) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if timestamp:
-            fh.write(_timestamp_line() + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["N", "count", "bound", "met", "truncated"])
-        for r in rows:
-            writer.writerow(
-                [_fmt(r.N), _fmt(r.count), _fmt(r.bound), _fmt(r.met), _fmt(r.truncated)]
-            )
+    _write_csv(rows, ("N", "count", "bound", "met", "truncated"), path, timestamp)
 
 
 def write_jsonl(rows: Sequence[dict], path, timestamp: bool = True) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if timestamp:
-            fh.write(json.dumps({"meta": {"generated": datetime.now(timezone.utc).isoformat()}}) + "\n")
+    header = json.dumps({"meta": {"generated": _generated()}}) if timestamp else None
+    with _open_report(path, header) as fh:
         for row in rows:
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")

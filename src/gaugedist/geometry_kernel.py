@@ -8,10 +8,10 @@ law: for a != 1 every supporting line passes through u/(1-a), and for a == 1
 every segment is parallel to u except when u carries one of two anti-parallel
 edges onto the other (reported as an "opposite-edge coincidence").
 
-Overlap-versus-crossing classification is discontinuous, so the default mode
-converts coordinates to exact rationals (doubles convert losslessly) and
-decides with integer arithmetic; a floating mode with an epsilon is available
-for noisy data.
+Overlap-versus-crossing classification is discontinuous, so the polygon code
+is exact: coordinates convert to rationals (doubles convert losslessly) and
+are scaled to integers, and no tolerance enters the polygon checks.  Only the
+root scan for strictly convex bodies works in floating point.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .prng import Xorshift64Star, derive_seed, quantize
 __all__ = [
     "ConcurrenceReport",
     "IntersectionResult",
-    "Line",
     "RootScan",
     "Segment",
     "boundary_intersection",
@@ -67,31 +66,6 @@ class Segment:
 
     def direction(self) -> tuple:
         return (self.b[0] - self.a[0], self.b[1] - self.a[1])
-
-
-@dataclass(frozen=True)
-class Line:
-    """Implicit line a*x + b*y = c with a*a + b*b = 1 and a > 0 or (a == 0, b > 0)."""
-
-    a: float
-    b: float
-    c: float
-
-    @classmethod
-    def from_points(cls, p, q) -> "Line":
-        dx = float(q[0]) - float(p[0])
-        dy = float(q[1]) - float(p[1])
-        length = math.hypot(dx, dy)
-        if length == 0:
-            raise ValueError("line through coincident points")
-        a, b = -dy / length, dx / length
-        c = a * float(p[0]) + b * float(p[1])
-        if a < 0 or (a == 0 and b < 0):
-            a, b, c = -a, -b, -c
-        return cls(a, b, c)
-
-    def distance_to(self, p) -> float:
-        return abs(self.a * float(p[0]) + self.b * float(p[1]) - self.c)
 
 
 @dataclass(frozen=True)
@@ -138,26 +112,15 @@ def _boundary_vertices(boundary) -> tuple:
     return verts if sign > 0 else verts[::-1]
 
 
-def boundary_intersection(
-    boundary1,
-    boundary2,
-    mode: str = "exact",
-    eps: Optional[float] = None,
-) -> IntersectionResult:
-    """Decompose the intersection of two convex closed polylines.
+def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
+    """Decompose the intersection of two convex closed polylines, exactly.
 
     All edge pairs are classified as crossings, touches, or collinear
     overlaps; overlaps are merged into maximal segments per supporting line,
     and any crossing or touching point lying on a maximal segment is absorbed
-    by it.  Exact mode keeps rational coordinates end to end.
+    by it.  Coordinates are rational (``Fraction``) end to end.
     """
-    V1 = _boundary_vertices(boundary1)
-    V2 = _boundary_vertices(boundary2)
-    if mode == "exact":
-        return _intersect_exact(V1, V2)
-    if mode == "float":
-        return _intersect_float(V1, V2, eps)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _intersect_exact(_boundary_vertices(boundary1), _boundary_vertices(boundary2))
 
 
 def _scale_to_ints(*point_lists):
@@ -272,158 +235,16 @@ def _intersect_exact(V1, V2) -> IntersectionResult:
     return IntersectionResult(tuple(points), tuple(segments))
 
 
-def _intersect_float(V1, V2, eps: Optional[float]) -> IntersectionResult:
-    allpts = V1 + V2
-    span = max(
-        max(p[0] for p in allpts) - min(p[0] for p in allpts),
-        max(p[1] for p in allpts) - min(p[1] for p in allpts),
-    )
-    if eps is None:
-        eps = 1e-9 * max(span, 1.0)
-    m1, m2 = len(V1), len(V2)
-    raw_points: list = []
-    raw_overlaps: list = []  # (line, p_lo, p_hi)
-
-    for i in range(m1):
-        a = V1[i]
-        b = V1[(i + 1) % m1]
-        rx, ry = b[0] - a[0], b[1] - a[1]
-        rlen = math.hypot(rx, ry)
-        for j in range(m2):
-            c = V2[j]
-            d = V2[(j + 1) % m2]
-            sx, sy = d[0] - c[0], d[1] - c[1]
-            slen = math.hypot(sx, sy)
-            qx, qy = c[0] - a[0], c[1] - a[1]
-            qxr = qx * ry - qy * rx
-            dist_c = abs(qxr) / rlen
-            dist_d = abs((d[0] - a[0]) * ry - (d[1] - a[1]) * rx) / rlen
-            if dist_c <= eps and dist_d <= eps:
-                t0 = (qx * rx + qy * ry) / rlen
-                t1 = t0 + (sx * rx + sy * ry) / rlen
-                lo, hi = min(t0, t1), max(t0, t1)
-                lo, hi = max(lo, 0.0), min(hi, rlen)
-                if hi < lo - eps:
-                    continue
-                ux, uy = rx / rlen, ry / rlen
-                p_lo = (a[0] + lo * ux, a[1] + lo * uy)
-                p_hi = (a[0] + hi * ux, a[1] + hi * uy)
-                if hi - lo <= eps:
-                    raw_points.append(p_lo)
-                else:
-                    raw_overlaps.append((Line.from_points(a, b), p_lo, p_hi))
-                continue
-            rxs = rx * sy - ry * sx
-            if abs(rxs) <= eps * max(rlen, slen):
-                continue
-            qxs = qx * sy - qy * sx
-            t = qxs / rxs
-            w = qxr / rxs
-            et, ew = eps / rlen, eps / slen
-            if -et <= t <= 1 + et and -ew <= w <= 1 + ew:
-                t = min(max(t, 0.0), 1.0)
-                raw_points.append((a[0] + t * rx, a[1] + t * ry))
-
-    # group overlaps by supporting line, then merge arclength spans
-    groups: list = []  # [line, [(lo, hi, p_lo, p_hi), ...], (dx, dy)]
-    for line, p, q in raw_overlaps:
-        for grp in groups:
-            rep = grp[0]
-            if (
-                abs(line.a - rep.a) <= 1e-9
-                and abs(line.b - rep.b) <= 1e-9
-                and abs(line.c - rep.c) <= eps
-            ):
-                grp[1].append((p, q))
-                break
-        else:
-            groups.append([line, [(p, q)]])
-
-    merged: list = []  # (line, lo, hi, p_lo, p_hi)
-    for line, items in groups:
-        dx, dy = line.b, -line.a  # unit direction of the line
-        spans = []
-        for p, q in items:
-            tp = dx * p[0] + dy * p[1]
-            tq = dx * q[0] + dy * q[1]
-            spans.append((tp, tq, p, q) if tp <= tq else (tq, tp, q, p))
-        spans.sort()
-        cur = list(spans[0])
-        for lo, hi, p, q in spans[1:]:
-            if lo <= cur[1] + eps:
-                if hi > cur[1]:
-                    cur[1], cur[3] = hi, q
-            else:
-                merged.append((line, *cur))
-                cur = [lo, hi, p, q]
-        merged.append((line, *cur))
-
-    isolated = []
-    for p in raw_points:
-        absorbed = False
-        for line, lo, hi, _, _ in merged:
-            if line.distance_to(p) <= eps:
-                t = line.b * p[0] - line.a * p[1]
-                if lo - eps <= t <= hi + eps:
-                    absorbed = True
-                    break
-        if not absorbed:
-            isolated.append(p)
-
-    deduped: list = []
-    for p in sorted(isolated):
-        if not any(math.hypot(p[0] - q[0], p[1] - q[1]) <= eps for q in deduped):
-            deduped.append(p)
-
-    segments = []
-    for _, _, _, p, q in merged:
-        a, b = min(p, q), max(p, q)
-        segments.append(Segment(a, b))
-    segments.sort(key=lambda s: (s.a, s.b))
-    return IntersectionResult(tuple(deduped), tuple(segments))
-
-
-def _is_exact(result: IntersectionResult) -> bool:
-    for seg in result.maximal_segments:
-        return isinstance(seg.a[0], Fraction)
-    return False
-
-
 def _frac_line_key(a, b):
-    fa = (Fraction(a[0]), Fraction(a[1]))
-    fb = (Fraction(b[0]), Fraction(b[1]))
-    dx, dy = fb[0] - fa[0], fb[1] - fa[1]
-    den = math.lcm(dx.denominator, dy.denominator)
-    ix, iy = int(dx * den), int(dy * den)
-    g = math.gcd(abs(ix), abs(iy))
-    ix, iy = ix // g, iy // g
-    nx, ny = -iy, ix
-    c = nx * fa[0] + ny * fa[1]
-    if nx < 0 or (nx == 0 and ny < 0):
-        nx, ny, c = -nx, -ny, -c
-    return (nx, ny, c)
+    """Supporting-line key of the segment ab, as ``_int_line_key`` with ``c`` rescaled."""
+    (pa, pb), den = _scale_to_ints((a, b))
+    nx, ny, c = _int_line_key(pa, (pb[0] - pa[0], pb[1] - pa[1]))
+    return (nx, ny, Fraction(c, den))
 
 
-def direction_line_classes(result: IntersectionResult, tol: float = 1e-9) -> int:
-    """Number of distinct supporting lines among the maximal segments."""
-    segs = result.maximal_segments
-    if not segs:
-        return 0
-    if _is_exact(result):
-        return len({_frac_line_key(s.a, s.b) for s in segs})
-    reps: list[Line] = []
-    for s in segs:
-        line = Line.from_points(s.a, s.b)
-        for rep in reps:
-            if (
-                abs(line.a - rep.a) <= tol
-                and abs(line.b - rep.b) <= tol
-                and abs(line.c - rep.c) <= tol * (1.0 + abs(rep.c))
-            ):
-                break
-        else:
-            reps.append(line)
-    return len(reps)
+def direction_line_classes(result: IntersectionResult) -> int:
+    """Number of distinct supporting lines among the maximal segments (exact)."""
+    return len({_frac_line_key(s.a, s.b) for s in result.maximal_segments})
 
 
 @dataclass(frozen=True)
@@ -473,18 +294,18 @@ def concurrence_check(
     result: IntersectionResult,
     alpha: float,
     u,
-    tol: float = 1e-9,
-    angular_tol: float = 1e-12,
     polygon: Optional[SymmetricPolygon] = None,
 ) -> ConcurrenceReport:
-    """Check the concurrence/parallelism law on every maximal segment.
+    """Check the concurrence/parallelism law on every maximal segment, exactly.
 
     For alpha != 1 each segment's supporting line must pass through
-    u/(1-alpha), within tol relative to that point's norm.  For alpha == 1
-    each segment must be parallel to u (angular sine <= angular_tol); a
+    u/(1-alpha): any nonzero rational residual is a violation.  For
+    alpha == 1 each segment must be parallel to u (zero cross product); a
     non-parallel segment is accepted only when the polygon is supplied and the
     segment verifiably comes from two anti-parallel edges at offset u, in
-    which case it is flagged rather than failing.
+    which case it is flagged rather than failing.  ``max_point_error`` (the
+    miss distance relative to |u/(1-alpha)|) and ``max_angle_error`` (the sine
+    of the angle to u) report the size of the residuals as floats.
     """
     ux, uy = float(u[0]), float(u[1])
     if alpha == 1 and ux == 0 and uy == 0:
@@ -492,7 +313,7 @@ def concurrence_check(
     if not (alpha > 0):
         raise ValueError("scale factor must be positive")
     segs = result.maximal_segments
-    exact = _is_exact(result)
+    fu = (Fraction(u[0]), Fraction(u[1]))
     checked = flagged = 0
     max_pt = 0.0
     max_ang = 0.0
@@ -500,51 +321,32 @@ def concurrence_check(
     flags: list[str] = []
 
     if alpha != 1:
-        if exact:
-            fu = (Fraction(u[0]), Fraction(u[1]))
-            scale = Fraction(1) - Fraction(alpha)
-            target = (fu[0] / scale, fu[1] / scale)
-        else:
-            target = (ux / (1 - alpha), uy / (1 - alpha))
+        scale = Fraction(1) - Fraction(alpha)
+        target = (fu[0] / scale, fu[1] / scale)
         norm = math.hypot(float(target[0]), float(target[1]))
         denom = norm if norm > 0 else 1.0
         for k, seg in enumerate(segs):
-            if exact:
-                nx, ny, c = _frac_line_key(seg.a, seg.b)
-                resid = nx * target[0] + ny * target[1] - c
-                err = abs(float(resid)) / math.hypot(float(nx), float(ny))
-            else:
-                line = Line.from_points(seg.a, seg.b)
-                err = line.distance_to(target)
-            rel = err / denom
+            nx, ny, c = _frac_line_key(seg.a, seg.b)
+            resid = nx * target[0] + ny * target[1] - c
+            rel = abs(float(resid)) / math.hypot(float(nx), float(ny)) / denom
             checked += 1
             max_pt = max(max_pt, rel)
-            if rel > tol:
+            if resid != 0:
                 violations.append(
                     f"segment {k}: supporting line misses u/(1-alpha) by {rel:.3e} (rel)"
                 )
     else:
         for k, seg in enumerate(segs):
-            dx = seg.b[0] - seg.a[0]
-            dy = seg.b[1] - seg.a[1]
-            if exact:
-                cr = Fraction(dx) * Fraction(u[1]) - Fraction(dy) * Fraction(u[0])
-                sin_ang = (
-                    0.0
-                    if cr == 0
-                    else abs(float(cr))
-                    / (math.hypot(float(dx), float(dy)) * math.hypot(ux, uy))
-                )
-            else:
-                cr = float(dx) * uy - float(dy) * ux
-                sin_ang = abs(cr) / (math.hypot(float(dx), float(dy)) * math.hypot(ux, uy))
-            if sin_ang <= angular_tol:
+            dx = Fraction(seg.b[0]) - Fraction(seg.a[0])
+            dy = Fraction(seg.b[1]) - Fraction(seg.a[1])
+            cr = dx * fu[1] - dy * fu[0]
+            if cr == 0:
                 checked += 1
-                max_ang = max(max_ang, sin_ang)
             elif polygon is not None and _opposite_edge_coincidence(seg, u, polygon):
                 flagged += 1
                 flags.append("opposite-edge coincidence")
             else:
+                sin_ang = abs(float(cr)) / (math.hypot(float(dx), float(dy)) * math.hypot(ux, uy))
                 checked += 1
                 max_ang = max(max_ang, sin_ang)
                 violations.append(
@@ -672,7 +474,7 @@ def strictly_convex_intersection_count(
         result = RootScan(0, (), ())
         return result if detail else 0
 
-    # cyclic dedupe of roots closer than 1.5 grid steps
+    # cyclic dedupe of roots closer than 1.5 times the grid step
     roots.sort()
     clusters: list[list[tuple[float, bool]]] = [[roots[0]]]
     for r in roots[1:]:

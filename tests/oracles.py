@@ -135,3 +135,55 @@ def exact_turn(o, a, b) -> int:
         Fraction(b[0]) - ox
     )
     return (cr > 0) - (cr < 0)
+
+
+def on_closed_segment(p, a, b) -> bool:
+    """p lies on the closed segment ab, decided in exact rationals."""
+    p, a, b = ((Fraction(q[0]), Fraction(q[1])) for q in (p, a, b))
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    px, py = p[0] - a[0], p[1] - a[1]
+    return ex * py - ey * px == 0 and 0 <= ex * px + ey * py <= ex * ex + ey * ey
+
+
+def on_closed_polyline(vertices, p) -> bool:
+    """p lies on some edge of the closed polyline through ``vertices``."""
+    m = len(vertices)
+    return any(on_closed_segment(p, vertices[i], vertices[(i + 1) % m]) for i in range(m))
+
+
+def exact_edge_pieces(V1, V2):
+    """Intersection of two closed polylines, one edge pair at a time, in Fraction.
+
+    Returns ``(points, segments)``: crossing and touching points, and the
+    collinear overlaps of positive length as ``(p, q)`` pairs.  Each edge pair
+    is solved on its own (Cramer's rule for a crossing, projection onto the
+    first edge and clipping for a collinear overlap); nothing is merged,
+    absorbed or deduplicated.
+    """
+    A = [(Fraction(x), Fraction(y)) for x, y in V1]
+    B = [(Fraction(x), Fraction(y)) for x, y in V2]
+    points, segments = [], []
+    for a, b in zip(A, A[1:] + A[:1]):
+        rx, ry = b[0] - a[0], b[1] - a[1]
+        for c, d in zip(B, B[1:] + B[:1]):
+            sx, sy = d[0] - c[0], d[1] - c[1]
+            qx, qy = c[0] - a[0], c[1] - a[1]
+            det = rx * sy - ry * sx
+            if det != 0:
+                # a + t*r == c + w*s
+                t = (qx * sy - qy * sx) / det
+                w = (qx * ry - qy * rx) / det
+                if 0 <= t <= 1 and 0 <= w <= 1:
+                    points.append((a[0] + t * rx, a[1] + t * ry))
+                continue
+            if qx * ry - qy * rx != 0:
+                continue  # parallel, on different lines
+            rr = rx * rx + ry * ry
+            t0 = (qx * rx + qy * ry) / rr
+            t1 = ((d[0] - a[0]) * rx + (d[1] - a[1]) * ry) / rr
+            lo, hi = max(min(t0, t1), 0), min(max(t0, t1), 1)
+            if lo == hi:
+                points.append((a[0] + lo * rx, a[1] + lo * ry))
+            elif lo < hi:
+                segments.append(((a[0] + lo * rx, a[1] + lo * ry), (a[0] + hi * rx, a[1] + hi * ry)))
+    return points, segments

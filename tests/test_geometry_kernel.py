@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugedist import (
     Disc,
+    IntersectionResult,
     PBall,
     Segment,
     boundary_intersection,
@@ -20,7 +24,13 @@ from gaugedist import (
 )
 from gaugedist.prng import Xorshift64Star
 
-from oracles import exact_turn, point_in_polygon
+from oracles import (
+    exact_edge_pieces,
+    exact_turn,
+    on_closed_polyline,
+    on_closed_segment,
+    point_in_polygon,
+)
 
 
 def seg_set(result):
@@ -108,22 +118,14 @@ class TestBoundaryIntersection:
                     dmin = _distance_to_boundary(pf, boundary)
                     assert dmin <= 1e-9
 
-    def test_float_mode_matches_exact_on_clean_input(self):
-        moved = transform_polygon(square(), 1.0, (1.0, 0.0))
-        res = boundary_intersection(square(), moved, mode="float")
-        assert seg_set(res) == {
-            ((0.0, -1.0), (1.0, -1.0)),
-            ((0.0, 1.0), (1.0, 1.0)),
-        }
-
-    def test_float_mode_merges_near_collinear(self):
-        # a translate that exact arithmetic sees as disjoint lines but the
-        # epsilon sees as one overlap
-        moved = transform_polygon(square(), 1.0, (0.5, 1e-13))
-        exact = boundary_intersection(square(), moved)
-        fuzzy = boundary_intersection(square(), moved, mode="float", eps=1e-9)
-        assert not exact.maximal_segments or len(exact.maximal_segments) < 2
-        assert len(fuzzy.maximal_segments) == 2
+    def test_near_collinear_translate_is_not_an_overlap(self):
+        # the horizontal edges miss each other's lines by about 1e-13: two
+        # crossings, no shared segment
+        low = Fraction(-1.0 + 1e-13)  # the moved square's bottom edge
+        assert low != -1
+        res = boundary_intersection(square(), transform_polygon(square(), 1.0, (0.5, 1e-13)))
+        assert not res.maximal_segments
+        assert set(res.isolated_points) == {(Fraction(-1, 2), Fraction(1)), (Fraction(1), low)}
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
@@ -147,6 +149,73 @@ def _distance_to_boundary(p, vertices):
     return best
 
 
+def _dyadic(lo, hi, bits):
+    return st.integers(math.ceil(lo * 2**bits), math.floor(hi * 2**bits)).map(lambda k: k / 2**bits)
+
+
+@st.composite
+def polygon_and_translate(draw):
+    """Vertices of a random polygon G and of alpha*G + u.  The translate u comes
+    from the four trial constructions of the experiments module docstring, or
+    places one moved vertex on an edge of G."""
+    poly = random_symmetric_polygon(draw(st.integers(2, 8)), draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    verts = poly.vertices
+    i = draw(st.integers(0, len(verts) - 1))
+    (vx, vy), (wx, wy) = verts[i], verts[(i + 1) % len(verts)]
+    ex, ey = wx - vx, wy - vy
+    kind = draw(
+        st.sampled_from(["edge-aligned", "vertex-homothety", "opposite-edge", "random", "vertex-on-edge"])
+    )
+    if kind == "edge-aligned":
+        beta = draw(_dyadic(-alpha, 1.0, 12))
+        u = ((1.0 - alpha) * vx + beta * ex, (1.0 - alpha) * vy + beta * ey)
+    elif kind == "vertex-homothety":
+        u = ((1.0 - alpha) * wx, (1.0 - alpha) * wy)
+    elif kind == "opposite-edge":
+        s = draw(_dyadic(-0.875, 0.875, 12))
+        u = (vx + wx + s * ex, vy + wy + s * ey)
+    elif kind == "random":
+        u = (draw(_dyadic(-2.5, 2.5, 16)), draw(_dyadic(-2.5, 2.5, 16)))
+    else:
+        px, py = verts[draw(st.integers(0, len(verts) - 1))]
+        s = draw(_dyadic(0.0, 1.0, 12))
+        u = (vx + s * ex - alpha * px, vy + s * ey - alpha * py)
+    return poly.vertices, transform_polygon(poly, alpha, u)
+
+
+class TestIntersectionOracle:
+    """boundary_intersection against edge pairs solved one by one in Fraction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=polygon_and_translate())
+    def test_matches_edge_pair_oracle(self, case):
+        V1, V2 = case
+        res = boundary_intersection(V1, V2)
+        segs = res.maximal_segments
+        for s in segs:
+            mid = ((s.a[0] + s.b[0]) / 2, (s.a[1] + s.b[1]) / 2)
+            for p in (s.a, s.b, mid):
+                assert on_closed_polyline(V1, p) and on_closed_polyline(V2, p)
+        for p in res.isolated_points:
+            assert on_closed_polyline(V1, p) and on_closed_polyline(V2, p)
+            assert not any(on_closed_segment(p, s.a, s.b) for s in segs)
+
+        points, pieces = exact_edge_pieces(V1, V2)
+        for p in points:
+            assert p in res.isolated_points or any(on_closed_segment(p, s.a, s.b) for s in segs)
+        for p, q in pieces:
+            assert any(on_closed_segment(p, s.a, s.b) and on_closed_segment(q, s.a, s.b) for s in segs)
+
+        for k, s in enumerate(segs):
+            for t in segs[k + 1 :]:
+                if exact_turn(s.a, s.b, t.a) == 0 and exact_turn(s.a, s.b, t.b) == 0:
+                    # one supporting line: the closed segments share no point
+                    assert not on_closed_segment(t.a, s.a, s.b)
+                    assert not on_closed_segment(t.b, s.a, s.b)
+                    assert not on_closed_segment(s.a, t.a, t.b)
+
+
 class TestDirectionClasses:
     def test_empty(self):
         res = boundary_intersection(square(), transform_polygon(square(), 1.0, (5.0, 0.0)))
@@ -163,14 +232,10 @@ class TestDirectionClasses:
             res = boundary_intersection(square(), transform_polygon(square(), alpha, u))
             assert direction_line_classes(res) == 2
 
-    def test_float_segments_grouped_with_tolerance(self):
+    def test_float_segments_on_distinct_lines_are_distinct_classes(self):
         a = Segment((0.0, 0.0), (1.0, 0.0))
         b = Segment((2.0, 1e-12), (3.0, 1e-12))
-        from gaugedist import IntersectionResult
-
-        res = IntersectionResult((), (a, b))
-        assert direction_line_classes(res, tol=1e-9) == 1
-        assert direction_line_classes(res, tol=1e-15) == 2
+        assert direction_line_classes(IntersectionResult((), (a, b))) == 2
 
 
 class TestConcurrence:
@@ -214,6 +279,19 @@ class TestConcurrence:
             rep = concurrence_check(res, alpha, u, polygon=square())
             assert rep.ok and rep.checked == 2
             assert rep.max_point_error == 0.0
+
+    def test_line_missing_the_target_by_a_tiny_residual_fails(self):
+        # alpha = 2, u = (1, 0): the target u/(1-alpha) is (-1, 0); x = -1 + 2**-40 misses it
+        seg = Segment((-1 + 2**-40, -1.0), (-1 + 2**-40, 1.0))
+        rep = concurrence_check(IntersectionResult((), (seg,)), 2.0, (1.0, 0.0))
+        assert not rep.ok and rep.checked == 1
+        assert rep.max_point_error == 2.0**-40
+
+    def test_segment_nearly_parallel_to_u_fails(self):
+        seg = Segment((0.0, 0.0), (1.0, 2**-45))
+        rep = concurrence_check(IntersectionResult((), (seg,)), 1.0, (1.0, 0.0))
+        assert not rep.ok and rep.checked == 1 and rep.flagged == 0
+        assert 0.0 < rep.max_angle_error < 1e-13
 
 
 class TestStrictlyConvexCount:
