@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 from .convex_body import InvalidBodyError, load_body
 from .distance_sets import Cone
 from .experiments import (
+    _open_report,
     erdos_bound,
     run_lemma_checks,
     run_moser,
@@ -79,24 +80,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_taxicab(args) -> int:
-    report = taxicab_count(args.n, args.body)
+def _emit_json(report: dict, out) -> None:
     text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with _open_report(out, None) as fh:
             fh.write(text + "\n")
     print(text)
+
+
+def _cmd_taxicab(args) -> int:
+    _emit_json(taxicab_count(args.n, args.body), args.out)
     return 0
 
 
 def _cmd_erdos(args) -> int:
-    body = load_body(args.body)
-    report = erdos_bound(body, args.N, seed=args.seed)
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    report = erdos_bound(load_body(args.body), args.N, seed=args.seed)
+    _emit_json(report, args.out)
     return 1 if report["flagged"] else 0
 
 
@@ -143,45 +142,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_set=False):
-        p.add_argument("--body", default="square",
-                       help="body JSON path or builtin name (square, diamond, disc)")
-        p.add_argument("--seed", type=int, default=0)
+    def add_common(p, body=True, seed=True, timestamp=True):
+        if body:
+            p.add_argument("--body", default="square",
+                           help="body JSON path or builtin name (square, diamond, disc)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="suppress the timestamp header for byte-identical reruns")
-        if with_set:
-            p.add_argument("--set", default="lattice",
-                           help="lattice | perturbed | file:PATH")
-            p.add_argument("--spacing", type=float, default=1.0)
-            p.add_argument("--jitter", type=float, default=0.0)
-            p.add_argument("--R", type=_parse_floats, default=None,
-                           help="comma-separated window radii")
+        if timestamp:
+            p.add_argument("--no-timestamp", action="store_true",
+                           help="suppress the timestamp header for byte-identical reruns")
 
     p = sub.add_parser("sweep", help="distance-set statistics over window radii")
-    add_common(p, with_set=True)
+    add_common(p)
+    p.add_argument("--set", default="lattice", help="lattice | perturbed | file:PATH")
+    p.add_argument("--spacing", type=float, default=1.0)
+    p.add_argument("--jitter", type=float, default=0.0)
+    p.add_argument("--R", type=_parse_floats, default=None, help="comma-separated window radii")
     p.add_argument("--tol", type=float, default=None, help="clustering tolerance")
     p.add_argument("--exact", action="store_true", help="exact distance counting")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("taxicab-count", help="distinct distances of the corner lattice")
-    add_common(p)
+    add_common(p, seed=False, timestamp=False)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_taxicab)
 
     p = sub.add_parser("erdos-bound", help="distinct-distance lower-bound witnesses")
-    add_common(p)
+    add_common(p, timestamp=False)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(func=_cmd_erdos)
 
     p = sub.add_parser("lemma-checks", help="seeded geometry trial batches")
-    add_common(p)
+    add_common(p, body=False)
     p.add_argument("--which", required=True, choices=["13", "14", "strict"])
     p.add_argument("--trials", type=int, default=1000)
     p.set_defaults(func=_cmd_lemma_checks)
 
     p = sub.add_parser("moser", help="annulus/cone point counts against N*(angle span)")
-    add_common(p)
+    add_common(p, seed=False)
     p.add_argument("--cone", type=_parse_cone, required=True, help="theta1,theta2")
     p.add_argument("--cone-inner", type=_parse_cone, required=True, dest="cone_inner")
     p.add_argument("--N-range", type=_parse_n_range, required=True, dest="N_range",

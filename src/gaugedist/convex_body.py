@@ -160,6 +160,42 @@ def diamond(radius: float = 1.0) -> SymmetricPolygon:
     return SymmetricPolygon(((r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)))
 
 
+def _ratio(x) -> tuple[int, int]:
+    # numpy integers have no as_integer_ratio; Fraction takes any rational
+    return (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
+
+
+def _scale_to_ints(*point_lists):
+    """``(*lists, den)``: each point p as ``den * p``, den the lcm of all denominators."""
+    ratios = [[(_ratio(x), _ratio(y)) for x, y in pts] for pts in point_lists]
+    den = math.lcm(*(d for pts in ratios for (_, dx), (_, dy) in pts for d in (dx, dy)))
+    return (*([(a * (den // b), c * (den // d)) for (a, b), (c, d) in pts] for pts in ratios), den)
+
+
+def _convexity(V) -> tuple[int, list[str]]:
+    """Orientation (sign of the signed area, +1 counterclockwise) and violations
+    of the closed polygon with integer vertices V.  None is listed exactly when
+    V is simple and strictly convex: no vertex repeats its successor, every turn
+    has the orientation's sign, and the edge direction leaves the upper
+    half-plane once (a star polygon or a boundary listed twice winds more)."""
+    m = len(V)
+    dup = [i for i in range(m) if V[i] == V[(i + 1) % m]]
+    if dup:
+        return 0, [f"repeated consecutive vertices at {dup}"]
+    W = V[1:] + V[:1]
+    area = sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(V, W))
+    orient = (area > 0) - (area < 0)
+    E = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(V, W)]
+    bad = [i for i, ((ex, ey), (fx, fy)) in enumerate(zip(E, E[1:] + E[:1]))
+           if orient * (ex * fy - ey * fx) <= 0]
+    up = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in E]
+    winds = sum(a and not b for a, b in zip(up, up[1:] + up[:1]))
+    viol = [f"non-strict convex turn sign at vertices {bad}"] if bad else []
+    if winds != 1:
+        viol.append(f"boundary winds {winds} times around, not once")
+    return orient, viol
+
+
 def _validate_polygon(poly: SymmetricPolygon) -> ValidationReport:
     v = poly.vertices
     m = len(v)
@@ -177,31 +213,24 @@ def _validate_polygon(poly: SymmetricPolygon) -> ValidationReport:
         bad = [i for i in range(n) if v[i + n] != (-v[i][0], -v[i][1])]
         if bad:
             viol.append(f"symmetry pairing fails: vertices {bad} not negated at +n")
-    dup = [i for i in range(m) if v[i] == v[(i + 1) % m]]
-    if dup:
-        viol.append(f"repeated consecutive vertices at {dup}")
-    else:
-        bad_turn = []
-        for i in range(m):
-            ax, ay = v[i]
-            bx, by = v[(i + 1) % m]
-            cx, cy = v[(i + 2) % m]
-            if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) <= 0:
-                bad_turn.append(i)
-        if bad_turn:
-            viol.append(f"non-strict convex turn sign at vertices {bad_turn}")
-        outside = [
-            i
-            for i in range(m)
-            if v[i][0] * v[(i + 1) % m][1] - v[i][1] * v[(i + 1) % m][0] <= 0
-        ]
-        if outside:
-            viol.append(f"origin not strictly inside: edges {outside}")
+    V, _ = _scale_to_ints(v)
+    orient, shape = _convexity(V)
+    viol += shape
+    outside = [i for i, ((x0, y0), (x1, y1)) in enumerate(zip(V, V[1:] + V[:1]))
+               if x0 * y1 - y0 * x1 <= 0]
+    if orient < 0:
+        viol.append("non-strict convex turn sign: vertices run clockwise")
+    elif orient and outside:
+        viol.append(f"origin not strictly inside: edges {outside}")
     return ValidationReport(not viol, tuple(viol))
 
 
 def validate(body: ConvexBody) -> ValidationReport:
-    """Check every invariant of the body; reports all violations, raises nothing."""
+    """Check every invariant of the body; reports all violations, raises nothing.
+
+    Polygon shape checks are exact.  Besides pairing, strict counterclockwise
+    turns and the origin inside, the boundary must wind once: the {8/3}
+    octagram turns left at every vertex but winds three times."""
     if isinstance(body, SymmetricPolygon):
         return body._report
     if isinstance(body, Disc):
@@ -276,9 +305,7 @@ def gauge_exact(poly: SymmetricPolygon, x) -> Fraction:
     if not isinstance(poly, SymmetricPolygon):
         raise InvalidBodyError("gauge_exact is defined for polygon bodies")
     _ensure_valid(poly)
-    fx, fy = Fraction(x[0]), Fraction(x[1])
-    d = math.lcm(fx.denominator, fy.denominator)
-    X, Y = int(fx * d), int(fy * d)
+    [(X, Y)], d = _scale_to_ints([x])
     coef, q = poly._integer_form
     return Fraction(max(a * X + b * Y for a, b in coef), q * d)
 

@@ -26,10 +26,10 @@ from .convex_body import (
     Disc,
     SymmetricPolygon,
     _ensure_valid,
+    _scale_to_ints,
     gauge_many,
     max_chebyshev_radius,
 )
-from .geometry_kernel import _scale_to_ints
 from .point_sets import PointSet
 
 __all__ = [
@@ -257,11 +257,10 @@ def min_gap(ds: DistanceSet):
 
 @dataclass(frozen=True)
 class Annulus:
-    """Gauge annulus: points with gauge distance from center in (width*N, width*(N+1))."""
+    """Gauge annulus: points with gauge distance from the origin in (width*N, width*(N+1))."""
 
     N: int
     width: float = 10.0
-    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.N < 0:

@@ -1,12 +1,16 @@
 """Structure of boundary intersections between a convex curve and its scaled translate.
 
 For a convex polygon boundary G and a scaled translate a*G + u, the
-intersection decomposes into isolated points plus maximal segments.  This
-module computes that decomposition, counts the distinct supporting lines of
-the segments (never more than two when u != 0), and checks the concurrence
-law: for a != 1 every supporting line passes through u/(1-a), and for a == 1
-every segment is parallel to u except when u carries one of two anti-parallel
-edges onto the other (reported as an "opposite-edge coincidence").
+intersection decomposes into isolated points plus maximal segments.  Input
+boundaries must be simple strictly convex polygons (one exact check rejects
+star polygons and boundaries listed twice), so each line holds at most one
+edge of each, every collinear edge pair yields a whole maximal segment, and
+segments are never merged.  This module computes that decomposition, counts
+the distinct supporting lines of the segments (never more than two when
+u != 0), and checks the concurrence law: for a != 1 every supporting line
+passes through u/(1-a), and for a == 1 every segment is parallel to u except
+when u carries one of two anti-parallel edges onto the other (reported as an
+"opposite-edge coincidence").
 
 Overlap-versus-crossing classification is discontinuous, so the polygon code
 is exact: coordinates convert to rationals (doubles convert losslessly) and
@@ -27,7 +31,9 @@ from .convex_body import (
     Disc,
     PBall,
     SymmetricPolygon,
+    _convexity,
     _ensure_valid,
+    _scale_to_ints,
     boundary_point,
     boundary_points,
     gauge,
@@ -64,9 +70,6 @@ class Segment:
         object.__setattr__(self, "a", (self.a[0], self.a[1]))
         object.__setattr__(self, "b", (self.b[0], self.b[1]))
 
-    def direction(self) -> tuple:
-        return (self.b[0] - self.a[0], self.b[1] - self.a[1])
-
 
 @dataclass(frozen=True)
 class IntersectionResult:
@@ -85,76 +88,42 @@ def transform_polygon(boundary, alpha: float, u) -> tuple:
     return tuple((alpha * float(x) + ux, alpha * float(y) + uy) for x, y in verts)
 
 
-def _boundary_vertices(boundary) -> tuple:
-    if isinstance(boundary, SymmetricPolygon):
-        verts = boundary.vertices
-    else:
-        verts = tuple((float(p[0]), float(p[1])) for p in boundary)
-    m = len(verts)
-    if m < 3:
-        raise ValueError("a closed boundary needs at least 3 vertices")
-    for i in range(m):
-        if verts[i] == verts[(i + 1) % m]:
-            raise ValueError(f"degenerate edge at vertex {i}")
-    sign = 0
-    for i in range(m):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % m]
-        cx, cy = verts[(i + 2) % m]
-        cr = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-        if cr == 0:
-            raise ValueError("collinear consecutive edges; merge them first")
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            raise ValueError("boundary is not convex")
-    return verts if sign > 0 else verts[::-1]
-
-
 def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
     """Decompose the intersection of two convex closed polylines, exactly.
 
-    All edge pairs are classified as crossings, touches, or collinear
-    overlaps; overlaps are merged into maximal segments per supporting line,
-    and any crossing or touching point lying on a maximal segment is absorbed
-    by it.  Coordinates are rational (``Fraction``) end to end.
+    Each boundary (a polygon body or a vertex list, in either orientation)
+    must be a simple strictly convex polygon; anything else, a star polygon
+    or a boundary listed twice included, raises ``ValueError``.  A convex
+    boundary has at most one edge on any line, so every collinear edge pair
+    overlaps in a whole maximal segment and no segments are merged.  The
+    remaining edge pairs are classified as crossings or touches, and any such
+    point lying on a segment is absorbed by it.  Coordinates are rational
+    (``Fraction``) end to end.
     """
-    return _intersect_exact(_boundary_vertices(boundary1), _boundary_vertices(boundary2))
+    return _intersect_exact(
+        *(b.vertices if isinstance(b, SymmetricPolygon) else b for b in (boundary1, boundary2))
+    )
 
 
-def _scale_to_ints(*point_lists):
-    """``(*lists, den)``: each point p as ``den * p``, den the lcm of all denominators."""
-    fracs = [[(Fraction(x), Fraction(y)) for x, y in pts] for pts in point_lists]
-    den = 1
-    for pts in fracs:
-        for x, y in pts:
-            den = math.lcm(den, x.denominator, y.denominator)
-    return (*([(int(x * den), int(y * den)) for x, y in pts] for pts in fracs), den)
-
-
-def _int_line_key(point, direction):
-    dx, dy = direction
-    g = math.gcd(abs(dx), abs(dy))
-    dx, dy = dx // g, dy // g
-    nx, ny = -dy, dx
-    c = nx * point[0] + ny * point[1]
-    if nx < 0 or (nx == 0 and ny < 0):
-        nx, ny, c = -nx, -ny, -c
-    return (nx, ny, c)
-
-
-def _key_param(key, p):
-    # arclength-proportional parameter along the canonical direction (ny, -nx)
-    nx, ny, _ = key
-    return ny * p[0] - nx * p[1]
+def _on_segment(p, a, b) -> bool:
+    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    if cross != 0:
+        return False
+    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
+    return 0 <= dot <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
 
 
 def _intersect_exact(V1, V2) -> IntersectionResult:
     A, B, den = _scale_to_ints(V1, V2)
+    for V in (A, B):
+        orient, viol = _convexity(V)
+        if viol:
+            raise ValueError("boundary is not a simple convex polygon: " + "; ".join(viol))
+        if orient < 0:
+            V.reverse()
     m1, m2 = len(A), len(B)
     point_pool: set = set()
-    overlaps: dict = {}
+    overlaps: list = []
 
     for i in range(m1):
         ax, ay = A[i]
@@ -183,8 +152,7 @@ def _intersect_exact(V1, V2) -> IntersectionResult:
                     point_pool.add(p_lo)
                     continue
                 p_hi = (Fraction(ax * rr + hi * rx, rr), Fraction(ay * rr + hi * ry, rr))
-                key = _int_line_key((ax, ay), (rx, ry))
-                overlaps.setdefault(key, []).append((p_lo, p_hi))
+                overlaps.append((p_lo, p_hi))
             else:
                 qxs = qx * sy - qy * sx
                 if rxs > 0:
@@ -196,38 +164,11 @@ def _intersect_exact(V1, V2) -> IntersectionResult:
                 t = Fraction(qxs, rxs)
                 point_pool.add((ax + t * rx, ay + t * ry))
 
-    merged: list = []  # (key, lo, hi, p_lo, p_hi) in scaled coordinates
-    for key, items in overlaps.items():
-        spans = sorted(
-            (( _key_param(key, p), _key_param(key, q), p, q) if _key_param(key, p) <= _key_param(key, q)
-             else (_key_param(key, q), _key_param(key, p), q, p))
-            for p, q in items
-        )
-        cur = list(spans[0])
-        for lo, hi, p, q in spans[1:]:
-            if lo <= cur[1]:
-                if hi > cur[1]:
-                    cur[1], cur[3] = hi, q
-            else:
-                merged.append((key, *cur))
-                cur = [lo, hi, p, q]
-        merged.append((key, *cur))
-
-    isolated = []
-    for p in point_pool:
-        absorbed = False
-        for key, lo, hi, _, _ in merged:
-            nx, ny, c = key
-            if nx * p[0] + ny * p[1] == c and lo <= _key_param(key, p) <= hi:
-                absorbed = True
-                break
-        if not absorbed:
-            isolated.append(p)
-
+    isolated = [p for p in point_pool if not any(_on_segment(p, a, b) for a, b in overlaps)]
     scale = Fraction(1, den)
     points = sorted((p[0] * scale, p[1] * scale) for p in isolated)
     segments = []
-    for _, _, _, p, q in merged:
+    for p, q in overlaps:
         a = (p[0] * scale, p[1] * scale)
         b = (q[0] * scale, q[1] * scale)
         segments.append(Segment(min(a, b), max(a, b)))
@@ -236,10 +177,14 @@ def _intersect_exact(V1, V2) -> IntersectionResult:
 
 
 def _frac_line_key(a, b):
-    """Supporting-line key of the segment ab, as ``_int_line_key`` with ``c`` rescaled."""
-    (pa, pb), den = _scale_to_ints((a, b))
-    nx, ny, c = _int_line_key(pa, (pb[0] - pa[0], pb[1] - pa[1]))
-    return (nx, ny, Fraction(c, den))
+    """Supporting-line key (nx, ny, c) of the segment ab: the line <n, p> = c, with
+    n the primitive integer normal whose first nonzero entry is positive."""
+    ((ax, ay), (bx, by)), den = _scale_to_ints((a, b))
+    g = math.gcd(bx - ax, by - ay)
+    nx, ny = (ay - by) // g, (bx - ax) // g
+    if nx < 0 or (nx == 0 and ny < 0):
+        nx, ny = -nx, -ny
+    return (nx, ny, Fraction(nx * ax + ny * ay, den))
 
 
 def direction_line_classes(result: IntersectionResult) -> int:
@@ -258,35 +203,21 @@ class ConcurrenceReport:
     flags: tuple[str, ...] = ()
 
 
-def _on_segment_frac(p, a, b) -> bool:
-    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    if cross != 0:
-        return False
-    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-    return 0 <= dot <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
-
-
 def _opposite_edge_coincidence(seg: Segment, u, polygon: SymmetricPolygon) -> bool:
-    """True when the segment sits on an edge of the polygon and seg - u sits on an
-    anti-parallel edge, i.e. the translate carried one of two parallel edges onto
-    the other."""
+    """True when the segment sits on an edge i of the valid polygon and seg - u
+    on edge i + n, the only edge anti-parallel to it: the translate carried one
+    of two parallel edges onto the other."""
     fa = (Fraction(seg.a[0]), Fraction(seg.a[1]))
     fb = (Fraction(seg.b[0]), Fraction(seg.b[1]))
     fu = (Fraction(u[0]), Fraction(u[1]))
     verts = [(Fraction(x), Fraction(y)) for x, y in polygon.vertices]
     m = len(verts)
-    edges = [(verts[i], verts[(i + 1) % m]) for i in range(m)]
     shifted = ((fa[0] - fu[0], fa[1] - fu[1]), (fb[0] - fu[0], fb[1] - fu[1]))
-    for v, w in edges:
-        if not (_on_segment_frac(fa, v, w) and _on_segment_frac(fb, v, w)):
-            continue
-        evx, evy = w[0] - v[0], w[1] - v[1]
-        for p, q in edges:
-            eqx, eqy = q[0] - p[0], q[1] - p[1]
-            if evx * eqy - evy * eqx != 0 or evx * eqx + evy * eqy >= 0:
-                continue
-            if _on_segment_frac(shifted[0], p, q) and _on_segment_frac(shifted[1], p, q):
-                return True
+    for i in range(m):
+        v, w = verts[i], verts[(i + 1) % m]
+        if _on_segment(fa, v, w) and _on_segment(fb, v, w):
+            p, q = verts[(i + m // 2) % m], verts[(i + m // 2 + 1) % m]
+            return _on_segment(shifted[0], p, q) and _on_segment(shifted[1], p, q)
     return False
 
 
@@ -301,12 +232,15 @@ def concurrence_check(
     For alpha != 1 each segment's supporting line must pass through
     u/(1-alpha): any nonzero rational residual is a violation.  For
     alpha == 1 each segment must be parallel to u (zero cross product); a
-    non-parallel segment is accepted only when the polygon is supplied and the
-    segment verifiably comes from two anti-parallel edges at offset u, in
-    which case it is flagged rather than failing.  ``max_point_error`` (the
-    miss distance relative to |u/(1-alpha)|) and ``max_angle_error`` (the sine
-    of the angle to u) report the size of the residuals as floats.
+    non-parallel segment is accepted only when the polygon (which must be
+    valid) is supplied and the segment verifiably comes from two anti-parallel
+    edges at offset u, in which case it is flagged rather than failing.
+    ``max_point_error`` (the miss distance relative to |u/(1-alpha)|) and
+    ``max_angle_error`` (the sine of the angle to u) report the size of the
+    residuals as floats.
     """
+    if polygon is not None:
+        _ensure_valid(polygon)
     ux, uy = float(u[0]), float(u[1])
     if alpha == 1 and ux == 0 and uy == 0:
         raise ValueError("alpha == 1 requires a nonzero translation")
@@ -364,6 +298,10 @@ def concurrence_check(
     )
 
 
+# a sampled |g| at or below this, at a local minimum, is a tangential touch
+_TANGENT_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class RootScan:
     count: int
@@ -376,14 +314,13 @@ def strictly_convex_intersection_count(
     alpha: float,
     x,
     resolution: float = 1e-4,
-    tangent_tol: float = 1e-9,
     detail: bool = False,
 ):
     """Count the points of G intersect (alpha*G + x) for a strictly convex body.
 
     Scans g(theta) = gauge((boundary(theta) - x)/alpha) - 1 over a full turn at
     the given angular resolution, refines each sign change by bisection, and
-    counts grid zeros and below-tolerance tangential minima once (tangencies
+    counts grid zeros and tangential minima with |g| <= 1e-9 once (tangencies
     are flagged in the detail view).
     """
     if not isinstance(body, (Disc, PBall)):
@@ -460,7 +397,7 @@ def strictly_convex_intersection_count(
         & ~np.roll(used, 1)
         & ~np.roll(used, -1)
         & (sign != 0)
-        & (absg <= tangent_tol)
+        & (absg <= _TANGENT_TOL)
         & (absg <= np.roll(absg, 1))
         & (absg <= np.roll(absg, -1))
         & (sign_prev == sign)

@@ -50,6 +50,20 @@ class TestValidate:
         assert not rep.ok
         assert any("repeated" in v for v in rep.violations)
 
+    def test_star_octagram_is_winding_violation(self):
+        # {8/3}: a regular octagon's vertices taken three apart (c = dyadic
+        # cos 45 degrees); every turn is a strict left turn around the origin,
+        # but the boundary winds three times
+        c = round(math.sqrt(0.5) * 2**16) / 2**16
+        rep = validate(SymmetricPolygon.from_half([(1, 0), (-c, c), (0, -1), (c, c)]))
+        assert not rep.ok
+        assert rep.violations == ("boundary winds 3 times around, not once",)
+
+    def test_clockwise_order_is_convexity_violation(self):
+        rep = validate(SymmetricPolygon(square().vertices[::-1]))
+        assert not rep.ok
+        assert any("convex turn" in v for v in rep.violations)
+
     def test_disc_and_pball(self):
         assert validate(Disc(2.0)).ok
         assert not validate(Disc(0.0)).ok

@@ -215,6 +215,26 @@ class TestCli:
         assert rc == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["taxicab-count", "--n", "10"],
+        ["erdos-bound", "--body", "disc", "--N", "36", "--seed", "2"],
+    ])
+    def test_json_report_file_equals_stdout(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["taxicab-count", "--n", "10", "--seed", "1"],
+        ["taxicab-count", "--n", "10", "--no-timestamp"],
+        ["erdos-bound", "--N", "36", "--no-timestamp"],
+        ["lemma-checks", "--which", "13", "--trials", "1", "--body", "disc"],
+        ["moser", "--cone", "0,1", "--cone-inner", "0.2,0.8", "--N-range", "1..2", "--seed", "1"],
+    ])
+    def test_options_a_command_does_not_read_are_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        capsys.readouterr()
+
     def test_usage_error_is_exit_2(self):
         assert main(["sweep", "--set", "nonsense", "--R", "5"]) == 2
         assert main(["no-such-command"]) == 2

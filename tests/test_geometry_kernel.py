@@ -135,6 +135,25 @@ class TestBoundaryIntersection:
         with pytest.raises(ValueError):
             boundary_intersection([(0, 0), (2, 0), (1, 0.0), (1, 1)], square())
 
+    def test_rejects_boundaries_that_wind_more_than_once(self):
+        # both turn left at every vertex; neither is a simple convex polygon
+        pentagram = [(math.cos(t), math.sin(t)) for t in (4 * math.pi * k / 5 for k in range(5))]
+        for bad in (square().vertices * 2, pentagram):
+            with pytest.raises(ValueError, match="winds 2 times"):
+                boundary_intersection(bad, square())
+            with pytest.raises(ValueError, match="winds 2 times"):
+                boundary_intersection(square(), bad[::-1])
+
+    def test_rational_vertices_stay_exact(self):
+        third = Fraction(1, 3)
+        rect = [(third, 1), (-third, 1), (-third, -1), (third, -1)]
+        res = boundary_intersection(rect, square())
+        assert res.maximal_segments == (
+            Segment((-third, -1), (third, -1)),
+            Segment((-third, 1), (third, 1)),
+        )
+        assert not res.isolated_points
+
 
 def _distance_to_boundary(p, vertices):
     best = math.inf
@@ -303,6 +322,18 @@ class TestStrictlyConvexCount:
 
     def test_external_tangency_counts_once_and_flags(self):
         scan = strictly_convex_intersection_count(Disc(1.0), 1.0, (2.0, 0.0), detail=True)
+        assert scan.count == 1
+        assert scan.tangent == (True,)
+
+    @pytest.mark.parametrize("k, offset", [(100, 1e-5), (0, -1e-5)])
+    def test_tangency_between_samples_is_a_near_minimum(self, k, offset):
+        # the touching angle falls between grid samples (and across the wrap
+        # for k = 0), so no sample is zero and no sign changes: the root is the
+        # sampled minimum of |g| below the tangency tolerance
+        step = 2 * math.pi / math.ceil(2 * math.pi / 1e-4)
+        phi = k * step + offset
+        x = (2 * math.cos(phi), 2 * math.sin(phi))
+        scan = strictly_convex_intersection_count(Disc(1.0), 1.0, x, detail=True)
         assert scan.count == 1
         assert scan.tangent == (True,)
 
