@@ -1,0 +1,168 @@
+"""Time the library's kernels on fixed inputs, one layer at a time.
+
+    python bench/layers.py --src src --out layers.json
+    python bench/layers.py --src /path/to/other/checkout/src --quick
+
+Each layer is a fixed, seeded workload run ``REPEATS`` times (once with
+``--quick``) after one untimed warm-up call; the JSON holds the median,
+minimum and maximum seconds per workload.  The layers are the ones the
+roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, exact and float
+``grid_distance_set``, the ``distance_set`` pair loop, exact
+``boundary_intersection`` and ``strictly_convex_intersection_count``.  The
+root scan is timed twice: warm (its per-body boundary grid already cached,
+as in a batch) and cold (the cache cleared before every call), when the
+library under ``--src`` has such a cache.
+
+``--src`` names the ``src`` directory to import ``gaugedist`` from, so one
+script can time two checkouts on the same machine.  Only numpy and the
+standard library are needed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+REPEATS = 7  # timed runs per layer; --quick times one
+
+
+def _layers(gd):
+    """``{name: (description, zero-argument callable)}`` on fixed inputs."""
+    import numpy as np
+
+    from gaugedist import geometry_kernel as gk
+
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-3.0, 3.0, size=(200_000, 2))
+    poly = gd.random_symmetric_polygon(6, seed=8)
+    bodies = {
+        "square": gd.square(),
+        "polygon12": poly,
+        "disc": gd.Disc(1.0),
+        "pball1.5": gd.PBall(1.5, 1.0),
+    }
+    layers = {}
+    for name, body in bodies.items():
+        layers[f"gauge_many.{name}"] = (
+            f"gauge_many on {len(pts)} uniform points in [-3, 3]^2",
+            lambda body=body: gd.gauge_many(body, pts),
+        )
+    dyadic = [(int(a) / 64, int(b) / 64) for a, b in rng.integers(-256, 257, size=(2000, 2))]
+    layers["gauge_exact.polygon12"] = (
+        f"gauge_exact on {len(dyadic)} dyadic points (denominator 64)",
+        lambda: [gd.gauge_exact(poly, p) for p in dyadic],
+    )
+    for name in ("square", "disc"):
+        layers[f"grid_distance_set.exact.{name}"] = (
+            "exact grid_distance_set of the 81 x 81 grid",
+            lambda name=name: gd.grid_distance_set(bodies[name], 81, 81, exact=True),
+        )
+    for name in ("disc", "pball1.5"):
+        layers[f"grid_distance_set.float.{name}"] = (
+            "float grid_distance_set of the 81 x 81 grid",
+            lambda name=name: gd.grid_distance_set(bodies[name], 81, 81, exact=False),
+        )
+    jitter = [(x + int(a) / 1024, y + int(b) / 1024)
+              for (x, y), (a, b) in zip(((i % 15, i // 15) for i in range(225)),
+                                        rng.integers(-200, 201, size=(225, 2)))]
+    layers["distance_set.exact.square"] = (
+        f"exact pair loop over {len(jitter)} perturbed dyadic points",
+        lambda: gd.distance_set(bodies["square"], jitter, exact=True),
+    )
+    cloud = rng.uniform(-20.0, 20.0, size=(800, 2))
+    layers["distance_set.float.disc"] = (
+        f"float pair loop over {len(cloud)} uniform points",
+        lambda: gd.distance_set(bodies["disc"], cloud),
+    )
+    pairs = []
+    for k in range(100):
+        p = gd.random_symmetric_polygon(2 + k % 7, seed=1000 + k)
+        alpha = (0.5, 1.0, 1.5, 2.0)[k % 4]
+        u = (int(rng.integers(-160, 161)) / 64, int(rng.integers(-160, 161)) / 64)
+        pairs.append((p.vertices, gd.transform_polygon(p, alpha, u)))
+    layers["boundary_intersection"] = (
+        f"exact boundary_intersection of {len(pairs)} polygon/translate pairs",
+        lambda: [gd.boundary_intersection(a, b) for a, b in pairs],
+    )
+    scans = []
+    for k in range(12):
+        body = (bodies["disc"], bodies["pball1.5"], gd.PBall(3.0, 1.0))[k % 3]
+        alpha = 0.5 + 0.125 * k
+        rho = abs(1 - alpha) + (2 * min(1.0, alpha)) * (k + 0.5) / 12
+        scans.append((body, alpha, (rho * math.cos(k), rho * math.sin(k))))
+    scan = gd.strictly_convex_intersection_count
+    layers["strictly_convex_intersection_count.warm"] = (
+        f"{len(scans)} root scans at resolution 1e-4 over three bodies, boundary grids cached",
+        lambda: [scan(b, a, x) for b, a, x in scans],
+    )
+    grid_cache = getattr(gk, "_boundary_grid", None)
+    if grid_cache is not None:
+        def cold():
+            for b, a, x in scans:
+                grid_cache.cache_clear()
+                scan(b, a, x)
+
+        layers["strictly_convex_intersection_count.cold"] = (
+            f"{len(scans)} root scans at resolution 1e-4, boundary-grid cache cleared before each",
+            cold,
+        )
+    else:
+        layers["strictly_convex_intersection_count.cold"] = (
+            f"{len(scans)} root scans at resolution 1e-4 (no boundary-grid cache)",
+            lambda: [scan(b, a, x) for b, a, x in scans],
+        )
+    return layers
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", required=True, help="directory holding the gaugedist package")
+    ap.add_argument("--quick", action="store_true", help="one timed run per layer")
+    ap.add_argument("--out", help="write the JSON here as well as to stdout")
+    args = ap.parse_args(argv)
+    src = Path(args.src).resolve()
+    if not (src / "gaugedist" / "__init__.py").is_file():
+        print(f"no gaugedist package under {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    import gaugedist as gd
+
+    repeats = 1 if args.quick else REPEATS
+    out = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "repeats": repeats,
+        "layers": {},
+    }
+    for name, (what, fn) in _layers(gd).items():
+        fn()  # warm-up: imports, cached forms and grids
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        out["layers"][name] = {
+            "what": what,
+            "median_s": statistics.median(times),
+            "min_s": min(times),
+            "max_s": max(times),
+        }
+        print(f"{name:48s} {statistics.median(times) * 1e3:10.2f} ms", file=sys.stderr)
+    text = json.dumps(out, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -34,9 +35,7 @@ from .convex_body import (
     _convexity,
     _ensure_valid,
     _scale_to_ints,
-    boundary_point,
     boundary_points,
-    gauge,
     gauge_many,
     validate,
 )
@@ -300,6 +299,8 @@ def concurrence_check(
 
 # a sampled |g| at or below this, at a local minimum, is a tangential touch
 _TANGENT_TOL = 1e-9
+# boundary grids up to the sample count of the default resolution 1e-4 are cached
+_MAX_CACHED_SAMPLES = math.ceil(2 * math.pi / 1e-4)
 
 
 @dataclass(frozen=True)
@@ -307,6 +308,35 @@ class RootScan:
     count: int
     thetas: tuple[float, ...]
     tangent: tuple[bool, ...]
+
+
+@lru_cache(maxsize=4)
+def _boundary_grid(body, n: int) -> np.ndarray:
+    """Read-only (n, 2) boundary samples at the angles ``i * 2pi/n``."""
+    grid = boundary_points(body, np.arange(n) * (2 * math.pi / n))
+    grid.setflags(write=False)
+    return grid
+
+
+def _bisection_gap(body, alpha: float, x0: float, x1: float):
+    """``theta -> gauge((boundary(theta) - x)/alpha) - 1`` for a valid disc or
+    p-ball, as the same float expression ``boundary_point`` then ``gauge``
+    evaluate, without their per-call validation."""
+    r = body.radius
+    if isinstance(body, Disc):
+        def gap(theta: float) -> float:
+            c, s = math.cos(theta), math.sin(theta)
+            gb = math.hypot(c, s) / r
+            return math.hypot((c / gb - x0) / alpha, (s / gb - x1) / alpha) / r - 1.0
+        return gap
+    p, inv = body.p, 1.0 / body.p
+
+    def gap(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        gb = (abs(c) ** p + abs(s) ** p) ** inv / r
+        px, py = (c / gb - x0) / alpha, (s / gb - x1) / alpha
+        return (abs(px) ** p + abs(py) ** p) ** inv / r - 1.0
+    return gap
 
 
 def strictly_convex_intersection_count(
@@ -322,13 +352,21 @@ def strictly_convex_intersection_count(
     the given angular resolution, refines each sign change by bisection, and
     counts grid zeros and tangential minima with |g| <= 1e-9 once (tangencies
     are flagged in the detail view).
+
+    The sampled boundary depends only on the body and the sample count
+    n = ceil(2pi/resolution).  At resolutions of 1e-4 (the default) or coarser
+    it is computed once and cached: up to four grids of 16*n bytes, at most
+    about 1 MB each, stay resident.  A finer grid is sampled on every call and
+    freed with it.
     """
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
     _ensure_valid(body)
-    if not (alpha > 0):
-        raise ValueError("scale factor must be positive")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError("scale factor must be positive and finite")
     x0, x1 = float(x[0]), float(x[1])
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError("translation must be finite")
     if x0 == 0 and x1 == 0:
         raise ValueError("translation must be nonzero")
     if not (0 < resolution <= 1e-2):
@@ -336,29 +374,34 @@ def strictly_convex_intersection_count(
 
     n = int(math.ceil(2 * math.pi / resolution))
     step = 2 * math.pi / n
-    th = np.arange(n) * step
-    bp = boundary_points(body, th)
-    g = gauge_many(body, (bp - np.array([x0, x1])) / alpha) - 1.0
+    if n <= _MAX_CACHED_SAMPLES:
+        grid = _boundary_grid(body, n)
+    else:
+        grid = boundary_points(body, np.arange(n) * step)
+    # (grid - x) / alpha, a column at a time: broadcasting the (n, 2) grid
+    # against x would run a length-2 inner loop n times
+    d = np.empty((n, 2))
+    np.subtract(grid[:, 0], x0, out=d[:, 0])
+    np.subtract(grid[:, 1], x1, out=d[:, 1])
+    d /= alpha
+    g = gauge_many(body, d)
+    g -= 1.0
     sign = np.sign(g)
 
-    def g_scalar(theta: float) -> float:
-        px, py = boundary_point(body, theta)
-        return gauge(body, ((px - x0) / alpha, (py - x1) / alpha)) - 1.0
-
     roots: list[tuple[float, bool]] = []
-    zero_idx = np.flatnonzero(sign == 0)
+    zero_idx = np.flatnonzero(sign == 0).tolist()
     if len(zero_idx) == n:
         raise ValueError("degenerate scan: the curves coincide at every sample")
-    used = np.zeros(n, dtype=bool)
-    if len(zero_idx):
+    used = set(zero_idx)
+    if zero_idx:
         runs = []
-        run = [int(zero_idx[0])]
+        run = [zero_idx[0]]
         for idx in zero_idx[1:]:
             if idx == run[-1] + 1:
-                run.append(int(idx))
+                run.append(idx)
             else:
                 runs.append(run)
-                run = [int(idx)]
+                run = [idx]
         runs.append(run)
         # a run wrapping the 0 index joins the last run
         if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
@@ -366,20 +409,20 @@ def strictly_convex_intersection_count(
         for run in runs:
             before = sign[(run[0] - 1) % n]
             after = sign[(run[-1] + 1) % n]
-            theta = th[run[len(run) // 2]]
-            roots.append((theta, before == after))
-            for idx in run:
-                used[idx] = True
+            roots.append((run[len(run) // 2] * step, before == after))
 
-    sign_next = np.roll(sign, -1)
-    crossing = (sign != 0) & (sign_next != 0) & (sign != sign_next)
-    for i in np.flatnonzero(crossing):
-        j = (i + 1) % n
-        lo, hi = th[i], th[i] + step
-        flo = g[i]
+    # strict sign changes between neighbours, the pair (n-1, 0) included
+    crossings = np.flatnonzero(sign[:-1] * sign[1:] < 0).tolist()
+    if sign[-1] * sign[0] < 0:
+        crossings.append(n - 1)
+    gap = _bisection_gap(body, alpha, x0, x1)
+    for i in crossings:
+        lo = i * step
+        hi = lo + step
+        flo = float(g[i])
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            fm = g_scalar(mid)
+            fm = gap(mid)
             if fm == 0.0:
                 lo = hi = mid
                 break
@@ -388,24 +431,17 @@ def strictly_convex_intersection_count(
             else:
                 hi = mid
         roots.append((0.5 * (lo + hi), False))
-        used[i] = used[j] = True
+        used.update((i, (i + 1) % n))
 
+    # a tangency is a local minimum of |g| within the tolerance that g does not
+    # cross, away from the zeros and crossings found above
     absg = np.abs(g)
-    sign_prev = np.roll(sign, 1)
-    near = (
-        ~used
-        & ~np.roll(used, 1)
-        & ~np.roll(used, -1)
-        & (sign != 0)
-        & (absg <= _TANGENT_TOL)
-        & (absg <= np.roll(absg, 1))
-        & (absg <= np.roll(absg, -1))
-        & (sign_prev == sign)
-        & (sign_next == sign)
-    )
-    for i in np.flatnonzero(near):
-        roots.append((th[i], True))
-        used[i] = True
+    cand = np.flatnonzero(absg <= _TANGENT_TOL)
+    h, j, s, a = (cand - 1) % n, (cand + 1) % n, sign[cand], absg[cand]
+    dip = (s != 0) & (sign[h] == s) & (sign[j] == s) & (a <= absg[h]) & (a <= absg[j])
+    for i in cand[dip].tolist():
+        if used.isdisjoint(((i - 1) % n, i, (i + 1) % n)):
+            roots.append((i * step, True))
 
     if not roots:
         result = RootScan(0, (), ())

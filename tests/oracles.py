@@ -3,13 +3,28 @@
 These deliberately avoid the library's evaluation paths: the gauge oracle is a
 ray cast (binary search on the scale with a cross-product point-in-polygon
 test, no half-plane normal form), distance oracles are brute-force pair loops,
-and orientation checks use exact rational cross products.
+and orientation checks use exact rational cross products.  The root-scan
+references are the exception: ``reference_root_scan`` is the strictly-convex
+scan written directly on the public gauge API, with no cached state, and
+``disc_pair_count`` is the closed-form count for two circles.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+from gaugedist import (
+    Disc,
+    InvalidBodyError,
+    PBall,
+    RootScan,
+    boundary_point,
+    boundary_points,
+    gauge,
+    validate,
+)
 
 
 def point_in_polygon(vertices, p) -> bool:
@@ -187,3 +202,140 @@ def exact_edge_pieces(V1, V2):
             elif lo < hi:
                 segments.append(((a[0] + lo * rx, a[1] + lo * ry), (a[0] + hi * rx, a[1] + hi * ry)))
     return points, segments
+
+
+def disc_pair_count(r, alpha, x) -> int:
+    """Points of C intersect (alpha*C + x) for the circle C of radius r, in
+    closed form: two exactly when |1-alpha| r < |x| < (1+alpha) r, else none
+    (the tangent radii themselves, where the count is one, are the caller's
+    to avoid)."""
+    d = math.hypot(x[0], x[1])
+    return 2 if abs(1 - alpha) * r < d < (1 + alpha) * r else 0
+
+
+# a sampled |g| at or below this, at a local minimum, is a tangential touch
+REFERENCE_TANGENT_TOL = 1e-9
+
+
+def reference_root_scan(
+    body,
+    alpha: float,
+    x,
+    resolution: float = 1e-4,
+):
+    """The strictly-convex root scan as it stood before its boundary grid was
+    cached, kept as a differential oracle: every trial samples the boundary
+    through the public ``boundary_points``, writes out the gauge of the
+    samples, evaluates the bisection through the public ``boundary_point`` and
+    ``gauge``, and builds its crossing and tangency masks over the whole sample
+    array with ``np.roll``.  Returns the detail view (``RootScan``) always."""
+    if not isinstance(body, (Disc, PBall)):
+        raise ValueError("strict-convexity scan needs a disc or p-ball body")
+    rep = validate(body)
+    if not rep.ok:
+        raise InvalidBodyError("; ".join(rep.violations))
+    if not (alpha > 0):
+        raise ValueError("scale factor must be positive")
+    x0, x1 = float(x[0]), float(x[1])
+    if x0 == 0 and x1 == 0:
+        raise ValueError("translation must be nonzero")
+    if not (0 < resolution <= 1e-2):
+        raise ValueError("angular resolution must be in (0, 1e-2]")
+
+    n = int(math.ceil(2 * math.pi / resolution))
+    step = 2 * math.pi / n
+    th = np.arange(n) * step
+    bp = boundary_points(body, th)
+    d = (bp - np.array([x0, x1])) / alpha
+    # the gauge of every sample, written out rather than through gauge_many
+    if isinstance(body, Disc):
+        g = np.hypot(d[:, 0], d[:, 1]) / body.radius - 1.0
+    else:
+        p = body.p
+        g = (np.abs(d[:, 0]) ** p + np.abs(d[:, 1]) ** p) ** (1.0 / p) / body.radius - 1.0
+    sign = np.sign(g)
+
+    def g_scalar(theta: float) -> float:
+        px, py = boundary_point(body, theta)
+        return gauge(body, ((px - x0) / alpha, (py - x1) / alpha)) - 1.0
+
+    roots: list[tuple[float, bool]] = []
+    zero_idx = np.flatnonzero(sign == 0)
+    if len(zero_idx) == n:
+        raise ValueError("degenerate scan: the curves coincide at every sample")
+    used = np.zeros(n, dtype=bool)
+    if len(zero_idx):
+        runs = []
+        run = [int(zero_idx[0])]
+        for idx in zero_idx[1:]:
+            if idx == run[-1] + 1:
+                run.append(int(idx))
+            else:
+                runs.append(run)
+                run = [int(idx)]
+        runs.append(run)
+        # a run wrapping the 0 index joins the last run
+        if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
+            runs[0] = runs.pop() + runs[0]
+        for run in runs:
+            before = sign[(run[0] - 1) % n]
+            after = sign[(run[-1] + 1) % n]
+            theta = th[run[len(run) // 2]]
+            roots.append((theta, before == after))
+            for idx in run:
+                used[idx] = True
+
+    sign_next = np.roll(sign, -1)
+    crossing = (sign != 0) & (sign_next != 0) & (sign != sign_next)
+    for i in np.flatnonzero(crossing):
+        j = (i + 1) % n
+        lo, hi = th[i], th[i] + step
+        flo = g[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = g_scalar(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        roots.append((0.5 * (lo + hi), False))
+        used[i] = used[j] = True
+
+    absg = np.abs(g)
+    sign_prev = np.roll(sign, 1)
+    near = (
+        ~used
+        & ~np.roll(used, 1)
+        & ~np.roll(used, -1)
+        & (sign != 0)
+        & (absg <= REFERENCE_TANGENT_TOL)
+        & (absg <= np.roll(absg, 1))
+        & (absg <= np.roll(absg, -1))
+        & (sign_prev == sign)
+        & (sign_next == sign)
+    )
+    for i in np.flatnonzero(near):
+        roots.append((th[i], True))
+        used[i] = True
+
+    if not roots:
+        return RootScan(0, (), ())
+
+    # cyclic dedupe of roots closer than 1.5 times the grid step
+    roots.sort()
+    clusters: list[list[tuple[float, bool]]] = [[roots[0]]]
+    for r in roots[1:]:
+        if r[0] - clusters[-1][-1][0] <= 1.5 * step:
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    if len(clusters) > 1:
+        wrap = (roots[0][0] + 2 * math.pi) - clusters[-1][-1][0]
+        if wrap <= 1.5 * step:
+            clusters[0] = clusters.pop() + clusters[0]
+    thetas = tuple(c[0][0] for c in clusters)
+    tangent = tuple(any(t for _, t in c) for c in clusters)
+    return RootScan(len(clusters), thetas, tangent)

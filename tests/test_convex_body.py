@@ -137,6 +137,15 @@ class TestGauge:
             many = gauge_many(body, pts)
             assert np.allclose(many, [gauge(body, p) for p in pts], rtol=0, atol=1e-14)
 
+    def test_gauge_many_curved_bodies_bit_equal_to_written_out_formula(self):
+        rng = np.random.default_rng(3)
+        pts = np.concatenate((rng.uniform(-3.0, 3.0, (2000, 2)), rng.normal(0.0, 1e-3, (2000, 2))))
+        for r in (0.7, 1.0, 1.2):
+            assert np.array_equal(gauge_many(Disc(r), pts), np.hypot(pts[:, 0], pts[:, 1]) / r)
+            for p in (1.5, 3.0):
+                want = (np.abs(pts[:, 0]) ** p + np.abs(pts[:, 1]) ** p) ** (1.0 / p) / r
+                assert np.array_equal(gauge_many(PBall(p, r), pts), want)
+
     def test_exact_gauge_fractions(self):
         assert gauge_exact(square(), (Fraction(1, 3), Fraction(1, 7))) == Fraction(1, 3)
         assert gauge_exact(diamond(), (Fraction(1, 3), Fraction(1, 7))) == Fraction(10, 21)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaugedist import (
@@ -11,6 +11,7 @@ from gaugedist import (
     PBall,
     Segment,
     boundary_intersection,
+    boundary_point,
     concurrence_check,
     convex_hull,
     diamond,
@@ -22,14 +23,17 @@ from gaugedist import (
     transform_polygon,
     validate,
 )
+from gaugedist.geometry_kernel import _boundary_grid
 from gaugedist.prng import Xorshift64Star
 
 from oracles import (
+    disc_pair_count,
     exact_edge_pieces,
     exact_turn,
     on_closed_polyline,
     on_closed_segment,
     point_in_polygon,
+    reference_root_scan,
 )
 
 
@@ -385,6 +389,116 @@ class TestStrictlyConvexCount:
             strictly_convex_intersection_count(Disc(1.0), 1.0, (1.0, 0.0), resolution=0.5)
         with pytest.raises(ValueError):
             strictly_convex_intersection_count(Disc(1.0), -1.0, (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "alpha, x", [(1.0, (math.inf, 0.0)), (math.inf, (1.0, 0.0)), (1.0, (math.nan, 0.0))]
+    )
+    def test_non_finite_input_raises(self, alpha, x):
+        with pytest.raises(ValueError):
+            strictly_convex_intersection_count(Disc(1.0), alpha, x)
+
+
+@st.composite
+def scan_case(draw):
+    """(body, alpha, x, resolution) for the root scan.  Translations cross,
+    miss, contain, touch exactly on an axis at 1 + alpha or |1 - alpha|, cross
+    inside the last grid cell (the sample pair (n-1, 0)), or sit at the
+    rounding floor at alpha = 1, where g is noise and zero runs, crossings and
+    flat minima of |g| crowd each other."""
+    body = draw(
+        st.one_of(
+            st.builds(Disc, st.floats(0.25, 4.0)),
+            st.sampled_from([PBall(1.5, 1.0), PBall(3.0, 1.0)]),
+        )
+    )
+    alpha = draw(st.floats(0.3, 3.0))
+    res = draw(st.sampled_from([1e-2, 1e-3, 1e-4]))
+    kind = draw(st.sampled_from(["cross", "disjoint", "contain", "axis", "wrap", "rounding"]))
+    phi = draw(st.floats(0.0, 2 * math.pi))
+    r = body.radius
+    if kind == "axis":
+        rho = draw(st.sampled_from([1 + alpha, abs(1 - alpha)])) * r
+        assume(rho > 0)
+        x = draw(st.sampled_from([(rho, 0.0), (0.0, rho), (-rho, 0.0), (0.0, -rho)]))
+    elif kind == "wrap":
+        # a point of the last cell [(n-1) step, 2 pi) lies on both curves
+        n = math.ceil(2 * math.pi / res)
+        t = (n - 1 + draw(st.floats(0.0, 1.0, exclude_max=True))) * (2 * math.pi / n)
+        (px, py), (qx, qy) = boundary_point(body, t), boundary_point(body, phi)
+        x = (px - alpha * qx, py - alpha * qy)
+    else:
+        if kind == "rounding":
+            alpha = 1.0
+            rho = 10 ** draw(st.floats(-15.0, -11.0))
+        else:
+            lo, hi = abs(1 - alpha), 1 + alpha
+            span = {"cross": (lo, hi), "disjoint": (hi, hi + 2), "contain": (0.01 * lo, lo)}
+            rho = draw(st.floats(*span[kind]))
+        ux, uy = boundary_point(body, phi)
+        x = (rho * ux, rho * uy)
+    assume(x[0] != 0 or x[1] != 0)
+    return body, alpha, x, res
+
+
+class TestRootScanOracles:
+    """The scan against the uncached reference scan and against circle geometry."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=scan_case())
+    # a crossing inside the last grid cell, seen only through the pair (n-1, 0)
+    @example(case=(Disc(1.0), 1.496175877787816, (2.496175877787816, 0.0), 1e-4))
+    # rounding noise: flat minima of |g| next to crossings are not tangencies
+    @example(case=(PBall(1.5, 1.0), 1.0, (-3.2074114325844885e-14, 2.6793523255958387e-14), 1e-3))
+    def test_matches_reference_scan(self, case):
+        body, alpha, x, res = case
+        try:
+            want = reference_root_scan(body, alpha, x, res)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                strictly_convex_intersection_count(body, alpha, x, res, detail=True)
+            return
+        assert strictly_convex_intersection_count(body, alpha, x, res, detail=True) == want
+
+    def test_results_do_not_depend_on_cache_state(self):
+        three = [Disc(1.0), PBall(1.5, 1.0), PBall(3.0, 1.0)]
+        five = three + [Disc(0.5), PBall(3.0, 2.0)]
+        calls = [(three[k % 3], 0.6 + 0.1 * k, (0.9 * math.cos(k), 0.9 * math.sin(k)), 1e-4)
+                 for k in range(9)]
+        # five grids cycling through a cache of four: every call evicts one
+        calls += [(five[k % 5], 0.7 + 0.1 * k, (1.1 * math.cos(k), 1.1 * math.sin(k)), 1e-3)
+                  for k in range(10)]
+
+        def scan(call):
+            return strictly_convex_intersection_count(*call, detail=True)
+
+        cold = []
+        for call in calls:
+            _boundary_grid.cache_clear()
+            cold.append(scan(call))
+        _boundary_grid.cache_clear()
+        warm = [scan(call) for call in calls]
+        assert _boundary_grid.cache_info().hits >= 6
+        rewarm = [scan(call) for call in reversed(calls)][::-1]
+        assert cold == warm == rewarm == [reference_root_scan(*call) for call in calls]
+
+    def test_grid_finer_than_default_resolution_is_not_kept(self):
+        _boundary_grid.cache_clear()
+        for call in [(Disc(1.0), 0.8, (0.9, 0.4), 5e-5), (PBall(3.0, 1.0), 1.3, (-0.2, 1.1), 2e-5)]:
+            assert strictly_convex_intersection_count(*call, detail=True) == reference_root_scan(*call)
+        assert _boundary_grid.cache_info().currsize == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        r=st.floats(0.25, 4.0),
+        alpha=st.floats(0.3, 3.0),
+        phi=st.floats(0.0, 2 * math.pi),
+        t=st.floats(0.01, 1.0),
+    )
+    def test_disc_count_matches_closed_form(self, r, alpha, phi, t):
+        d = t * 2 * (1 + alpha) * r
+        assume(all(abs(d - rt) > 1e-6 * rt for rt in ((1 + alpha) * r, abs(1 - alpha) * r)))
+        x = (d * math.cos(phi), d * math.sin(phi))
+        assert strictly_convex_intersection_count(Disc(r), alpha, x) == disc_pair_count(r, alpha, x)
 
 
 class TestConvexHull:
