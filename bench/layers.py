@@ -7,7 +7,8 @@ Each layer is a fixed, seeded workload run ``REPEATS`` times (once with
 ``--quick``) after one untimed warm-up call; the JSON holds the median,
 minimum and maximum seconds per workload.  The layers are the ones the
 roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, exact and float
-``grid_distance_set``, the ``distance_set`` pair loop, exact
+``grid_distance_set``, the ``distance_set`` pair loop, the float lattice
+``run_sweep`` and ``moser_count_check`` of the README commands, exact
 ``boundary_intersection`` and ``strictly_convex_intersection_count``.  The
 root scan is timed twice: warm (its per-body boundary grid already cached,
 as in a batch) and cold (the cache cleared before every call), when the
@@ -79,6 +80,18 @@ def _layers(gd):
     layers["distance_set.float.disc"] = (
         f"float pair loop over {len(cloud)} uniform points",
         lambda: gd.distance_set(bodies["disc"], cloud),
+    )
+    disc_lattice = gd.GeneratorSpec(kind="lattice", R=5.0)
+    layers["run_sweep.float_lattice.disc"] = (
+        "float run_sweep of the unit lattice under the disc at R = 5, 10, 20, 30",
+        lambda: gd.run_sweep(bodies["disc"], disc_lattice, [5, 10, 20, 30]),
+    )
+    # the README moser command: N = 1..20, width 10, so R = 10 * 21 + 1
+    moser_lattice = gd.generate(gd.GeneratorSpec(kind="lattice", R=211.0))
+    cone, inner = gd.Cone(0.0, math.pi / 2), gd.Cone(math.pi / 8, 3 * math.pi / 8)
+    layers["moser_count_check.square"] = (
+        f"moser_count_check of {len(moser_lattice)} lattice points, N = 1..20, square",
+        lambda: gd.moser_count_check(moser_lattice, bodies["square"], cone, inner, range(1, 21)),
     )
     pairs = []
     for k in range(100):

@@ -10,6 +10,10 @@ integer key, q * gauge in the polygon's integer form or the disc's squared
 length, so lattice counts are tolerance-free.  Keys are int64 when a bound
 rules out overflow and Python ints otherwise; each distinct key is valued once,
 as an exact Fraction for polygons and a rounded square root for the disc.
+
+The annulus/cone counts of :func:`moser_count_check` take one pass over the
+point set: the gauges and the inner-cone mask are computed once, and every
+annulus count is two binary searches in the sorted gauges of the cone.
 """
 
 from __future__ import annotations
@@ -228,7 +232,10 @@ def grid_distance_set(
     Uses the difference multiset: the grid has only O(n_cols * n_rows)
     distinct difference vectors, each with a closed-form pair count, so this
     avoids the quadratic pair loop entirely.  Semantics match
-    :func:`distance_set` on the same grid.
+    :func:`distance_set` on the same grid; in floating mode each difference is
+    rounded once, as (k1 - k2) * spacing, so at a spacing that is not dyadic the
+    values can differ in their last bits from the pair loop's, which rounds
+    k1 * spacing - k2 * spacing.
     """
     _ensure_valid(body)
     if n_cols < 1 or n_rows < 1:
@@ -353,9 +360,12 @@ def moser_count_check(
 ) -> list[MoserRow]:
     """Per-annulus counts in the inner cone against the N*(angle span) bound.
 
-    Rows whose annulus is not fully contained in the window are flagged
-    truncated and should be excluded from pass/fail judgments.  The caller is
-    responsible for S actually being well-distributed.
+    One pass: the gauges of S and the inner-cone mask are computed once, the
+    gauges inside the cone are sorted, and each count #(inner < g < outer) is
+    #(g < outer) - #(g <= inner) by binary search, the same float comparisons
+    as :func:`annulus_cone_points`.  Rows whose annulus is not fully contained
+    in the window are flagged truncated and should be excluded from pass/fail
+    judgments.  The caller is responsible for S actually being well-distributed.
     """
     if not (
         cone.theta1 < inner_cone.theta1
@@ -364,10 +374,12 @@ def moser_count_check(
         raise ValueError("inner cone must be strictly inside the outer cone")
     span = inner_cone.theta2 - inner_cone.theta1
     reach = max_chebyshev_radius(body)
+    g = gauge_many(body, ps.points)
+    g = np.sort(g[inner_cone.contains(ps.points)])
     rows = []
     for N in N_range:
-        subset = annulus_cone_points(ps, body, N, inner_cone, width)
-        count = len(subset)
+        ann = Annulus(N, width)
+        count = int(np.searchsorted(g, ann.outer, "left") - np.searchsorted(g, ann.inner, "right"))
         bound = N * span
         truncated = width * (N + 1) * reach > ps.R + 1e-9
         rows.append(MoserRow(int(N), count, bound, count >= bound, truncated))

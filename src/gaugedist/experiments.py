@@ -87,14 +87,19 @@ def run_sweep(
     tol: Optional[float] = None,
     exact: bool = False,
 ) -> list[ExperimentRow]:
-    """One distance-set row per window radius; exact mode uses the grid fast path."""
+    """One distance-set row per window radius.
+
+    Every lattice window, float or exact, goes through the grid closed form
+    (:func:`grid_distance_set`), so no lattice sweep runs the pair loop; other
+    point sets are generated and go through :func:`distance_set`.
+    """
     rows = []
     samples = []
     for R in sorted(R_list):
         spec = replace(genspec, R=float(R))
-        if exact and spec.kind == "lattice":
+        if spec.kind == "lattice":
             side = _lattice_side_count(spec.R, spec.spacing)
-            ds = grid_distance_set(body, side, side, spec.spacing, exact=True)
+            ds = grid_distance_set(body, side, side, spec.spacing, tol=tol, exact=exact)
             n_points = side * side
         else:
             ps = generate(spec)

@@ -3,10 +3,11 @@
 These deliberately avoid the library's evaluation paths: the gauge oracle is a
 ray cast (binary search on the scale with a cross-product point-in-polygon
 test, no half-plane normal form), distance oracles are brute-force pair loops,
-and orientation checks use exact rational cross products.  The root-scan
-references are the exception: ``reference_root_scan`` is the strictly-convex
-scan written directly on the public gauge API, with no cached state, and
-``disc_pair_count`` is the closed-form count for two circles.
+orientation checks use exact rational cross products, and the annulus/cone
+counts test one point at a time.  The root-scan references are the exception:
+``reference_root_scan`` is the strictly-convex scan written directly on the
+public gauge API, with no cached state, and ``disc_pair_count`` is the
+closed-form count for two circles.
 """
 
 import math
@@ -132,6 +133,27 @@ def greedy_cluster(sorted_vals, tol, weights=None):
         else:
             counts[-1] += w
     return reps, counts
+
+
+def moser_counts(points, gauges, theta1, theta2, N_range, width):
+    """``{N: count}`` of the points strictly inside the annulus
+    (width*N, width*(N+1)) and the open cone theta1 < angle < theta2, one
+    point at a time.
+
+    The gauges come from the caller, one per point, so this checks the
+    selection and the counting, not gauge evaluation; the angle is taken with
+    ``math.atan2`` and reduced modulo 2*pi from theta1.
+    """
+    counts = {}
+    for N in N_range:
+        inner, outer = width * N, width * (N + 1)
+        count = 0
+        for (x, y), g in zip(points, gauges):
+            d = (math.atan2(y, x) - theta1) % (2 * math.pi)
+            if 0 < d < theta2 - theta1 and inner < g < outer:
+                count += 1
+        counts[N] = count
+    return counts
 
 
 def brute_min_pairwise_euclid(points) -> float:

@@ -18,6 +18,7 @@ from gaugedist import (
     distance_lists_from_two_points,
     distance_set,
     gauge,
+    gauge_many,
     generate,
     grid_distance_set,
     min_gap,
@@ -32,6 +33,7 @@ from oracles import (
     brute_pairwise_values,
     exact_polygon_gauge,
     greedy_cluster,
+    moser_counts,
 )
 
 
@@ -300,6 +302,60 @@ class TestMoser:
         ps = generate(GeneratorSpec(kind="lattice", R=30.0))
         with pytest.raises(ValueError):
             moser_count_check(ps, square(), Cone(0, 1), Cone(0, 0.5), [1])
+
+    @staticmethod
+    def assert_matches_oracle(ps, body, cone, inner, N_range, width):
+        rows = moser_count_check(ps, body, cone, inner, N_range, width)
+        expected = moser_counts(
+            ps.points.tolist(), gauge_many(body, ps.points).tolist(),
+            inner.theta1, inner.theta2, N_range, width,
+        )
+        assert [r.N for r in rows] == list(N_range)
+        assert {r.N: r.count for r in rows} == expected
+        assert all(type(r.count) is int and r.met == (r.count >= r.bound) for r in rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        body=st.sampled_from([square(), diamond(), Disc(1.0), Disc(0.75), PBall(1.5, 1.0), PBall(3.0, 2.0)]),
+        unit=st.sampled_from([0.25, 0.5, 1.0, 1.25]),
+        extent=st.integers(-1, 24),
+        steps=st.lists(st.tuples(st.integers(-24, 24), st.integers(-24, 24)), max_size=40),
+        cones=st.sampled_from([
+            (Cone(0.0, math.pi / 2), Cone(math.pi / 8, 3 * math.pi / 8)),
+            (Cone(-math.pi / 2, math.pi / 2), Cone(-math.pi / 4, math.pi / 4)),
+            (Cone(0.0, 2 * math.pi), Cone(math.pi / 2, 3 * math.pi / 2)),
+            (Cone(-math.pi, math.pi), Cone(-3.0, 0.5)),
+        ]),
+        width=st.sampled_from([0.75, 1.0, 2.5, 3.0, 7.5, 10.0]),
+        N_range=st.lists(st.integers(0, 12), max_size=8),
+    )
+    def test_matches_point_by_point_oracle(self, body, unit, extent, steps, cones, width, N_range):
+        # a full grid of step unit (none for extent -1) and loose points on it:
+        # many sit exactly on an annulus boundary or a cone edge
+        ks = np.arange(-extent, extent + 1)
+        grid = [(i, j) for i in ks for j in ks]
+        ps = PointSet(np.array(grid + steps, dtype=float).reshape(-1, 2) * unit, 31.0)
+        self.assert_matches_oracle(ps, body, *cones, N_range, width)
+
+    def test_empty_point_set_matches_oracle(self):
+        ps = PointSet(np.empty((0, 2)), 5.0)
+        for body in (square(), Disc(1.0), PBall(1.5, 1.0)):
+            self.assert_matches_oracle(
+                ps, body, Cone(0.0, math.pi / 2), Cone(math.pi / 8, 3 * math.pi / 8), [0, 1, 2], 2.5
+            )
+
+    def test_lattice_points_on_annulus_boundaries_are_excluded(self):
+        # square gauge max(|x|, |y|): the lattice points at gauge 10, 20, 30 lie
+        # exactly on width*N and belong to no open annulus
+        ps = generate(GeneratorSpec(kind="lattice", R=45.0))
+        cone, inner = Cone(0.0, math.pi / 2), Cone(math.pi / 8, 3 * math.pi / 8)
+        g = gauge_many(square(), ps.points)
+        on_boundary = np.isin(g, [10.0, 20.0, 30.0, 40.0]) & inner.contains(ps.points)
+        assert on_boundary.sum() > 0
+        self.assert_matches_oracle(ps, square(), cone, inner, range(0, 4), 10.0)
+        rows = moser_count_check(ps, square(), cone, inner, range(0, 4), 10.0)
+        in_open = inner.contains(ps.points) & (g % 10 != 0)
+        assert sum(r.count for r in rows) == int((in_open & (g < 40)).sum())
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from gaugedist import (
     diamond,
     distance_set,
     erdos_bound,
+    generate,
+    grid_distance_set,
+    min_gap,
+    random_symmetric_polygon,
     run_lemma_checks,
     run_moser,
     run_sweep,
@@ -56,6 +61,71 @@ class TestSweep:
         spec = GeneratorSpec(kind="perturbed_lattice", R=5.0, jitter=0.3, seed=2)
         rows = run_sweep(Disc(1.0), spec, [3, 5], tol=1e-9)
         assert all(r.n_distances > r.n_points for r in rows)  # generic positions
+
+
+EACH_FLOAT_BODY = pytest.mark.parametrize(
+    "body",
+    [Disc(1.0), square(), diamond(), PBall(1.5, 1.0), random_symmetric_polygon(4, 11)],
+    ids=["disc", "square", "diamond", "pball1.5", "polygon6"],
+)
+
+
+def pair_loop_rows(body, spec, R_list, tol):
+    """(R, n_points, n_distances, repr(min_gap)) from the pair loop over the
+    generated lattice, with the DistanceSet of each window."""
+    out = []
+    for R in R_list:
+        ps = generate(replace(spec, R=float(R)))
+        ds = distance_set(body, ps, tol=tol)
+        out.append(((float(R), len(ps), len(ds), repr(min_gap(ds))), ds))
+    return out
+
+
+class TestFloatLatticeSweep:
+    """Float lattice sweeps take the grid closed form, with the pair loop's output."""
+
+    @EACH_FLOAT_BODY
+    @pytest.mark.parametrize(
+        "spacing, R_list, tol",
+        [(1.0, [3, 7, 10], None), (0.5, [2, 4.5], None), (3.0, [6, 20, 25], None), (1.0, [4, 8], 0.05)],
+        ids=["s1", "s0.5", "s3", "s1-tol"],
+    )
+    def test_matches_pair_loop(self, body, spacing, R_list, tol):
+        spec = GeneratorSpec(kind="lattice", R=1.0, spacing=spacing)
+        rows = run_sweep(body, spec, R_list, tol=tol)
+        expected = pair_loop_rows(body, spec, R_list, tol)
+        assert [(r.R, r.n_points, r.n_distances, repr(r.min_gap)) for r in rows] == [e for e, _ in expected]
+        for (_, n_points, _, _), ds in expected:
+            side = math.isqrt(n_points)
+            grid = grid_distance_set(body, side, side, spacing, tol=tol, exact=False)
+            assert grid == ds
+            assert repr(min_gap(grid)) == repr(min_gap(ds))
+
+    @EACH_FLOAT_BODY
+    def test_non_dyadic_spacing_keeps_the_counts(self, body):
+        # the pair loop rounds k1*s - k2*s and the grid (k1 - k2)*s, so at
+        # s = 0.3 only the counts are the same
+        spec = GeneratorSpec(kind="lattice", R=5.0, spacing=0.3)
+        [row] = run_sweep(body, spec, [5])
+        [((_, n_points, n_distances, _), ds)] = pair_loop_rows(body, spec, [5], None)
+        assert (row.n_points, row.n_distances) == (n_points, n_distances)
+        side = math.isqrt(n_points)
+        grid = grid_distance_set(body, side, side, 0.3, exact=False)
+        assert grid.multiplicities == ds.multiplicities
+
+    def test_large_disc_windows_skip_the_pair_loop(self, monkeypatch):
+        import gaugedist.experiments as experiments
+
+        def no_pair_loop(*args, **kwargs):
+            raise AssertionError("a lattice sweep called the pair loop")
+
+        monkeypatch.setattr(experiments, "distance_set", no_pair_loop)
+        # R = 80 is 25,921 points; the pair loop would need about 20 GB
+        rows = run_sweep(Disc(1.0), LATTICE, [10, 20, 40, 80])
+        assert [r.n_points for r in rows] == [(2 * int(r.R) + 1) ** 2 for r in rows]
+        gaps = [r.min_gap for r in rows]
+        assert gaps[0] > gaps[1] > gaps[2] > gaps[3] > 0
+        assert gaps[3] < 0.0025
 
 
 class TestTaxicab:
