@@ -10,6 +10,7 @@ import math
 
 from gaugedist import (
     Disc,
+    InvalidBodyError,
     PBall,
     SymmetricPolygon,
     boundary_point,
@@ -18,7 +19,6 @@ from gaugedist import (
     gauge,
     gauge_exact,
     square,
-    validate,
 )
 
 # The square [-1,1]^2 induces the max-coordinate norm.
@@ -47,9 +47,11 @@ for theta in (0.0, math.pi / 4, math.pi / 2):
     p = boundary_point(sq, theta)
     print(f"square boundary at theta={theta:.3f}: ({p[0]:+.3f}, {p[1]:+.3f}), gauge {gauge(sq, p):.12f}")
 
-# Validation is report-style: every violated invariant is listed.
-bowtie = SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)])
-report = validate(bowtie)
+# Bodies are valid by construction: the constructor checks every invariant
+# once and raises InvalidBodyError listing all the violated ones.
 print("\nbowtie vertex order is rejected:")
-for v in report.violations:
-    print("  -", v)
+try:
+    SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)])
+except InvalidBodyError as exc:
+    for v in str(exc).split("; "):
+        print("  -", v)

@@ -10,7 +10,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .convex_body import InvalidBodyError, load_body
+from .convex_body import load_body
 from .distance_sets import Cone
 from .experiments import (
     _open_report,
@@ -200,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (OSError, ValueError, InvalidBodyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

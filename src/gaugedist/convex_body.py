@@ -10,6 +10,10 @@ integer q with q * gauge(x) = max_i <coef_i, x>.  At integer points the gauge
 is therefore an integer over q, which lets lattice experiments count distinct
 distances by integer equality, without any clustering tolerance; the exact
 evaluator returns the same value as a ``Fraction``.
+
+Bodies are valid by construction: each constructor runs :func:`validate` once
+and raises :class:`InvalidBodyError` listing every violated invariant, so the
+operations below never re-check their body.
 """
 
 from __future__ import annotations
@@ -49,13 +53,20 @@ __all__ = [
 
 
 class InvalidBodyError(ValueError):
-    """An operation received a body that fails its invariants."""
+    """A body failed its invariants at construction (the message joins every
+    violation with "; "), or an operation got a body type it does not support."""
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     violations: tuple[str, ...] = ()
+
+
+def _check(body) -> None:
+    rep = validate(body)
+    if not rep.ok:
+        raise InvalidBodyError("; ".join(rep.violations))
 
 
 def _as_vertex_tuple(vertices) -> tuple[tuple[float, float], ...]:
@@ -73,13 +84,15 @@ class SymmetricPolygon:
     Coordinates are doubles.  Antipodal vertex pairs must be exact negations
     (floats negate exactly, so this costs nothing); use
     :func:`SymmetricPolygon.from_half` to build a body from one half-turn of
-    vertices.
+    vertices.  Construction raises :class:`InvalidBodyError` unless every
+    invariant holds.
     """
 
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _as_vertex_tuple(self.vertices))
+        _check(self)
 
     @classmethod
     def from_half(cls, half_vertices) -> "SymmetricPolygon":
@@ -89,10 +102,6 @@ class SymmetricPolygon:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def _report(self) -> ValidationReport:
-        return _validate_polygon(self)
 
     @cached_property
     def _normal_form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +135,12 @@ class SymmetricPolygon:
 
 @dataclass(frozen=True)
 class Disc:
+    """Euclidean disc; the radius must be finite and positive."""
+
     radius: float
+
+    def __post_init__(self):
+        _check(self)
 
 
 @dataclass(frozen=True)
@@ -135,6 +149,9 @@ class PBall:
 
     p: float
     radius: float
+
+    def __post_init__(self):
+        _check(self)
 
 
 ConvexBody = Union[SymmetricPolygon, Disc, PBall]
@@ -228,11 +245,15 @@ def _validate_polygon(poly: SymmetricPolygon) -> ValidationReport:
 def validate(body: ConvexBody) -> ValidationReport:
     """Check every invariant of the body; reports all violations, raises nothing.
 
+    Each body constructor runs this once and raises :class:`InvalidBodyError`
+    on any violation, so a constructed body always reports ok and operations
+    never re-check it; any other object reports an unsupported type.
+
     Polygon shape checks are exact.  Besides pairing, strict counterclockwise
     turns and the origin inside, the boundary must wind once: the {8/3}
     octagram turns left at every vertex but winds three times."""
     if isinstance(body, SymmetricPolygon):
-        return body._report
+        return _validate_polygon(body)
     if isinstance(body, Disc):
         if not (math.isfinite(body.radius) and body.radius > 0):
             return ValidationReport(False, (f"disc radius {body.radius} not positive",))
@@ -247,24 +268,16 @@ def validate(body: ConvexBody) -> ValidationReport:
     return ValidationReport(False, (f"unsupported body type {type(body).__name__}",))
 
 
-def _ensure_valid(body: ConvexBody) -> None:
-    rep = validate(body)
-    if not rep.ok:
-        raise InvalidBodyError("; ".join(rep.violations))
-
-
 def edge_normal_form(poly: SymmetricPolygon) -> EdgeNormalForm:
     """Outward unit normals and offsets of a valid polygon (normals in angular order)."""
     if not isinstance(poly, SymmetricPolygon):
         raise InvalidBodyError("edge_normal_form needs a polygon body")
-    _ensure_valid(poly)
     normals, offsets = poly._normal_form
     return EdgeNormalForm(normals, offsets)
 
 
 def gauge(body: ConvexBody, x) -> float:
     """Minkowski gauge of x with respect to the body; 0 iff x == 0."""
-    _ensure_valid(body)
     px, py = float(x[0]), float(x[1])
     if not (math.isfinite(px) and math.isfinite(py)):
         raise ValueError("gauge of a non-finite point")
@@ -278,7 +291,6 @@ def gauge(body: ConvexBody, x) -> float:
 
 def gauge_many(body: ConvexBody, points) -> np.ndarray:
     """Vectorized gauge over an (n, 2) array of points."""
-    _ensure_valid(body)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
@@ -315,7 +327,6 @@ def gauge_exact(poly: SymmetricPolygon, x) -> Fraction:
     """
     if not isinstance(poly, SymmetricPolygon):
         raise InvalidBodyError("gauge_exact is defined for polygon bodies")
-    _ensure_valid(poly)
     [(X, Y)], d = _scale_to_ints([x])
     coef, q = poly._integer_form
     return Fraction(max(a * X + b * Y for a, b in coef), q * d)
@@ -337,7 +348,6 @@ def boundary_points(body: ConvexBody, thetas) -> np.ndarray:
 
 def max_euclid_radius(body: ConvexBody) -> float:
     """Largest Euclidean norm on the gauge-unit boundary (for window sizing)."""
-    _ensure_valid(body)
     if isinstance(body, SymmetricPolygon):
         return max(math.hypot(x, y) for x, y in body.vertices)
     if isinstance(body, Disc):
@@ -351,7 +361,6 @@ def max_chebyshev_radius(body: ConvexBody) -> float:
     The gauge ball of radius G fits inside the square window [-R, R]^2 exactly
     when G times this value is at most R.
     """
-    _ensure_valid(body)
     if isinstance(body, SymmetricPolygon):
         return max(max(abs(x), abs(y)) for x, y in body.vertices)
     return body.radius  # disc and p-ball peak on the axes

@@ -29,7 +29,6 @@ from .convex_body import (
     ConvexBody,
     Disc,
     SymmetricPolygon,
-    _ensure_valid,
     _scale_to_ints,
     gauge_many,
     max_chebyshev_radius,
@@ -198,7 +197,6 @@ def distance_set(
     (tol = 0) supports polygon bodies for any rational points and the disc via
     exact squared distances; the p-ball has no exact evaluator.
     """
-    _ensure_valid(body)
     pts = _as_points(points)
     n = len(pts)
     if n == 0:
@@ -237,7 +235,6 @@ def grid_distance_set(
     values can differ in their last bits from the pair loop's, which rounds
     k1 * spacing - k2 * spacing.
     """
-    _ensure_valid(body)
     if n_cols < 1 or n_rows < 1:
         raise ValueError("grid must have at least one point per side")
     total = n_cols * n_rows
@@ -272,8 +269,8 @@ class Annulus:
     def __post_init__(self):
         if self.N < 0:
             raise ValueError("annulus index must be >= 0")
-        if not (self.width > 0):
-            raise ValueError("annulus width must be positive")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"annulus width {self.width} must be positive and finite")
 
     @property
     def inner(self) -> float:
@@ -311,7 +308,6 @@ def annulus_cone_points(
     width: float = 10.0,
 ) -> PointSet:
     """Points of S strictly inside the gauge annulus (width*N, width*(N+1)) and the open cone."""
-    _ensure_valid(body)
     ann = Annulus(N, width)
     if len(ps) == 0:
         return ps
@@ -328,7 +324,6 @@ def distance_lists_from_two_points(
     tol: Optional[float] = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Distinct (tol-clustered) gauge distances from P and from Q to every subset point."""
-    _ensure_valid(body)
     out = []
     for base in (P, Q):
         if len(subset) == 0:

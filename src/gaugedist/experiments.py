@@ -32,9 +32,11 @@ from .convex_body import (
     PBall,
     SymmetricPolygon,
     gauge,
+    load_body,
     max_chebyshev_radius,
 )
 from .distance_sets import (
+    Annulus,
     Cone,
     distance_set,
     grid_distance_set,
@@ -50,7 +52,7 @@ from .geometry_kernel import (
     strictly_convex_intersection_count,
     transform_polygon,
 )
-from .point_sets import GeneratorSpec, alpha_dimension_estimate, generate
+from .point_sets import GeneratorSpec, _lattice_indices, alpha_dimension_estimate, generate
 from .prng import Xorshift64Star, derive_seed, quantize
 
 __all__ = [
@@ -76,10 +78,6 @@ class ExperimentRow:
     alpha_hat: Optional[float]
 
 
-def _lattice_side_count(R: float, spacing: float) -> int:
-    return 2 * int(math.floor(R / spacing + 1e-12)) + 1
-
-
 def run_sweep(
     body: ConvexBody,
     genspec: GeneratorSpec,
@@ -98,20 +96,19 @@ def run_sweep(
     for R in sorted(R_list):
         spec = replace(genspec, R=float(R))
         if spec.kind == "lattice":
-            side = _lattice_side_count(spec.R, spec.spacing)
+            side = len(_lattice_indices(spec.R, spec.spacing))
             ds = grid_distance_set(body, side, side, spec.spacing, tol=tol, exact=exact)
             n_points = side * side
         else:
             ps = generate(spec)
             n_points = len(ps)
             ds = distance_set(body, ps, tol=tol, exact=exact)
-        gap = min_gap(ds)
         rows.append(
             ExperimentRow(
                 R=float(R),
                 n_points=n_points,
                 n_distances=len(ds),
-                min_gap=None if gap is None else gap,
+                min_gap=min_gap(ds),
                 alpha_hat=None,
             )
         )
@@ -126,13 +123,10 @@ def taxicab_count(n: int, body_name: str = "square") -> dict:
     """Distinct gauge distances of the (n+1) x (n+1) corner lattice, exactly."""
     if n < 1:
         raise ValueError("lattice size must be >= 1")
-    from .convex_body import diamond, square
-
-    bodies = {"square": square(), "diamond": diamond(), "disc": Disc(1.0)}
-    if body_name not in bodies:
-        raise ValueError(f"taxicab count supports {sorted(bodies)}, not {body_name!r}")
-    body = bodies[body_name]
-    ds = grid_distance_set(body, n + 1, n + 1, 1.0, exact=True)
+    names = ["diamond", "disc", "square"]
+    if body_name not in names:
+        raise ValueError(f"taxicab count supports {names}, not {body_name!r}")
+    ds = grid_distance_set(load_body(body_name), n + 1, n + 1, 1.0, exact=True)
     n_points = (n + 1) ** 2
     return {
         "body": body_name,
@@ -194,6 +188,7 @@ class LemmaBatch:
 
 _ALPHAS_13 = (0.5, 1.0, 2.0, 3.0)
 _ALPHAS_14 = (0.5, 2.0, 3.0, 1.0)
+_STRICT_BODIES = (Disc(1.0), PBall(1.5, 1.0), PBall(3.0, 1.0))
 
 
 def _choose_u(rng: Xorshift64Star, poly: SymmetricPolygon, alpha: float):
@@ -253,7 +248,7 @@ def _polygon_trial(k: int, seed: int, alpha: float) -> tuple[dict, dict]:
 
 def _strict_trial(k: int, seed: int, resolution: float) -> tuple[dict, dict]:
     rng = Xorshift64Star(derive_seed(seed, k))
-    body = (Disc(1.0), PBall(1.5, 1.0), PBall(3.0, 1.0))[k % 3]
+    body = _STRICT_BODIES[k % 3]
     alpha = 0.5 + 1.5 * rng.random()
     while True:
         dx, dy = rng.in_disc()
@@ -342,8 +337,7 @@ def run_moser(
     width: float = 10.0,
 ) -> list[MoserRow]:
     """Annulus/cone counts on the unit-spacing lattice, window sized to fit N_max."""
-    n_max = max(N_range)
-    R = width * (n_max + 1) * max_chebyshev_radius(body) + spacing
+    R = Annulus(max(N_range), width).outer * max_chebyshev_radius(body) + spacing
     ps = generate(GeneratorSpec(kind="lattice", R=R, spacing=spacing))
     return moser_count_check(ps, body, cone, inner_cone, N_range, width)
 

@@ -30,14 +30,13 @@ import numpy as np
 
 from .convex_body import (
     Disc,
+    InvalidBodyError,
     PBall,
     SymmetricPolygon,
     _convexity,
-    _ensure_valid,
     _scale_to_ints,
     boundary_points,
     gauge_many,
-    validate,
 )
 from .prng import Xorshift64Star, derive_seed, quantize
 
@@ -231,15 +230,13 @@ def concurrence_check(
     For alpha != 1 each segment's supporting line must pass through
     u/(1-alpha): any nonzero rational residual is a violation.  For
     alpha == 1 each segment must be parallel to u (zero cross product); a
-    non-parallel segment is accepted only when the polygon (which must be
-    valid) is supplied and the segment verifiably comes from two anti-parallel
-    edges at offset u, in which case it is flagged rather than failing.
+    non-parallel segment is accepted only when the polygon is supplied and
+    the segment verifiably comes from two anti-parallel edges at offset u, in
+    which case it is flagged rather than failing.
     ``max_point_error`` (the miss distance relative to |u/(1-alpha)|) and
     ``max_angle_error`` (the sine of the angle to u) report the size of the
     residuals as floats.
     """
-    if polygon is not None:
-        _ensure_valid(polygon)
     ux, uy = float(u[0]), float(u[1])
     if alpha == 1 and ux == 0 and uy == 0:
         raise ValueError("alpha == 1 requires a nonzero translation")
@@ -319,9 +316,9 @@ def _boundary_grid(body, n: int) -> np.ndarray:
 
 
 def _bisection_gap(body, alpha: float, x0: float, x1: float):
-    """``theta -> gauge((boundary(theta) - x)/alpha) - 1`` for a valid disc or
+    """``theta -> gauge((boundary(theta) - x)/alpha) - 1`` for a disc or
     p-ball, as the same float expression ``boundary_point`` then ``gauge``
-    evaluate, without their per-call validation."""
+    evaluate, without their per-call type dispatch and argument conversion."""
     r = body.radius
     if isinstance(body, Disc):
         def gap(theta: float) -> float:
@@ -361,7 +358,6 @@ def strictly_convex_intersection_count(
     """
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
-    _ensure_valid(body)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("scale factor must be positive and finite")
     x0, x1 = float(x[0]), float(x[1])
@@ -505,7 +501,8 @@ def random_symmetric_polygon(
     Draws n points in the annulus 0.5 <= |p| <= 1.5 (rejection sampling, no
     transcendentals), snaps them to the dyadic grid 2**-grid_bits so downstream
     rational arithmetic stays cheap, and takes the hull of the points and their
-    negations.  Degenerate draws retry with a derived seed.
+    negations.  A draw whose hull is not a valid body (construction raises
+    ``InvalidBodyError``) retries with a derived seed.
     """
     if n_half_vertices < 2:
         raise ValueError("need at least 2 half-turn vertices")
@@ -523,12 +520,10 @@ def random_symmetric_polygon(
                 continue
             pts.append((qx, qy))
         sym = pts + [(-a, -b) for a, b in pts]
-        hull = convex_hull(sym)
-        if len(hull) < 4:
+        try:
+            return SymmetricPolygon(convex_hull(sym))
+        except InvalidBodyError:
             continue
-        poly = SymmetricPolygon(hull)
-        if validate(poly).ok:
-            return poly
     raise RuntimeError(
         f"no valid symmetric polygon after {max_attempts} attempts (seed {seed})"
     )

@@ -82,12 +82,12 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in ("lattice", "perturbed_lattice", "file"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if not (self.spacing > 0):
-            raise ValueError("spacing must be positive")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"spacing {self.spacing} must be positive and finite")
         if not (0 <= self.jitter < self.spacing / 2):
             raise ValueError("jitter must lie in [0, spacing/2)")
-        if not (self.R > 0):
-            raise ValueError("window radius must be positive")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"window radius {self.R} must be positive and finite")
         if self.kind == "file" and not self.path:
             raise ValueError("file generator needs a path")
 

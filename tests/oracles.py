@@ -18,13 +18,11 @@ import numpy as np
 
 from gaugedist import (
     Disc,
-    InvalidBodyError,
     PBall,
     RootScan,
     boundary_point,
     boundary_points,
     gauge,
-    validate,
 )
 
 
@@ -253,9 +251,6 @@ def reference_root_scan(
     array with ``np.roll``.  Returns the detail view (``RootScan``) always."""
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
-    rep = validate(body)
-    if not rep.ok:
-        raise InvalidBodyError("; ".join(rep.violations))
     if not (alpha > 0):
         raise ValueError("scale factor must be positive")
     x0, x1 = float(x[0]), float(x[1])

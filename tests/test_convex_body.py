@@ -30,53 +30,56 @@ from oracles import exact_polygon_gauge, raycast_gauge
 
 
 class TestValidate:
+    """Bodies check their invariants once, at construction."""
+
     def test_square_ok(self):
         rep = validate(square())
         assert rep.ok and not rep.violations
 
     def test_odd_count_is_pairing_violation(self):
-        rep = validate(SymmetricPolygon([(1, 0), (0, 1), (-1, 0)]))
-        assert not rep.ok
-        assert any("pairing" in v for v in rep.violations)
+        with pytest.raises(InvalidBodyError, match="pairing"):
+            SymmetricPolygon([(1, 0), (0, 1), (-1, 0)])
 
     def test_bowtie_order_is_convexity_violation(self):
         # vertices in bowtie order: the chain turns the wrong way somewhere
-        rep = validate(SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)]))
-        assert not rep.ok
-        assert any("convex turn" in v for v in rep.violations)
+        with pytest.raises(InvalidBodyError, match="convex turn"):
+            SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)])
 
     def test_repeated_vertex(self):
-        rep = validate(SymmetricPolygon([(1, 1), (1, 1), (-1, -1), (-1, -1)]))
-        assert not rep.ok
-        assert any("repeated" in v for v in rep.violations)
+        with pytest.raises(InvalidBodyError, match="repeated"):
+            SymmetricPolygon([(1, 1), (1, 1), (-1, -1), (-1, -1)])
 
     def test_star_octagram_is_winding_violation(self):
         # {8/3}: a regular octagon's vertices taken three apart (c = dyadic
         # cos 45 degrees); every turn is a strict left turn around the origin,
         # but the boundary winds three times
         c = round(math.sqrt(0.5) * 2**16) / 2**16
-        rep = validate(SymmetricPolygon.from_half([(1, 0), (-c, c), (0, -1), (c, c)]))
-        assert not rep.ok
-        assert rep.violations == ("boundary winds 3 times around, not once",)
+        with pytest.raises(InvalidBodyError) as info:
+            SymmetricPolygon.from_half([(1, 0), (-c, c), (0, -1), (c, c)])
+        assert str(info.value) == "boundary winds 3 times around, not once"
 
     def test_clockwise_order_is_convexity_violation(self):
-        rep = validate(SymmetricPolygon(square().vertices[::-1]))
-        assert not rep.ok
-        assert any("convex turn" in v for v in rep.violations)
+        with pytest.raises(InvalidBodyError, match="convex turn"):
+            SymmetricPolygon(square().vertices[::-1])
 
     def test_disc_and_pball(self):
         assert validate(Disc(2.0)).ok
-        assert not validate(Disc(0.0)).ok
         assert validate(PBall(1.5, 1.0)).ok
-        assert not validate(PBall(1.0, 1.0)).ok  # p must exceed 1
-        assert not validate(PBall(3.0, -1.0)).ok
+        with pytest.raises(InvalidBodyError, match="disc radius 0.0 not positive"):
+            Disc(0.0)
+        with pytest.raises(InvalidBodyError, match=r"exponent 1.0 not in \(1, inf\)"):
+            PBall(1.0, 1.0)  # p must exceed 1
+        with pytest.raises(InvalidBodyError, match="p-ball radius -1.0 not positive"):
+            PBall(3.0, -1.0)
 
     def test_operations_reject_invalid_bodies(self):
-        bad = SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)])
+        # an invalid body cannot be built, so no operation can receive one;
+        # other objects report an unsupported type
         with pytest.raises(InvalidBodyError):
-            gauge(bad, (1.0, 0.0))
+            SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)])
+        assert validate((1.0, 0.0)).violations == ("unsupported body type tuple",)
         with pytest.raises(InvalidBodyError):
-            edge_normal_form(bad)
+            edge_normal_form(Disc(1.0))
 
 
 class TestEdgeNormalForm:
@@ -151,9 +154,10 @@ class TestGauge:
         assert gauge_exact(diamond(), (Fraction(1, 3), Fraction(1, 7))) == Fraction(10, 21)
 
     def test_exact_gauge_rejects_invalid_and_curved_bodies(self):
-        bad = SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)])
-        for body in (bad, Disc(1.0), PBall(1.5, 1.0)):
-            with pytest.raises(InvalidBodyError):
+        with pytest.raises(InvalidBodyError, match="convex turn"):
+            SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)])
+        for body in (Disc(1.0), PBall(1.5, 1.0)):
+            with pytest.raises(InvalidBodyError, match="polygon bodies"):
                 gauge_exact(body, (1.0, 0.0))
 
 

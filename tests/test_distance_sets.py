@@ -213,6 +213,8 @@ class TestAnnulusCone:
     def test_invariants(self):
         with pytest.raises(ValueError):
             Annulus(-1)
+        with pytest.raises(ValueError, match="annulus width inf"):
+            Annulus(1, width=math.inf)
         with pytest.raises(ValueError):
             Cone(1.0, 1.0)
         with pytest.raises(ValueError):

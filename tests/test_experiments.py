@@ -305,9 +305,36 @@ class TestCli:
         assert main(argv) == 2
         capsys.readouterr()
 
-    def test_usage_error_is_exit_2(self):
+    def test_usage_error_is_exit_2(self, capsys):
         assert main(["sweep", "--set", "nonsense", "--R", "5"]) == 2
         assert main(["no-such-command"]) == 2
+        # a non-finite window or annulus width is a usage error, not a crash
+        capsys.readouterr()
+        assert main(["sweep", "--R", "inf"]) == 2
+        assert "window radius inf must be positive and finite" in capsys.readouterr().err
+        assert main(["moser", "--width", "inf", "--cone", "0,1.5707963267948966",
+                     "--cone-inner", "0.39269908169872414,1.1780972450961724",
+                     "--N-range", "1..2"]) == 2
+        assert "annulus width inf must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, violation", [
+        ({"type": "polygon", "vertices": [[1, 1], [-1, 1], [1, -1], [-1, -1]]},
+         "non-strict convex turn sign"),
+        ({"type": "disc", "radius": -1}, "disc radius -1.0 not positive"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--set", "lattice", "--R", "3", "--no-timestamp"],
+        ["erdos-bound", "--N", "16"],
+        ["moser", "--cone", "0,1.5707963267948966",
+         "--cone-inner", "0.39269908169872414,1.1780972450961724", "--N-range", "1..2"],
+    ])
+    def test_invalid_body_file_is_exit_2(self, tmp_path, capsys, spec, violation, argv):
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main([*argv, "--body", str(body), "--out", str(out)]) == 2
+        assert violation in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_exit_2(self, capsys):
         rc = main(["sweep", "--body", "missing.json", "--set", "lattice", "--R", "5"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,10 @@ class TestGenerate:
             GeneratorSpec(kind="hexgrid", R=2.0)
         with pytest.raises(ValueError):
             GeneratorSpec(kind="lattice", R=-1.0)
+        with pytest.raises(ValueError, match="window radius inf"):
+            GeneratorSpec(kind="lattice", R=math.inf)
+        with pytest.raises(ValueError, match="spacing inf"):
+            GeneratorSpec(kind="lattice", R=2.0, spacing=math.inf)
         with pytest.raises(ValueError):
             GeneratorSpec(kind="file", R=2.0)
 
