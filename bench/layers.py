@@ -7,12 +7,13 @@ Each layer is a fixed, seeded workload run ``REPEATS`` times (once with
 ``--quick``) after one untimed warm-up call; the JSON holds the median,
 minimum and maximum seconds per workload.  The layers are the ones the
 roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, exact and float
-``grid_distance_set``, the ``distance_set`` pair loop, the float lattice
-``run_sweep`` and ``moser_count_check`` of the README commands, exact
-``boundary_intersection`` and ``strictly_convex_intersection_count``.  The
-root scan is timed twice: warm (its per-body boundary grid already cached,
-as in a batch) and cold (the cache cleared before every call), when the
-library under ``--src`` has such a cache.
+``grid_distance_set``, the ``distance_set`` pair loop (also over the 2,000
+random points of ``erdos-bound``), the float lattice ``run_sweep`` and
+``moser_count_check`` of the README commands, exact ``boundary_intersection``
+and ``strictly_convex_intersection_count``.  The root scan is timed twice:
+warm (its per-body boundary grid already cached, as in a batch) and cold (the
+cache cleared before every call), when the library under ``--src`` has such a
+cache.
 
 ``--src`` names the ``src`` directory to import ``gaugedist`` from, so one
 script can time two checkouts on the same machine.  Only numpy and the
@@ -80,6 +81,13 @@ def _layers(gd):
     layers["distance_set.float.disc"] = (
         f"float pair loop over {len(cloud)} uniform points",
         lambda: gd.distance_set(bodies["disc"], cloud),
+    )
+    # erdos-bound --N 2000: points in [0, 45)^2 and tol 1e-12 * 45, about 2e6 distinct
+    # distances; its own generator, so the later layers keep their inputs
+    random2000 = np.random.default_rng(2000).uniform(0.0, 45.0, size=(2000, 2))
+    layers["distance_set.float.random2000"] = (
+        f"float pair loop over {len(random2000)} uniform points, as erdos-bound runs it",
+        lambda: gd.distance_set(bodies["disc"], random2000, tol=1e-12 * 45),
     )
     disc_lattice = gd.GeneratorSpec(kind="lattice", R=5.0)
     layers["run_sweep.float_lattice.disc"] = (

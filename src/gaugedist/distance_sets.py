@@ -8,8 +8,9 @@ clusters of spread <= tol (distinctness at double precision needs a tolerance);
 exact mode takes integer vectors and a rational scale, and groups them by an
 integer key, q * gauge in the polygon's integer form or the disc's squared
 length, so lattice counts are tolerance-free.  Keys are int64 when a bound
-rules out overflow and Python ints otherwise; each distinct key is valued once,
-as an exact Fraction for polygons and a rounded square root for the disc.
+rules out overflow and Python ints otherwise.  A :class:`DistanceSet` holds
+numpy arrays (float clusters, polygon keys or rounded disc roots, with counts)
+and builds Python values only when a caller reads them.
 
 The annulus/cone counts of :func:`moser_count_check` take one pass over the
 point set: the gauges and the inner-cone mask are computed once, and every
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,25 +51,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceSet:
-    """Sorted distinct distance values with pair multiplicities.
+    """Sorted distinct distances with their int64 pair counts.
 
-    values never decrease and consecutive values differ by more than tol, except
-    that distinct exact disc distances rounding to one double stay separate equal
-    values; the zero distance is always present (pairs x == y count), with
-    multiplicity n.
+    ``keys`` never decrease: float64 distances, or an exact polygon set's integer
+    keys of the distances ``key * unit``.  Consecutive floats differ by more than
+    tol, except that distinct exact disc distances rounding to one double stay
+    separate equal values; the zero distance is always present (pairs x == y
+    count), with multiplicity n.  ``values`` (``Fraction``s for a polygon) and
+    ``multiplicities`` are tuples built on first access, and equality compares
+    them and tol.
     """
 
-    values: tuple
-    multiplicities: tuple[int, ...]
+    keys: np.ndarray
+    counts: np.ndarray
     tol: float
+    unit: Optional[Fraction] = None
+
+    def __post_init__(self):
+        # read-only, as the tuples built from them are cached
+        self.keys.flags.writeable = self.counts.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.counts)
+
+    @cached_property
+    def values(self) -> tuple:
+        if self.unit is None:
+            return tuple(self.keys.tolist())
+        num, den = self.unit.numerator, self.unit.denominator
+        return tuple(Fraction(k * num, den) for k in self.keys.tolist())
+
+    @cached_property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(self.counts.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, DistanceSet):
+            return NotImplemented
+        return (self.values, self.multiplicities, self.tol) == (
+            other.values, other.multiplicities, other.tol
+        )
 
 
-def _cluster(sorted_vals: np.ndarray, tol: float, weights=None) -> tuple[list, list[int]]:
+def _cluster(sorted_vals: np.ndarray, tol: float, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Greedy clusters (value - first <= tol) of sorted values: firsts and sizes.
 
     Rounded subtraction is monotone, so a gap > tol always starts a cluster and
@@ -91,7 +119,7 @@ def _cluster(sorted_vals: np.ndarray, tol: float, weights=None) -> tuple[list, l
         counts = np.diff(np.append(starts, n))
     else:
         counts = np.add.reduceat(weights, starts)
-    return sorted_vals[starts].tolist(), counts.tolist()
+    return sorted_vals[starts], counts
 
 
 def _as_points(source) -> np.ndarray:
@@ -134,24 +162,10 @@ def _exact_distance_set(
 
     The vectors cover the pairs of distinct points, whose differences are
     ``scale`` times V.  Vectors are grouped by their exact integer key, which
-    fixes the distance, and each distinct key is valued once.
+    fixes the distance: ``key * scale / q`` for a polygon, or the disc's root
+    ``sqrt(key) * scale / radius``, rounded once per distinct key.
     """
-    if isinstance(body, SymmetricPolygon):
-        f = scale / body._integer_form[1]  # the distance is k * f
-
-        def value(k):
-            return Fraction(k * f.numerator, f.denominator)
-
-    elif isinstance(body, Disc):
-        c = scale * scale / Fraction(body.radius) ** 2  # the distance is sqrt(k * c)
-        num, den = c.numerator, c.denominator
-
-        def value(k):
-            # sqrt(numerator) / sqrt(denominator) of k * c in lowest terms
-            g = math.gcd(k, den)
-            return math.sqrt(k // g * num) / math.sqrt(den // g)
-
-    else:
+    if not isinstance(body, (SymmetricPolygon, Disc)):
         raise ValueError("exact distance sets need a polygon or disc body")
     keys = _exact_keys(body, V)
     # the n coincident pairs have key 0, like zero vectors from repeated points
@@ -160,14 +174,22 @@ def _exact_distance_set(
     order = np.argsort(keys)
     keys, mult = keys[order], mult[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    keys, counts = keys[starts].tolist(), np.add.reduceat(mult, starts).tolist()
-    values = [value(k) for k in keys]
-    if isinstance(body, Disc):
-        # rounded roots need not follow their keys; order by (value, key), so
-        # distinct keys whose roots round to one double stay separate equal values
-        order = np.argsort(values, kind="stable").tolist()
-        values, counts = [values[i] for i in order], [counts[i] for i in order]
-    return DistanceSet(tuple(values), tuple(counts), 0.0)
+    keys, counts = keys[starts], np.add.reduceat(mult, starts)
+    if isinstance(body, SymmetricPolygon):
+        return DistanceSet(keys, counts, 0.0, scale / body._integer_form[1])
+    c = scale * scale / Fraction(body.radius) ** 2  # the distance is sqrt(k * c)
+    num, den = c.numerator, c.denominator
+
+    def root(k):
+        # sqrt(numerator) / sqrt(denominator) of k * c in lowest terms
+        g = math.gcd(k, den)
+        return math.sqrt(k // g * num) / math.sqrt(den // g)
+
+    values = np.array([root(k) for k in keys.tolist()])
+    # rounded roots need not follow their keys; order by (value, key), so
+    # distinct keys whose roots round to one double stay separate equal values
+    order = np.argsort(values, kind="stable")
+    return DistanceSet(values[order], counts[order], 0.0)
 
 
 def _float_distance_set(n: int, vals: np.ndarray, tol, weights=None) -> DistanceSet:
@@ -182,7 +204,7 @@ def _float_distance_set(n: int, vals: np.ndarray, tol, weights=None) -> Distance
         tol = 1e-9 * float(vals[-1])
     reps, counts = _cluster(vals, tol, weights)
     counts[0] += n - 1  # the other coincident pairs land in the zero cluster
-    return DistanceSet(tuple(reps), tuple(counts), float(tol))
+    return DistanceSet(reps, counts, float(tol))
 
 
 def distance_set(
@@ -237,6 +259,8 @@ def grid_distance_set(
     """
     if n_cols < 1 or n_rows < 1:
         raise ValueError("grid must have at least one point per side")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"grid spacing {spacing} must be positive and finite")
     total = n_cols * n_rows
     # representatives of +-(dx, dy): dx == 0 with dy > 0, then dx > 0 with any dy
     dys = np.arange(-(n_rows - 1), n_rows, dtype=np.int64)
@@ -252,11 +276,14 @@ def grid_distance_set(
 
 
 def min_gap(ds: DistanceSet):
-    """Smallest difference between consecutive values (0.0 for equal exact
-    disc values); None if < 2 values."""
-    if len(ds.values) < 2:
+    """Smallest difference between consecutive values, None if < 2 values: a
+    Fraction for exact polygon sets, else a float (0.0 for equal disc values)."""
+    if len(ds) < 2:
         return None
-    return min(b - a for a, b in zip(ds.values, ds.values[1:]))
+    gap = np.diff(ds.keys).min()
+    if ds.unit is None:
+        return float(gap)
+    return Fraction(int(gap) * ds.unit.numerator, ds.unit.denominator)
 
 
 @dataclass(frozen=True)
@@ -332,7 +359,7 @@ def distance_lists_from_two_points(
         vals = np.sort(gauge_many(body, subset.points - np.asarray(base, dtype=float)))
         t = 1e-9 * float(vals[-1]) if tol is None else tol
         reps, _ = _cluster(vals, t)
-        out.append(tuple(reps))
+        out.append(tuple(reps.tolist()))
     return out[0], out[1]
 
 

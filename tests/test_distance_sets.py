@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugedist import (
     Annulus,
     Cone,
     Disc,
+    DistanceSet,
     GeneratorSpec,
     PBall,
     PointSet,
@@ -170,6 +171,13 @@ class TestGridFastPath:
         fast = grid_distance_set(body, cols, rows, spacing, tol=tol, exact=False)
         slow = distance_set(body, grid_points(cols, rows, spacing), tol=tol)
         assert fast == slow
+
+    @pytest.mark.parametrize("spacing", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_spacing_must_be_positive_and_finite(self, spacing, exact):
+        # a negative exact spacing gave keys in increasing order but values in decreasing order
+        with pytest.raises(ValueError, match="spacing"):
+            grid_distance_set(square(), 3, 3, spacing, exact=exact)
 
     def test_rectangular_grid_spacing(self):
         ds = grid_distance_set(square(), 3, 2, 0.5, exact=True)
@@ -397,7 +405,8 @@ def test_cluster_matches_greedy_loop(vals, tol, weighted, data):
     weights = None
     if weighted:
         weights = data.draw(st.lists(st.integers(1, 9), min_size=len(vals), max_size=len(vals)))
-    assert _cluster(np.array(vals), tol, weights) == greedy_cluster(vals, tol, weights)
+    firsts, counts = _cluster(np.array(vals), tol, weights)
+    assert (firsts.tolist(), counts.tolist()) == greedy_cluster(vals, tol, weights)
 
 
 def polygon_oracle(body, pts):
@@ -554,3 +563,130 @@ class TestIntegerKeys:
         ):
             assert all(type(v) is Fraction for v in ds.values)
             assert all(type(c) is int for c in ds.multiplicities)
+
+
+def float_oracle(body, pts, tol):
+    """(values, multiplicities, tol) of the float distance set from the
+    one-value-at-a-time greedy loop over every pair's gauge, the n zeros of the
+    coincident pairs included."""
+    i, j = np.triu_indices(len(pts), 1)
+    vals = sorted([0.0] * len(pts) + gauge_many(body, pts[j] - pts[i]).tolist())
+    tol = 1e-9 * vals[-1] if tol is None else tol
+    reps, counts = greedy_cluster(vals, tol)
+    return tuple(reps), tuple(counts), tol
+
+
+def assert_same_set(ds, values, multiplicities, tol):
+    """ds holds the oracle's tuples, and min_gap is theirs: the smallest
+    difference of consecutive values, with the same type and digits."""
+    assert len(ds) == len(values)
+    assert ds.values == values and ds.multiplicities == multiplicities and ds.tol == tol
+    assert all(type(a) is type(b) for a, b in zip(ds.values, values))
+    assert all(type(c) is int for c in ds.multiplicities)
+    gap = min((b - a for a, b in zip(values, values[1:])), default=None)
+    assert repr(min_gap(ds)) == repr(gap)
+
+
+float_bodies = st.one_of(
+    st.sampled_from([square(), diamond(), Disc(1.0), Disc(0.75), PBall(1.5, 1.0), PBall(3.0, 2.0)]),
+    st.builds(random_symmetric_polygon, st.integers(2, 6), st.integers(0, 10**6)),
+)
+
+
+class TestArraysMatchTupleOracles:
+    """Distance sets are held as arrays; their length, tuples and min_gap must
+    equal what the tuple-based oracles give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pts=st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=9),
+        body=float_bodies,
+        tol=st.sampled_from([None, 0.0, 1e-9, 1e-3, 0.5]),
+    )
+    def test_float_pair_loop(self, pts, body, tol):
+        pts = np.array(pts)
+        assert_same_set(distance_set(body, pts, tol=tol), *float_oracle(body, pts, tol))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cols=st.integers(1, 6),
+        rows=st.integers(1, 6),
+        spacing=dyadic_spacing,
+        body=float_bodies,
+        tol=st.sampled_from([None, 0.0, 1e-9, 0.25]),
+    )
+    def test_float_weighted_grid(self, cols, rows, spacing, body, tol):
+        # the grid's closed-form pair counts are weights; at a dyadic spacing its
+        # values are the pair loop's
+        ds = grid_distance_set(body, cols, rows, spacing, tol=tol, exact=False)
+        assert_same_set(ds, *float_oracle(body, grid_points(cols, rows, spacing), tol))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pts=st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=7),
+        body=st.one_of(
+            st.sampled_from([square(), diamond(), BIG_POLYGON]),
+            st.builds(random_symmetric_polygon, st.integers(2, 6), st.integers(0, 10**6)),
+        ),
+    )
+    def test_exact_polygon_pair_path(self, pts, body):
+        ds = distance_set(body, np.array(pts), exact=True)
+        assert_same_set(ds, *polygon_oracle(body, pts), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pts=st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=7),
+        radius=st.sampled_from([1.0, 0.75, 3.0]),
+    )
+    # two distinct distances whose roots round to one double: min_gap is 0.0
+    @example(pts=[(0.0, 0.0), (1.0, 1.0), (10.0, 10.0), (11.0, 11.0 + 2.0**-49)], radius=1.0)
+    def test_exact_disc_pair_path(self, pts, radius):
+        ds = distance_set(Disc(radius), np.array(pts), exact=True)
+        assert_same_set(ds, *disc_oracle(radius, pts), 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cols=st.integers(1, 5),
+        rows=st.integers(1, 5),
+        spacing=dyadic_spacing,
+        body=st.one_of(
+            st.sampled_from([square(), diamond(), Disc(1.0), Disc(0.75), BIG_POLYGON]),
+            st.builds(random_symmetric_polygon, st.integers(2, 6), st.integers(0, 10**6)),
+        ),
+    )
+    def test_exact_grid(self, cols, rows, spacing, body):
+        # grid keys are in units of the spacing, pair keys in units of the points'
+        # common denominator: the keys differ, the values and gaps may not
+        ds = grid_distance_set(body, cols, rows, spacing, exact=True)
+        pts = grid_points(cols, rows, spacing).tolist()
+        if isinstance(body, Disc):
+            assert_same_set(ds, *disc_oracle(body.radius, pts), 0.0)
+        else:
+            assert_same_set(ds, *polygon_oracle(body, pts), 0.0)
+
+
+class TestDistanceSetEquality:
+    def test_equal_sets_from_different_keys(self):
+        # pair keys count 1/16ths, grid keys 3/16ths: same values, unequal keys
+        grid = grid_distance_set(diamond(), 3, 2, 3 / 16, exact=True)
+        pairs = distance_set(diamond(), grid_points(3, 2, 3 / 16), exact=True)
+        assert grid.keys.tolist() != pairs.keys.tolist()
+        assert grid == pairs and not (grid != pairs)
+
+    def test_values_counts_and_tol_all_count(self):
+        base = DistanceSet(np.array([0.0, 1.0]), np.array([3, 2]), 0.0)
+        assert base == DistanceSet(np.array([0.0, 1.0]), np.array([3, 2]), 0.0)
+        assert base == DistanceSet(np.array([0, 2]), np.array([3, 2]), 0.0, Fraction(1, 2))
+        assert base != DistanceSet(np.array([0.0, 1.5]), np.array([3, 2]), 0.0)
+        assert base != DistanceSet(np.array([0.0, 1.0]), np.array([2, 3]), 0.0)
+        assert base != DistanceSet(np.array([0.0, 1.0]), np.array([3, 2]), 1e-9)
+        assert base != DistanceSet(np.array([0.0]), np.array([5]), 0.0)
+        assert base != (0.0, 1.0) and base != "base"
+
+    def test_arrays_are_read_only(self):
+        ds = grid_distance_set(square(), 3, 3, 1.0, exact=True)
+        before = (ds.values, ds.multiplicities)
+        for arr in (ds.keys, ds.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 5
+        assert (ds.values, ds.multiplicities) == before == ((0, 1, 2), (9, 20, 16))

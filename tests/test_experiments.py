@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,18 @@ class TestErdosBound:
     def test_pball_body_supported(self):
         rep = erdos_bound(PBall(1.5, 1.0), 25, seed=1)
         assert rep["witnesses"]["lattice"]["n_distances"] >= 5
+
+    def test_random_witness_memory_is_bounded(self):
+        # 1,998,997 distinct distances: their arrays peak near 61 MiB, and
+        # Python tuples of them would take about twice that
+        tracemalloc.start()
+        try:
+            rep = erdos_bound(Disc(1.0), 2000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["witnesses"]["random"]["n_distances"] == 1_998_997
+        assert peak < 80 * 2**20
 
 
 class TestLemmaBatches:
