@@ -9,8 +9,10 @@ minimum and maximum seconds per workload.  The layers are the ones the
 roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, exact and float
 ``grid_distance_set``, the ``distance_set`` pair loop (also over the 2,000
 random points of ``erdos-bound``), the float lattice ``run_sweep`` and
-``moser_count_check`` of the README commands, exact ``boundary_intersection``
-and ``strictly_convex_intersection_count``.  The root scan is timed twice:
+``moser_count_check`` of the README commands, exact ``boundary_intersection``,
+``concurrence_check`` and ``direction_line_classes`` (on the same polygons
+under edge-aligned translates, intersected outside the timed call) and
+``strictly_convex_intersection_count``.  The root scan is timed twice:
 warm (its per-body boundary grid already cached, as in a batch) and cold (the
 cache cleared before every call), when the library under ``--src`` has such a
 cache.
@@ -101,15 +103,38 @@ def _layers(gd):
         f"moser_count_check of {len(moser_lattice)} lattice points, N = 1..20, square",
         lambda: gd.moser_count_check(moser_lattice, bodies["square"], cone, inner, range(1, 21)),
     )
-    pairs = []
+    pairs, aligned = [], []
     for k in range(100):
         p = gd.random_symmetric_polygon(2 + k % 7, seed=1000 + k)
         alpha = (0.5, 1.0, 1.5, 2.0)[k % 4]
         u = (int(rng.integers(-160, 161)) / 64, int(rng.integers(-160, 161)) / 64)
         pairs.append((p.vertices, gd.transform_polygon(p, alpha, u)))
+        # the same polygon and scale under a translate that shares segments,
+        # as the lemma trials build them: a homothety about the vertex w, or at
+        # alpha = 1 the edge opposite vw carried onto it, shifted a quarter
+        (vx, vy), (wx, wy) = p.vertices[:2]
+        if alpha == 1:
+            u = (vx + wx + (wx - vx) / 4, vy + wy + (wy - vy) / 4)
+        else:
+            u = ((1 - alpha) * wx, (1 - alpha) * wy)
+        aligned.append((p, alpha, u))
     layers["boundary_intersection"] = (
         f"exact boundary_intersection of {len(pairs)} polygon/translate pairs",
         lambda: [gd.boundary_intersection(a, b) for a, b in pairs],
+    )
+    # the random translates above share no segment; these intersections are
+    # computed once, outside the timed calls
+    results = [gd.boundary_intersection(p, gd.transform_polygon(p, alpha, u))
+               for p, alpha, u in aligned]
+    n_segments = sum(len(r.maximal_segments) for r in results)
+    layers["concurrence_check"] = (
+        f"concurrence_check of {len(results)} edge-aligned intersections ({n_segments} segments)",
+        lambda: [gd.concurrence_check(r, alpha, u, polygon=p)
+                 for r, (p, alpha, u) in zip(results, aligned)],
+    )
+    layers["direction_line_classes"] = (
+        f"direction_line_classes of the same {len(results)} intersections",
+        lambda: [gd.direction_line_classes(r) for r in results],
     )
     scans = []
     for k in range(12):

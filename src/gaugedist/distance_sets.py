@@ -128,6 +128,8 @@ def _as_points(source) -> np.ndarray:
     pts = np.asarray(source, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points contain non-finite coordinates")
     return pts
 
 
@@ -217,7 +219,8 @@ def distance_set(
 
     Floating mode defaults tol to 1e-9 times the largest distance.  Exact mode
     (tol = 0) supports polygon bodies for any rational points and the disc via
-    exact squared distances; the p-ball has no exact evaluator.
+    exact squared distances; the p-ball has no exact evaluator.  A non-finite
+    coordinate raises ``ValueError`` in either mode.
     """
     pts = _as_points(points)
     n = len(pts)

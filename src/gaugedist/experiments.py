@@ -246,7 +246,7 @@ def _polygon_trial(k: int, seed: int, alpha: float) -> tuple[dict, dict]:
     return row, info
 
 
-def _strict_trial(k: int, seed: int, resolution: float) -> tuple[dict, dict]:
+def _strict_trial(k: int, seed: int) -> tuple[dict, dict]:
     rng = Xorshift64Star(derive_seed(seed, k))
     body = _STRICT_BODIES[k % 3]
     alpha = 0.5 + 1.5 * rng.random()
@@ -264,7 +264,7 @@ def _strict_trial(k: int, seed: int, resolution: float) -> tuple[dict, dict]:
     else:
         rho = lo + (hi - lo) * 0.002  # barely past internal tangency
     x = (rho * dx / gd, rho * dy / gd)
-    count = strictly_convex_intersection_count(body, alpha, x, resolution=resolution)
+    count = strictly_convex_intersection_count(body, alpha, x)
     row = {
         "trial": k,
         "alpha": alpha,
@@ -275,18 +275,14 @@ def _strict_trial(k: int, seed: int, resolution: float) -> tuple[dict, dict]:
     return row, {"count": count}
 
 
-def run_lemma_checks(
-    which: str,
-    trials: int,
-    seed: int,
-    resolution: float = 1e-4,
-) -> LemmaBatch:
+def run_lemma_checks(which: str, trials: int, seed: int) -> LemmaBatch:
     """Run a seeded trial batch.
 
     which "13": bound on distinct supporting-line classes (must stay <= 2).
     which "14": concurrence of segment lines through u/(1-alpha); every fourth
     trial exercises alpha == 1 parallelism with opposite-edge flagging.
-    which "strict": intersection counts for strictly convex bodies (<= 2).
+    which "strict": intersection counts for strictly convex bodies (<= 2), from
+    the root scan at its default angular resolution 1e-4.
     """
     which = str(which)
     if trials < 1:
@@ -298,7 +294,7 @@ def run_lemma_checks(
     max_count = 0
     for k in range(trials):
         if which == "strict":
-            row, info = _strict_trial(k, seed, resolution)
+            row, info = _strict_trial(k, seed)
             max_count = max(max_count, info["count"])
             if info["count"] > 2:
                 violations += 1

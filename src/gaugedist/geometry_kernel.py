@@ -5,17 +5,19 @@ intersection decomposes into isolated points plus maximal segments.  Input
 boundaries must be simple strictly convex polygons (one exact check rejects
 star polygons and boundaries listed twice), so each line holds at most one
 edge of each, every collinear edge pair yields a whole maximal segment, and
-segments are never merged.  This module computes that decomposition, counts
-the distinct supporting lines of the segments (never more than two when
-u != 0), and checks the concurrence law: for a != 1 every supporting line
-passes through u/(1-a), and for a == 1 every segment is parallel to u except
-when u carries one of two anti-parallel edges onto the other (reported as an
-"opposite-edge coincidence").
+segments are never merged, and a point found on a segment is one of its ends.
+This module computes that decomposition, counts the distinct supporting lines
+of the segments (never more than two when u != 0), and checks the concurrence
+law with one predicate, cross(b - a, w) == 0 for each segment ab: for a != 1
+every supporting line passes through u/(1-a) (w = u/(1-a) - a), and for
+a == 1 every segment is parallel to u (w = u) except when u carries one of
+two anti-parallel edges onto the other (an "opposite-edge coincidence").
 
 Overlap-versus-crossing classification is discontinuous, so the polygon code
 is exact: coordinates convert to rationals (doubles convert losslessly) and
-are scaled to integers, and no tolerance enters the polygon checks.  Only the
-root scan for strictly convex bodies works in floating point.
+are scaled to integers, points stay integer triples until the result is
+built, and no tolerance enters the polygon checks.  Only the root scan for
+strictly convex bodies works in floating point.
 """
 
 from __future__ import annotations
@@ -78,11 +80,13 @@ class IntersectionResult:
 
 
 def transform_polygon(boundary, alpha: float, u) -> tuple:
-    """Vertices of alpha * boundary + u (orientation preserved; alpha > 0)."""
-    if not (alpha > 0):
-        raise ValueError("scale factor must be positive")
-    verts = boundary.vertices if isinstance(boundary, SymmetricPolygon) else boundary
+    """Vertices of alpha * boundary + u (orientation preserved; alpha > 0, finite)."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError("scale factor must be positive and finite")
     ux, uy = float(u[0]), float(u[1])
+    if not (math.isfinite(ux) and math.isfinite(uy)):
+        raise ValueError("translation must be finite")
+    verts = boundary.vertices if isinstance(boundary, SymmetricPolygon) else boundary
     return tuple((alpha * float(x) + ux, alpha * float(y) + uy) for x, y in verts)
 
 
@@ -94,9 +98,11 @@ def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
     or a boundary listed twice included, raises ``ValueError``.  A convex
     boundary has at most one edge on any line, so every collinear edge pair
     overlaps in a whole maximal segment and no segments are merged.  The
-    remaining edge pairs are classified as crossings or touches, and any such
-    point lying on a segment is absorbed by it.  Coordinates are rational
-    (``Fraction``) end to end.
+    other edge pairs give crossing and touching points; one inside a segment
+    would lie inside an edge of each boundary and on no other edge, so only
+    the segment's own pair could make it.  The isolated points are therefore
+    the points found minus the segment ends.  The arithmetic is integer; the
+    result holds ``Fraction`` coordinates.
     """
     return _intersect_exact(
         *(b.vertices if isinstance(b, SymmetricPolygon) else b for b in (boundary1, boundary2))
@@ -111,8 +117,15 @@ def _on_segment(p, a, b) -> bool:
     return 0 <= dot <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
 
 
+def _point(x: int, y: int, d: int) -> tuple:
+    """The rational point (x/d, y/d), d > 0, as its reduced integer triple."""
+    g = math.gcd(x, y, d)
+    return (x // g, y // g, d // g)
+
+
 def _intersect_exact(V1, V2) -> IntersectionResult:
     A, B, den = _scale_to_ints(V1, V2)
+    # the set difference below relies on both boundaries being simple
     for V in (A, B):
         orient, viol = _convexity(V)
         if viol:
@@ -140,36 +153,32 @@ def _intersect_exact(V1, V2) -> IntersectionResult:
                 rr = rx * rx + ry * ry
                 t0 = qx * rx + qy * ry
                 t1 = t0 + sx * rx + sy * ry
-                lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-                lo = max(lo, 0)
-                hi = min(hi, rr)
+                lo, hi = max(min(t0, t1), 0), min(max(t0, t1), rr)
                 if lo > hi:
                     continue
-                p_lo = (Fraction(ax * rr + lo * rx, rr), Fraction(ay * rr + lo * ry, rr))
+                p_lo = _point(ax * rr + lo * rx, ay * rr + lo * ry, rr)
                 if lo == hi:
                     point_pool.add(p_lo)
                     continue
-                p_hi = (Fraction(ax * rr + hi * rx, rr), Fraction(ay * rr + hi * ry, rr))
-                overlaps.append((p_lo, p_hi))
+                overlaps.append((p_lo, _point(ax * rr + hi * rx, ay * rr + hi * ry, rr)))
             else:
                 qxs = qx * sy - qy * sx
-                if rxs > 0:
-                    if not (0 <= qxs <= rxs and 0 <= qxr <= rxs):
-                        continue
-                else:
-                    if not (rxs <= qxs <= 0 and rxs <= qxr <= 0):
-                        continue
-                t = Fraction(qxs, rxs)
-                point_pool.add((ax + t * rx, ay + t * ry))
+                if rxs < 0:
+                    rxs, qxs, qxr = -rxs, -qxs, -qxr
+                if not (0 <= qxs <= rxs and 0 <= qxr <= rxs):
+                    continue
+                point_pool.add(_point(ax * rxs + qxs * rx, ay * rxs + qxs * ry, rxs))
 
-    isolated = [p for p in point_pool if not any(_on_segment(p, a, b) for a, b in overlaps)]
-    scale = Fraction(1, den)
-    points = sorted((p[0] * scale, p[1] * scale) for p in isolated)
-    segments = []
-    for p, q in overlaps:
-        a = (p[0] * scale, p[1] * scale)
-        b = (q[0] * scale, q[1] * scale)
-        segments.append(Segment(min(a, b), max(a, b)))
+    # A pool point on a segment is one of its ends: a point inside the segment
+    # of the pair (i, j) is inside edges i and j and on no other edge of the
+    # simple boundaries, so only (i, j), which made the segment, could make it.
+    isolated = point_pool.difference(p for ends in overlaps for p in ends)
+
+    def frac(p):
+        return (Fraction(p[0], p[2] * den), Fraction(p[1], p[2] * den))
+
+    points = sorted(map(frac, isolated))
+    segments = [Segment(*sorted((frac(p), frac(q)))) for p, q in overlaps]
     segments.sort(key=lambda s: (s.a, s.b))
     return IntersectionResult(tuple(points), tuple(segments))
 
@@ -227,68 +236,59 @@ def concurrence_check(
 ) -> ConcurrenceReport:
     """Check the concurrence/parallelism law on every maximal segment, exactly.
 
-    For alpha != 1 each segment's supporting line must pass through
-    u/(1-alpha): any nonzero rational residual is a violation.  For
-    alpha == 1 each segment must be parallel to u (zero cross product); a
-    non-parallel segment is accepted only when the polygon is supplied and
-    the segment verifiably comes from two anti-parallel edges at offset u, in
-    which case it is flagged rather than failing.
-    ``max_point_error`` (the miss distance relative to |u/(1-alpha)|) and
-    ``max_angle_error`` (the sine of the angle to u) report the size of the
-    residuals as floats.
+    One predicate serves both regimes: the segment ab passes when
+    cross(b - a, w) == 0, decided in integers, with w = u/(1-alpha) - a for
+    alpha != 1 (the supporting line passes through u/(1-alpha)) and w = u for
+    alpha == 1 (the segment is parallel to u).  A nonzero cross product is a
+    violation, except that for alpha == 1 a segment that verifiably comes from
+    two anti-parallel edges of the supplied polygon at offset u is flagged
+    instead.  A violation's float size is |cross| / (|b - a| * ref): the miss
+    distance relative to ref = |u/(1-alpha)| (1 when that is 0) in
+    ``max_point_error``, the sine of the angle to u (ref = |u|) in
+    ``max_angle_error``.
     """
     ux, uy = float(u[0]), float(u[1])
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError("scale factor must be positive and finite")
+    if not (math.isfinite(ux) and math.isfinite(uy)):
+        raise ValueError("translation must be finite")
     if alpha == 1 and ux == 0 and uy == 0:
         raise ValueError("alpha == 1 requires a nonzero translation")
-    if not (alpha > 0):
-        raise ValueError("scale factor must be positive")
-    segs = result.maximal_segments
-    fu = (Fraction(u[0]), Fraction(u[1]))
+    if alpha == 1:
+        target, ref, miss = u, math.hypot(ux, uy), "direction off u by sin angle {:.3e}"
+    else:
+        scale = 1 - Fraction(alpha)
+        target = (Fraction(u[0]) / scale, Fraction(u[1]) / scale)
+        ref = math.hypot(float(target[0]), float(target[1])) or 1.0
+        miss = "supporting line misses u/(1-alpha) by {:.3e} (rel)"
     checked = flagged = 0
-    max_pt = 0.0
-    max_ang = 0.0
+    max_err = 0.0
     violations: list[str] = []
     flags: list[str] = []
 
-    if alpha != 1:
-        scale = Fraction(1) - Fraction(alpha)
-        target = (fu[0] / scale, fu[1] / scale)
-        norm = math.hypot(float(target[0]), float(target[1]))
-        denom = norm if norm > 0 else 1.0
-        for k, seg in enumerate(segs):
-            nx, ny, c = _frac_line_key(seg.a, seg.b)
-            resid = nx * target[0] + ny * target[1] - c
-            rel = abs(float(resid)) / math.hypot(float(nx), float(ny)) / denom
+    for k, seg in enumerate(result.maximal_segments):
+        ((ax, ay), (bx, by), (tx, ty)), den = _scale_to_ints((seg.a, seg.b, target))
+        wx, wy = (tx, ty) if alpha == 1 else (tx - ax, ty - ay)
+        dx, dy = bx - ax, by - ay
+        cr = dx * wy - dy * wx
+        if cr == 0:
             checked += 1
-            max_pt = max(max_pt, rel)
-            if resid != 0:
-                violations.append(
-                    f"segment {k}: supporting line misses u/(1-alpha) by {rel:.3e} (rel)"
-                )
-    else:
-        for k, seg in enumerate(segs):
-            dx = Fraction(seg.b[0]) - Fraction(seg.a[0])
-            dy = Fraction(seg.b[1]) - Fraction(seg.a[1])
-            cr = dx * fu[1] - dy * fu[0]
-            if cr == 0:
-                checked += 1
-            elif polygon is not None and _opposite_edge_coincidence(seg, u, polygon):
-                flagged += 1
-                flags.append("opposite-edge coincidence")
-            else:
-                sin_ang = abs(float(cr)) / (math.hypot(float(dx), float(dy)) * math.hypot(ux, uy))
-                checked += 1
-                max_ang = max(max_ang, sin_ang)
-                violations.append(
-                    f"segment {k}: direction off u by sin angle {sin_ang:.3e}"
-                )
+        elif alpha == 1 and polygon is not None and _opposite_edge_coincidence(seg, u, polygon):
+            flagged += 1
+            flags.append("opposite-edge coincidence")
+        else:
+            checked += 1
+            # integer true division rounds correctly, however large den is
+            size = abs(cr) / (den * den) / (math.hypot(dx / den, dy / den) * ref)
+            max_err = max(max_err, size)
+            violations.append(f"segment {k}: " + miss.format(size))
 
     return ConcurrenceReport(
         ok=not violations,
         checked=checked,
         flagged=flagged,
-        max_point_error=max_pt,
-        max_angle_error=max_ang,
+        max_point_error=0.0 if alpha == 1 else max_err,
+        max_angle_error=max_err if alpha == 1 else 0.0,
         violations=tuple(violations),
         flags=tuple(flags),
     )
@@ -490,23 +490,22 @@ def convex_hull(points) -> list:
     return hull
 
 
-def random_symmetric_polygon(
-    n_half_vertices: int,
-    seed: int,
-    grid_bits: int = 16,
-    max_attempts: int = 64,
-) -> SymmetricPolygon:
+_GRID_BITS = 16  # random polygon vertices lie on the dyadic grid 2**-16
+_MAX_ATTEMPTS = 64
+
+
+def random_symmetric_polygon(n_half_vertices: int, seed: int) -> SymmetricPolygon:
     """Random valid origin-symmetric polygon, deterministic per seed.
 
     Draws n points in the annulus 0.5 <= |p| <= 1.5 (rejection sampling, no
-    transcendentals), snaps them to the dyadic grid 2**-grid_bits so downstream
+    transcendentals), snaps them to the dyadic grid 2**-16 so downstream
     rational arithmetic stays cheap, and takes the hull of the points and their
     negations.  A draw whose hull is not a valid body (construction raises
-    ``InvalidBodyError``) retries with a derived seed.
+    ``InvalidBodyError``) retries with a derived seed, up to 64 draws.
     """
     if n_half_vertices < 2:
         raise ValueError("need at least 2 half-turn vertices")
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = Xorshift64Star(derive_seed(seed, attempt))
         pts = []
         while len(pts) < n_half_vertices:
@@ -515,7 +514,7 @@ def random_symmetric_polygon(
             rho = px * px + py * py
             if not (0.25 <= rho <= 2.25):
                 continue
-            qx, qy = quantize(px, grid_bits), quantize(py, grid_bits)
+            qx, qy = quantize(px, _GRID_BITS), quantize(py, _GRID_BITS)
             if qx == 0.0 and qy == 0.0:
                 continue
             pts.append((qx, qy))
@@ -525,5 +524,5 @@ def random_symmetric_polygon(
         except InvalidBodyError:
             continue
     raise RuntimeError(
-        f"no valid symmetric polygon after {max_attempts} attempts (seed {seed})"
+        f"no valid symmetric polygon after {_MAX_ATTEMPTS} attempts (seed {seed})"
     )

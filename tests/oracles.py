@@ -3,11 +3,12 @@
 These deliberately avoid the library's evaluation paths: the gauge oracle is a
 ray cast (binary search on the scale with a cross-product point-in-polygon
 test, no half-plane normal form), distance oracles are brute-force pair loops,
-orientation checks use exact rational cross products, and the annulus/cone
-counts test one point at a time.  The root-scan references are the exception:
-``reference_root_scan`` is the strictly-convex scan written directly on the
-public gauge API, with no cached state, and ``disc_pair_count`` is the
-closed-form count for two circles.
+orientation checks use exact rational cross products, the annulus/cone
+counts test one point at a time, and the concurrence reference keys each
+segment's supporting line on its own.  The root-scan references are the
+exception: ``reference_root_scan`` is the strictly-convex scan written
+directly on the public gauge API, with no cached state, and
+``disc_pair_count`` is the closed-form count for two circles.
 """
 
 import math
@@ -222,6 +223,81 @@ def exact_edge_pieces(V1, V2):
             elif lo < hi:
                 segments.append(((a[0] + lo * rx, a[1] + lo * ry), (a[0] + hi * rx, a[1] + hi * ry)))
     return points, segments
+
+
+def _line_key(a, b):
+    """Line through the rational points a != b as (nx, ny, c), <n, p> = c, with
+    n the primitive integer normal whose first nonzero entry is positive."""
+    nx, ny = a[1] - b[1], b[0] - a[0]
+    scale = math.lcm(nx.denominator, ny.denominator)
+    nx, ny = int(nx * scale), int(ny * scale)
+    g = math.gcd(nx, ny)
+    nx, ny = nx // g, ny // g
+    if nx < 0 or (nx == 0 and ny < 0):
+        nx, ny = -nx, -ny
+    return nx, ny, nx * a[0] + ny * a[1]
+
+
+def reference_concurrence(segments, alpha, u, polygon_vertices=None) -> dict:
+    """The concurrence law checked one segment at a time in Fraction, with two
+    branches: for alpha != 1 the residual of the segment's supporting-line key
+    at u/(1-alpha), for alpha == 1 the cross product of the segment with u.  A
+    non-parallel segment at alpha == 1 is flagged instead when it lies on an
+    edge of the polygon and, moved by -u, on the opposite edge.
+
+    Returns ``ok``, ``checked``, ``flagged``, ``flags``, ``violations`` (the
+    number of nonzero residuals) and ``sizes``: per segment, the residual's
+    float size relative to |u/(1-alpha)| (1 when that is 0) or the sine of the
+    angle to u, or ``None`` for a flagged segment.
+    """
+    fu = (Fraction(u[0]), Fraction(u[1]))
+    checked = flagged = violations = 0
+    flags, sizes = [], []
+    for a, b in segments:
+        a, b = (Fraction(a[0]), Fraction(a[1])), (Fraction(b[0]), Fraction(b[1]))
+        if alpha != 1:
+            s = 1 - Fraction(alpha)
+            target = (fu[0] / s, fu[1] / s)
+            nx, ny, c = _line_key(a, b)
+            resid = nx * target[0] + ny * target[1] - c
+            norm = math.hypot(float(target[0]), float(target[1])) or 1.0
+            size = abs(float(resid)) / math.hypot(nx, ny) / norm
+        else:
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            resid = dx * fu[1] - dy * fu[0]
+            if resid != 0 and polygon_vertices is not None and _on_opposite_edges(
+                a, b, fu, polygon_vertices
+            ):
+                flagged += 1
+                flags.append("opposite-edge coincidence")
+                sizes.append(None)
+                continue
+            ref = math.hypot(float(fu[0]), float(fu[1]))
+            size = abs(float(resid)) / (math.hypot(float(dx), float(dy)) * ref)
+        checked += 1
+        violations += resid != 0
+        sizes.append(size)
+    return {
+        "ok": violations == 0,
+        "checked": checked,
+        "flagged": flagged,
+        "flags": tuple(flags),
+        "violations": violations,
+        "sizes": sizes,
+    }
+
+
+def _on_opposite_edges(a, b, u, vertices) -> bool:
+    """a and b lie on one edge of the polygon, and a - u and b - u on the edge
+    half a turn further on."""
+    m = len(vertices)
+    for i in range(m):
+        v, w = vertices[i], vertices[(i + 1) % m]
+        if on_closed_segment(a, v, w) and on_closed_segment(b, v, w):
+            p, q = vertices[(i + m // 2) % m], vertices[(i + m // 2 + 1) % m]
+            moved = [(x - u[0], y - u[1]) for x, y in (a, b)]
+            return all(on_closed_segment(r, p, q) for r in moved)
+    return False
 
 
 def disc_pair_count(r, alpha, x) -> int:

@@ -114,7 +114,7 @@ def test_criterion_5_direction_class_bound():
 
 def test_criterion_6_strictly_convex_bound():
     t0 = time.perf_counter()
-    batch = run_lemma_checks("strict", 500, seed=7, resolution=1e-4)
+    batch = run_lemma_checks("strict", 500, seed=7)
     assert batch.violations == 0
     assert batch.max_count <= 2
     counts = [r["count"] for r in batch.rows]

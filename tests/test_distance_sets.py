@@ -79,6 +79,13 @@ class TestDistanceSet:
         with pytest.raises(ValueError):
             distance_set(PBall(1.5, 1.0), lattice_points(1), exact=True)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_points_rejected(self, bad, exact):
+        # a float tolerance of 1e-9 * inf would merge every distance into one
+        with pytest.raises(ValueError, match="non-finite"):
+            distance_set(square(), [[bad, 0.0], [0.0, 0.0], [1.0, 0.0]], exact=exact)
+
     def test_matches_brute_force_oracle(self):
         pts = np.array([[0.0, 0.0], [1.5, 0.25], [-2.0, 1.0], [0.5, -3.0], [2.0, 2.0]])
         for body in (square(), diamond(), Disc(1.0), PBall(3.0, 1.0)):

@@ -33,6 +33,7 @@ from oracles import (
     on_closed_polyline,
     on_closed_segment,
     point_in_polygon,
+    reference_concurrence,
     reference_root_scan,
 )
 
@@ -60,6 +61,14 @@ class TestTransform:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             transform_polygon(square(), 0.0, (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "alpha, u",
+        [(math.inf, (0.0, 0.0)), (math.nan, (0.0, 0.0)), (1.0, (math.inf, 0.0)), (2.0, (0.0, math.nan))],
+    )
+    def test_rejects_non_finite_scale_or_translation(self, alpha, u):
+        with pytest.raises(ValueError, match="finite"):
+            transform_polygon(square(), alpha, u)
 
 
 class TestBoundaryIntersection:
@@ -93,6 +102,30 @@ class TestBoundaryIntersection:
         res = boundary_intersection(square(), moved)
         assert pt_set(res) == {(0.0, 1.0), (1.0, 0.0)}
         assert not res.maximal_segments
+
+    def test_crossings_at_segment_ends_are_not_isolated(self):
+        # [-1,1]^2 against [1,3]x[-1/2,3/2]: the edge pairs crossing at
+        # (1, -1/2) and (1, 1) meet at the ends of the one shared segment
+        res = boundary_intersection(square(), transform_polygon(square(), 1.0, (2.0, 0.5)))
+        assert res.maximal_segments == (Segment((1, Fraction(-1, 2)), (1, 1)),)
+        assert res.isolated_points == ()
+
+    def test_corner_touch_is_one_isolated_point(self):
+        # [-2,2]^2 against [2,4]^2: both collinear edge pairs and both crossing
+        # pairs meet only at the shared corner
+        res = boundary_intersection(
+            transform_polygon(square(), 2.0, (0.0, 0.0)), transform_polygon(square(), 1.0, (3.0, 3.0))
+        )
+        assert res.isolated_points == ((2, 2),)
+        assert res.maximal_segments == ()
+
+    def test_vertex_homothety_segments_share_an_end(self):
+        # [-1,1]^2 against its double about the vertex (1, 1): two segments meet there
+        res = boundary_intersection(square(), transform_polygon(square(), 2.0, (-1.0, -1.0)))
+        assert res.maximal_segments == (Segment((-1, 1), (1, 1)), Segment((1, -1), (1, 1)))
+        assert res.isolated_points == ()
+        rep = concurrence_check(res, 2.0, (-1.0, -1.0), polygon=square())
+        assert rep.ok and rep.checked == 2 and rep.max_point_error == 0.0
 
     def test_swap_symmetry_exact(self):
         for alpha, u in [(1.0, (0.5, 0.25)), (2.0, (1.0, 0.0)), (0.5, (0.75, -0.5))]:
@@ -315,6 +348,104 @@ class TestConcurrence:
         rep = concurrence_check(IntersectionResult((), (seg,)), 1.0, (1.0, 0.0))
         assert not rep.ok and rep.checked == 1 and rep.flagged == 0
         assert 0.0 < rep.max_angle_error < 1e-13
+
+    @pytest.mark.parametrize(
+        "alpha, u",
+        [(math.inf, (1.0, 0.0)), (math.nan, (1.0, 0.0)), (2.0, (math.inf, 0.0)), (1.0, (0.0, math.nan))],
+    )
+    def test_non_finite_scale_or_translation_raises(self, alpha, u):
+        res = boundary_intersection(square(), transform_polygon(square(), 2.0, (1.0, 0.0)))
+        with pytest.raises(ValueError):
+            concurrence_check(res, alpha, u, polygon=square())
+
+
+def _dyadic_point(lo, hi, bits):
+    return st.tuples(_dyadic(lo, hi, bits), _dyadic(lo, hi, bits)).map(
+        lambda p: (Fraction(p[0]), Fraction(p[1]))
+    )
+
+
+@st.composite
+def concurrence_case(draw):
+    """(segments, alpha, u, polygon): dyadic segments through u/(1-alpha),
+    parallel to u, either of those moved off by 2**-40, or drawn at random.
+    With a polygon, u may carry an edge onto its opposite edge, and the overlap
+    of the two is one of the segments (flagged only at alpha == 1)."""
+    alpha = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    mode = draw(st.sampled_from(["free", "polygon", "opposite"]))
+    poly = None
+    if mode != "free":
+        poly = random_symmetric_polygon(draw(st.integers(2, 6)), draw(st.integers(0, 2**32 - 1)))
+    segs = []
+    if mode == "opposite":
+        verts = [(Fraction(x), Fraction(y)) for x, y in poly.vertices]
+        i = draw(st.integers(0, len(verts) - 1))
+        v, w = verts[i], verts[(i + 1) % len(verts)]
+        e = (w[0] - v[0], w[1] - v[1])
+        s = Fraction(draw(_dyadic(-0.875, 0.875, 12)))
+        fu = (v[0] + w[0] + s * e[0], v[1] + w[1] + s * e[1])
+        lo, hi = max(s, 0), 1 + min(s, 0)
+        segs.append(((v[0] + lo * e[0], v[1] + lo * e[1]), (v[0] + hi * e[0], v[1] + hi * e[1])))
+    else:
+        fu = draw(_dyadic_point(-2.5, 2.5, 12))
+        assume(fu != (0, 0) or alpha != 1)
+    target = None if alpha == 1 else (fu[0] / (1 - Fraction(alpha)), fu[1] / (1 - Fraction(alpha)))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["through", "parallel", "random"]))
+        if kind == "through" and target is not None:
+            d = draw(_dyadic_point(-2.0, 2.0, 8))
+            assume(d != (0, 0))
+            s, t = Fraction(draw(_dyadic(-2.0, 2.0, 8))), Fraction(draw(_dyadic(0.125, 2.0, 8)))
+            a = (target[0] + s * d[0], target[1] + s * d[1])
+            b = (a[0] + t * d[0], a[1] + t * d[1])
+        elif kind in ("through", "parallel"):
+            assume(fu != (0, 0))
+            a = draw(_dyadic_point(-3.0, 3.0, 12))
+            t = Fraction(draw(_dyadic(0.125, 2.0, 8)))
+            b = (a[0] + t * fu[0], a[1] + t * fu[1])
+        else:
+            a, b = draw(_dyadic_point(-3.0, 3.0, 12)), draw(_dyadic_point(-3.0, 3.0, 12))
+            assume(a != b)
+        if kind != "random" and draw(st.booleans()):
+            off = Fraction(1, 2**40)
+            a, b = (a[0] + off, a[1]), (b[0] + off, b[1])
+        segs.append((a, b))
+    u = (float(fu[0]), float(fu[1]))
+    assert (Fraction(u[0]), Fraction(u[1])) == fu
+    return [Segment(a, b) for a, b in segs], alpha, u, poly
+
+
+class TestConcurrenceOracle:
+    """concurrence_check against the two-branch line-key check in Fraction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=concurrence_case())
+    @example(case=([Segment((1, -1), (1, 1))], 1.0, (2.0, 0.0), square()))
+    @example(case=([Segment((-1, 1), (1, 1)), Segment((1, -1), (1, 1))], 3.0, (-2.0, -2.0), None))
+    @example(case=([Segment((0, 0), (1, 1)), Segment((1, 0), (1, 1))], 2.0, (0.0, 0.0), None))
+    def test_matches_line_key_reference(self, case):
+        segs, alpha, u, poly = case
+        rep = concurrence_check(IntersectionResult((), tuple(segs)), alpha, u, polygon=poly)
+        want = reference_concurrence(
+            [(s.a, s.b) for s in segs], alpha, u, None if poly is None else poly.vertices
+        )
+        got = (rep.ok, rep.checked, rep.flagged, rep.flags, len(rep.violations))
+        assert got == tuple(want[k] for k in ("ok", "checked", "flagged", "flags", "violations"))
+        sizes = [x for x in want["sizes"] if x is not None]
+        if alpha == 1:
+            assert rep.max_point_error == 0.0
+            assert rep.max_angle_error == pytest.approx(max(sizes, default=0.0), rel=1e-12)
+        else:
+            assert rep.max_angle_error == 0.0
+            assert rep.max_point_error == pytest.approx(max(sizes, default=0.0), rel=1e-12)
+        for seg, size in zip(segs, want["sizes"]):
+            one = concurrence_check(IntersectionResult((), (seg,)), alpha, u, polygon=poly)
+            if size is None:
+                assert one.flagged == 1
+            else:
+                err = max(one.max_point_error, one.max_angle_error)
+                assert (err == 0.0) == (size == 0.0)
+                assert err == pytest.approx(size, rel=1e-12)
 
 
 class TestStrictlyConvexCount:
