@@ -14,7 +14,6 @@ from .convex_body import (
     InvalidBodyError,
     PBall,
     SymmetricPolygon,
-    ValidationReport,
     body_from_spec,
     boundary_point,
     boundary_points,

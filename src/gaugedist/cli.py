@@ -43,7 +43,10 @@ def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError("N range looks like a..b")
-    return range(int(lo), int(hi) + 1)
+    a, b = int(lo), int(hi)
+    if b < a:
+        raise argparse.ArgumentTypeError(f"N range {text} is empty: it needs a <= b")
+    return range(a, b + 1)
 
 
 def _genspec_from_args(args) -> GeneratorSpec:

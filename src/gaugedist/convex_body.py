@@ -35,7 +35,6 @@ __all__ = [
     "InvalidBodyError",
     "PBall",
     "SymmetricPolygon",
-    "ValidationReport",
     "body_from_spec",
     "boundary_point",
     "boundary_points",
@@ -57,24 +56,8 @@ class InvalidBodyError(ValueError):
     violation with "; "), or an operation got a body type it does not support."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-
-def _check(body) -> None:
-    rep = validate(body)
-    if not rep.ok:
-        raise InvalidBodyError("; ".join(rep.violations))
-
-
 def _as_vertex_tuple(vertices) -> tuple[tuple[float, float], ...]:
-    out = []
-    for v in vertices:
-        x, y = v
-        out.append((float(x), float(y)))
-    return tuple(out)
+    return tuple((float(x), float(y)) for x, y in vertices)
 
 
 @dataclass(frozen=True)
@@ -92,7 +75,7 @@ class SymmetricPolygon:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _as_vertex_tuple(self.vertices))
-        _check(self)
+        validate(self)
 
     @classmethod
     def from_half(cls, half_vertices) -> "SymmetricPolygon":
@@ -140,7 +123,7 @@ class Disc:
     radius: float
 
     def __post_init__(self):
-        _check(self)
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -151,7 +134,7 @@ class PBall:
     radius: float
 
     def __post_init__(self):
-        _check(self)
+        validate(self)
 
 
 ConvexBody = Union[SymmetricPolygon, Disc, PBall]
@@ -213,14 +196,13 @@ def _convexity(V) -> tuple[int, list[str]]:
     return orient, viol
 
 
-def _validate_polygon(poly: SymmetricPolygon) -> ValidationReport:
-    v = poly.vertices
+def _polygon_violations(v) -> list[str]:
     m = len(v)
-    viol = []
     if m == 0:
-        return ValidationReport(False, ("polygon has no vertices",))
+        return ["polygon has no vertices"]
     if not all(math.isfinite(x) and math.isfinite(y) for x, y in v):
-        return ValidationReport(False, ("non-finite vertex coordinate",))
+        return ["non-finite vertex coordinate"]
+    viol = []
     if m % 2 == 1 or m < 4:
         viol.append(
             f"symmetry pairing impossible: vertex count {m} (need an even count >= 4)"
@@ -239,33 +221,35 @@ def _validate_polygon(poly: SymmetricPolygon) -> ValidationReport:
         viol.append("non-strict convex turn sign: vertices run clockwise")
     elif orient and outside:
         viol.append(f"origin not strictly inside: edges {outside}")
-    return ValidationReport(not viol, tuple(viol))
+    return viol
 
 
-def validate(body: ConvexBody) -> ValidationReport:
-    """Check every invariant of the body; reports all violations, raises nothing.
+def validate(body: ConvexBody) -> None:
+    """Check every invariant of the body; raise :class:`InvalidBodyError`
+    listing every violation, joined by "; ", if any fails.
 
-    Each body constructor runs this once and raises :class:`InvalidBodyError`
-    on any violation, so a constructed body always reports ok and operations
-    never re-check it; any other object reports an unsupported type.
+    Each body constructor runs this once, so a constructed body always passes
+    and operations never re-check it; any other object fails as an
+    unsupported type.
 
     Polygon shape checks are exact.  Besides pairing, strict counterclockwise
     turns and the origin inside, the boundary must wind once: the {8/3}
     octagram turns left at every vertex but winds three times."""
     if isinstance(body, SymmetricPolygon):
-        return _validate_polygon(body)
-    if isinstance(body, Disc):
-        if not (math.isfinite(body.radius) and body.radius > 0):
-            return ValidationReport(False, (f"disc radius {body.radius} not positive",))
-        return ValidationReport(True)
-    if isinstance(body, PBall):
+        viol = _polygon_violations(body.vertices)
+    elif isinstance(body, Disc):
+        ok = math.isfinite(body.radius) and body.radius > 0
+        viol = [] if ok else [f"disc radius {body.radius} not positive"]
+    elif isinstance(body, PBall):
         viol = []
         if not (math.isfinite(body.p) and body.p > 1):
             viol.append(f"p-ball exponent {body.p} not in (1, inf)")
         if not (math.isfinite(body.radius) and body.radius > 0):
             viol.append(f"p-ball radius {body.radius} not positive")
-        return ValidationReport(not viol, tuple(viol))
-    return ValidationReport(False, (f"unsupported body type {type(body).__name__}",))
+    else:
+        viol = [f"unsupported body type {type(body).__name__}"]
+    if viol:
+        raise InvalidBodyError("; ".join(viol))
 
 
 def edge_normal_form(poly: SymmetricPolygon) -> EdgeNormalForm:
@@ -366,22 +350,35 @@ def max_chebyshev_radius(body: ConvexBody) -> float:
     return body.radius  # disc and p-ball peak on the axes
 
 
+def _spec_field(spec: dict, name: str, convert):
+    if name not in spec:
+        raise ValueError(f"body spec has no {name!r} field")
+    try:
+        return convert(spec[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"body spec field {name!r}: {exc}") from None
+
+
 def body_from_spec(spec: dict) -> ConvexBody:
     """Build a body from its JSON description.
 
     ``{"type": "polygon", "vertices": [[x, y], ...], "symmetric_completion": bool}``
     or ``{"type": "disc", "radius": r}`` or ``{"type": "pball", "p": p, "radius": r}``.
+    A malformed description raises ``ValueError`` naming the bad field, and an
+    invalid body :class:`InvalidBodyError`.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"body spec must be a JSON object, not {type(spec).__name__}")
     kind = spec.get("type")
     if kind == "polygon":
-        verts = spec["vertices"]
+        verts = _spec_field(spec, "vertices", _as_vertex_tuple)
         if spec.get("symmetric_completion"):
             return SymmetricPolygon.from_half(verts)
         return SymmetricPolygon(verts)
     if kind == "disc":
-        return Disc(float(spec["radius"]))
+        return Disc(_spec_field(spec, "radius", float))
     if kind == "pball":
-        return PBall(float(spec["p"]), float(spec["radius"]))
+        return PBall(_spec_field(spec, "p", float), _spec_field(spec, "radius", float))
     raise ValueError(f"unknown body type {kind!r}")
 
 

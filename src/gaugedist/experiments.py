@@ -225,7 +225,7 @@ def _polygon_trial(k: int, seed: int, alpha: float) -> tuple[dict, dict]:
     poly = random_symmetric_polygon(n_half, rng.next_u64())
     u = _choose_u(rng, poly, alpha)
     moved = transform_polygon(poly, alpha, u)
-    res = boundary_intersection(poly.vertices, moved)
+    res = boundary_intersection(poly, moved)
     classes = direction_line_classes(res)
     rep = concurrence_check(res, alpha, u, polygon=poly)
     row = {

@@ -2,10 +2,11 @@
 
 For a convex polygon boundary G and a scaled translate a*G + u, the
 intersection decomposes into isolated points plus maximal segments.  Input
-boundaries must be simple strictly convex polygons (one exact check rejects
-star polygons and boundaries listed twice), so each line holds at most one
-edge of each, every collinear edge pair yields a whole maximal segment, and
-segments are never merged, and a point found on a segment is one of its ends.
+boundaries must be simple strictly convex polygons (polygon bodies are by
+construction; vertex lists get one exact check that rejects star polygons and
+boundaries listed twice), so each line holds at most one edge of each, every
+collinear edge pair yields a whole maximal segment, and segments are never
+merged, and a point found on a segment is one of its ends.
 This module computes that decomposition, counts the distinct supporting lines
 of the segments (never more than two when u != 0), and checks the concurrence
 law with one predicate, cross(b - a, w) == 0 for each segment ab: for a != 1
@@ -90,12 +91,20 @@ def transform_polygon(boundary, alpha: float, u) -> tuple:
     return tuple((alpha * float(x) + ux, alpha * float(y) + uy) for x, y in verts)
 
 
+def _point(x: int, y: int, d: int) -> tuple:
+    """The rational point (x/d, y/d), d > 0, as its reduced integer triple."""
+    g = math.gcd(x, y, d)
+    return (x // g, y // g, d // g)
+
+
 def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
     """Decompose the intersection of two convex closed polylines, exactly.
 
-    Each boundary (a polygon body or a vertex list, in either orientation)
-    must be a simple strictly convex polygon; anything else, a star polygon
-    or a boundary listed twice included, raises ``ValueError``.  A convex
+    Each boundary is a polygon body or a vertex list.  A polygon body is
+    trusted: its constructor already checked that it is simple, strictly
+    convex and counterclockwise.  A vertex list, in either orientation, must
+    be a simple strictly convex polygon; anything else, a star polygon or a
+    boundary listed twice included, raises ``ValueError``.  A convex
     boundary has at most one edge on any line, so every collinear edge pair
     overlaps in a whole maximal segment and no segments are merged.  The
     other edge pairs give crossing and touching points; one inside a segment
@@ -104,29 +113,13 @@ def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
     the points found minus the segment ends.  The arithmetic is integer; the
     result holds ``Fraction`` coordinates.
     """
-    return _intersect_exact(
+    A, B, den = _scale_to_ints(
         *(b.vertices if isinstance(b, SymmetricPolygon) else b for b in (boundary1, boundary2))
     )
-
-
-def _on_segment(p, a, b) -> bool:
-    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    if cross != 0:
-        return False
-    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-    return 0 <= dot <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
-
-
-def _point(x: int, y: int, d: int) -> tuple:
-    """The rational point (x/d, y/d), d > 0, as its reduced integer triple."""
-    g = math.gcd(x, y, d)
-    return (x // g, y // g, d // g)
-
-
-def _intersect_exact(V1, V2) -> IntersectionResult:
-    A, B, den = _scale_to_ints(V1, V2)
     # the set difference below relies on both boundaries being simple
-    for V in (A, B):
+    for V, boundary in ((A, boundary1), (B, boundary2)):
+        if isinstance(boundary, SymmetricPolygon):
+            continue
         orient, viol = _convexity(V)
         if viol:
             raise ValueError("boundary is not a simple convex polygon: " + "; ".join(viol))
@@ -183,20 +176,19 @@ def _intersect_exact(V1, V2) -> IntersectionResult:
     return IntersectionResult(tuple(points), tuple(segments))
 
 
-def _frac_line_key(a, b):
-    """Supporting-line key (nx, ny, c) of the segment ab: the line <n, p> = c, with
-    n the primitive integer normal whose first nonzero entry is positive."""
-    ((ax, ay), (bx, by)), den = _scale_to_ints((a, b))
-    g = math.gcd(bx - ax, by - ay)
-    nx, ny = (ay - by) // g, (bx - ax) // g
-    if nx < 0 or (nx == 0 and ny < 0):
-        nx, ny = -nx, -ny
-    return (nx, ny, Fraction(nx * ax + ny * ay, den))
-
-
 def direction_line_classes(result: IntersectionResult) -> int:
     """Number of distinct supporting lines among the maximal segments (exact)."""
-    return len({_frac_line_key(s.a, s.b) for s in result.maximal_segments})
+    ends, _ = _scale_to_ints([p for s in result.maximal_segments for p in (s.a, s.b)])
+    # the line <n, p> = c, keyed in the common frame by its primitive integer
+    # normal n, first nonzero entry positive, and c
+    lines = set()
+    for (ax, ay), (bx, by) in zip(ends[::2], ends[1::2]):
+        g = math.gcd(bx - ax, by - ay)
+        nx, ny = (ay - by) // g, (bx - ax) // g
+        if nx < 0 or (nx == 0 and ny < 0):
+            nx, ny = -nx, -ny
+        lines.add((nx, ny, nx * ax + ny * ay))
+    return len(lines)
 
 
 @dataclass(frozen=True)
@@ -210,22 +202,24 @@ class ConcurrenceReport:
     flags: tuple[str, ...] = ()
 
 
-def _opposite_edge_coincidence(seg: Segment, u, polygon: SymmetricPolygon) -> bool:
-    """True when the segment sits on an edge i of the valid polygon and seg - u
-    on edge i + n, the only edge anti-parallel to it: the translate carried one
-    of two parallel edges onto the other."""
-    fa = (Fraction(seg.a[0]), Fraction(seg.a[1]))
-    fb = (Fraction(seg.b[0]), Fraction(seg.b[1]))
-    fu = (Fraction(u[0]), Fraction(u[1]))
-    verts = [(Fraction(x), Fraction(y)) for x, y in polygon.vertices]
-    m = len(verts)
-    shifted = ((fa[0] - fu[0], fa[1] - fu[1]), (fb[0] - fu[0], fb[1] - fu[1]))
-    for i in range(m):
-        v, w = verts[i], verts[(i + 1) % m]
-        if _on_segment(fa, v, w) and _on_segment(fb, v, w):
-            p, q = verts[(i + m // 2) % m], verts[(i + m // 2 + 1) % m]
-            return _on_segment(shifted[0], p, q) and _on_segment(shifted[1], p, q)
-    return False
+def _on_segment(p, a, b) -> bool:
+    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    if cross != 0:
+        return False
+    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
+    return 0 <= dot <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+
+
+def _opposite_edge_coincidence(a, b, u, V) -> bool:
+    """True when the segment ab lies on an edge i of the valid polygon V and
+    ab - u on edge i + n, the only edge anti-parallel to it: the translate
+    carried one of two parallel edges onto the other.  Edge i + n is minus
+    edge i, so a, b, u - a and u - b must all lie on edge i.  Every point is
+    an integer pair in one frame."""
+    ua, ub = (u[0] - a[0], u[1] - a[1]), (u[0] - b[0], u[1] - b[1])
+    return any(
+        all(_on_segment(p, v, w) for p in (a, b, ua, ub)) for v, w in zip(V, V[1:] + V[:1])
+    )
 
 
 def concurrence_check(
@@ -261,19 +255,25 @@ def concurrence_check(
         target = (Fraction(u[0]) / scale, Fraction(u[1]) / scale)
         ref = math.hypot(float(target[0]), float(target[1])) or 1.0
         miss = "supporting line misses u/(1-alpha) by {:.3e} (rel)"
+    # one integer frame for the segment ends, the target and, where the
+    # opposite-edge test may run, the polygon (a valid body by construction)
+    ends, [(tx, ty)], V, den = _scale_to_ints(
+        [p for s in result.maximal_segments for p in (s.a, s.b)],
+        [target],
+        polygon.vertices if alpha == 1 and polygon is not None else (),
+    )
     checked = flagged = 0
     max_err = 0.0
     violations: list[str] = []
     flags: list[str] = []
 
-    for k, seg in enumerate(result.maximal_segments):
-        ((ax, ay), (bx, by), (tx, ty)), den = _scale_to_ints((seg.a, seg.b, target))
+    for k, ((ax, ay), (bx, by)) in enumerate(zip(ends[::2], ends[1::2])):
         wx, wy = (tx, ty) if alpha == 1 else (tx - ax, ty - ay)
         dx, dy = bx - ax, by - ay
         cr = dx * wy - dy * wx
         if cr == 0:
             checked += 1
-        elif alpha == 1 and polygon is not None and _opposite_edge_coincidence(seg, u, polygon):
+        elif V and _opposite_edge_coincidence((ax, ay), (bx, by), (tx, ty), V):
             flagged += 1
             flags.append("opposite-edge coincidence")
         else:

@@ -329,11 +329,19 @@ class TestCli:
                      "--cone-inner", "0.39269908169872414,1.1780972450961724",
                      "--N-range", "1..2"]) == 2
         assert "annulus width inf must be positive and finite" in capsys.readouterr().err
+        assert main(["moser", "--cone", "0,1", "--cone-inner", "0.2,0.8", "--N-range", "5..3"]) == 2
+        assert "argument --N-range: N range 5..3 is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, violation", [
         ({"type": "polygon", "vertices": [[1, 1], [-1, 1], [1, -1], [-1, -1]]},
          "non-strict convex turn sign"),
         ({"type": "disc", "radius": -1}, "disc radius -1.0 not positive"),
+        # malformed specs name the bad field
+        ({"type": "polygon"}, "body spec has no 'vertices' field"),
+        ({"type": "disc"}, "body spec has no 'radius' field"),
+        ([1, 2], "body spec must be a JSON object, not list"),
+        ({"type": "disc", "radius": None}, "body spec field 'radius': "),
+        ({"type": "polygon", "vertices": 5}, "body spec field 'vertices': "),
     ])
     @pytest.mark.parametrize("argv", [
         ["sweep", "--set", "lattice", "--R", "3", "--no-timestamp"],
@@ -346,7 +354,9 @@ class TestCli:
         body.write_text(json.dumps(spec))
         out = tmp_path / "out"
         assert main([*argv, "--body", str(body), "--out", str(out)]) == 2
-        assert violation in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert violation in err
         assert not out.exists()
 
     def test_missing_file_is_exit_2(self, capsys):

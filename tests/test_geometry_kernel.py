@@ -10,6 +10,7 @@ from gaugedist import (
     IntersectionResult,
     PBall,
     Segment,
+    SymmetricPolygon,
     boundary_intersection,
     boundary_point,
     concurrence_check,
@@ -27,6 +28,7 @@ from gaugedist.geometry_kernel import _boundary_grid
 from gaugedist.prng import Xorshift64Star
 
 from oracles import (
+    _line_key,
     disc_pair_count,
     exact_edge_pieces,
     exact_turn,
@@ -271,8 +273,50 @@ class TestIntersectionOracle:
                     assert not on_closed_segment(t.b, s.a, s.b)
                     assert not on_closed_segment(s.a, t.a, t.b)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=polygon_and_translate())
+    def test_body_and_vertex_lists_agree(self, case):
+        # a polygon body skips the convexity check its constructor already ran
+        V1, V2 = case
+        body = SymmetricPolygon(V1)
+        res = boundary_intersection(body, V2)
+        assert res == boundary_intersection(V1, V2) == boundary_intersection(V1[::-1], V2)
+        assert boundary_intersection(V2, body) == boundary_intersection(V2, V1[::-1])
+
+
+@st.composite
+def segments_on_few_lines(draw):
+    """Segments on at most three lines through small integer points, with int,
+    float or Fraction coordinates; an end may be moved by 2**-40, off its line."""
+    coord = st.integers(-4, 4)
+    lines = draw(st.lists(
+        st.tuples(coord, coord, coord, coord).filter(lambda t: t[:2] != t[2:]),
+        min_size=1, max_size=3,
+    ))
+    segs = []
+    for _ in range(draw(st.integers(0, 5))):
+        px, py, qx, qy = draw(st.sampled_from(lines))
+        kind = draw(st.sampled_from([int, float, Fraction]))
+        den = 1 if kind is int else 4
+        ends = [[px + Fraction(k, den) * (qx - px), py + Fraction(k, den) * (qy - py)]
+                for k in draw(st.lists(st.integers(-8, 8), min_size=2, max_size=2, unique=True))]
+        if draw(st.booleans()):
+            ends[draw(st.integers(0, 1))][draw(st.integers(0, 1))] += Fraction(1, 2**40)
+        # a moved integer coordinate becomes a float
+        segs.append(Segment(*(
+            tuple(kind(c) if kind is not int or c.denominator == 1 else float(c) for c in end)
+            for end in ends
+        )))
+    return segs
+
 
 class TestDirectionClasses:
+    @settings(max_examples=200, deadline=None)
+    @given(segs=segments_on_few_lines())
+    def test_matches_line_key_oracle(self, segs):
+        want = {_line_key(*((Fraction(p[0]), Fraction(p[1])) for p in (s.a, s.b))) for s in segs}
+        assert direction_line_classes(IntersectionResult((), tuple(segs))) == len(want)
+
     def test_empty(self):
         res = boundary_intersection(square(), transform_polygon(square(), 1.0, (5.0, 0.0)))
         assert direction_line_classes(res) == 0
@@ -661,7 +705,7 @@ class TestRandomSymmetricPolygon:
     def test_two_half_vertices_is_parallelogram(self):
         poly = random_symmetric_polygon(2, seed=5)
         assert poly.n_vertices == 4
-        assert validate(poly).ok
+        assert validate(poly) is None
 
     def test_deterministic(self):
         assert random_symmetric_polygon(6, seed=77) == random_symmetric_polygon(6, seed=77)
@@ -669,7 +713,7 @@ class TestRandomSymmetricPolygon:
     def test_large_polygon_valid(self):
         poly = random_symmetric_polygon(50, seed=8)
         assert poly.n_vertices % 2 == 0
-        assert validate(poly).ok
+        assert validate(poly) is None
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
