@@ -56,7 +56,7 @@ print(f"\nalpha=1, u=(2,0): flags={list(rep.flags)}, ok={rep.ok}")
 # Strictly convex: two unit circles at center distance 1 cross twice; at
 # distance 2 they are tangent (one point); at 3 they are disjoint.
 print("\ncircle intersection counts:", [
-    strictly_convex_intersection_count(Disc(1.0), 1.0, (d, 0.0)) for d in (1.0, 2.0, 3.0)
+    strictly_convex_intersection_count(Disc(1.0), 1.0, (d, 0.0)).count for d in (1.0, 2.0, 3.0)
 ])
 
 # Randomized batches drive the same checks across many polygons and scales.

@@ -264,7 +264,7 @@ def _strict_trial(k: int, seed: int) -> tuple[dict, dict]:
     else:
         rho = lo + (hi - lo) * 0.002  # barely past internal tangency
     x = (rho * dx / gd, rho * dy / gd)
-    count = strictly_convex_intersection_count(body, alpha, x)
+    count = strictly_convex_intersection_count(body, alpha, x).count
     row = {
         "trial": k,
         "alpha": alpha,
@@ -282,7 +282,7 @@ def run_lemma_checks(which: str, trials: int, seed: int) -> LemmaBatch:
     which "14": concurrence of segment lines through u/(1-alpha); every fourth
     trial exercises alpha == 1 parallelism with opposite-edge flagging.
     which "strict": intersection counts for strictly convex bodies (<= 2), from
-    the root scan at its default angular resolution 1e-4.
+    the root scan on its fixed grid of angles about 1e-4 apart.
     """
     which = str(which)
     if trials < 1:
@@ -332,8 +332,11 @@ def run_moser(
     spacing: float = 1.0,
     width: float = 10.0,
 ) -> list[MoserRow]:
-    """Annulus/cone counts on the unit-spacing lattice, window sized to fit N_max."""
-    R = Annulus(max(N_range), width).outer * max_chebyshev_radius(body) + spacing
+    """Annulus/cone counts on the unit-spacing lattice, window sized to fit N_max.
+
+    An empty ``N_range`` gives no rows, as in :func:`moser_count_check`.
+    """
+    R = Annulus(max(N_range, default=0), width).outer * max_chebyshev_radius(body) + spacing
     ps = generate(GeneratorSpec(kind="lattice", R=R, spacing=spacing))
     return moser_count_check(ps, body, cone, inner_cone, N_range, width)
 

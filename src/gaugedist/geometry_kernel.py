@@ -81,7 +81,9 @@ class IntersectionResult:
 
 
 def transform_polygon(boundary, alpha: float, u) -> tuple:
-    """Vertices of alpha * boundary + u (orientation preserved; alpha > 0, finite)."""
+    """Vertices of alpha * boundary + u (orientation preserved; alpha > 0, finite),
+    in floats from alpha and u as given (the double 0.3 is not 3/10): exact
+    only when every alpha * v + u is a double."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("scale factor must be positive and finite")
     ux, uy = float(u[0]), float(u[1])
@@ -239,7 +241,8 @@ def concurrence_check(
     instead.  A violation's float size is |cross| / (|b - a| * ref): the miss
     distance relative to ref = |u/(1-alpha)| (1 when that is 0) in
     ``max_point_error``, the sine of the angle to u (ref = |u|) in
-    ``max_angle_error``.
+    ``max_angle_error``.  alpha and u are read exactly as given, so the
+    double 0.3 is not 3/10: state a non-dyadic homothety in ``Fraction``s.
     """
     ux, uy = float(u[0]), float(u[1])
     if not (alpha > 0 and math.isfinite(alpha)):
@@ -296,21 +299,24 @@ def concurrence_check(
 
 # a sampled |g| at or below this, at a local minimum, is a tangential touch
 _TANGENT_TOL = 1e-9
-# boundary grids up to the sample count of the default resolution 1e-4 are cached
-_MAX_CACHED_SAMPLES = math.ceil(2 * math.pi / 1e-4)
+# the scan samples a full turn at the angles i * _STEP, about 1e-4 apart
+_SAMPLES = math.ceil(2 * math.pi / 1e-4)
+_STEP = 2 * math.pi / _SAMPLES
 
 
 @dataclass(frozen=True)
 class RootScan:
+    """The strictly-convex scan's roots: how many, their angles, which are tangencies."""
+
     count: int
     thetas: tuple[float, ...]
     tangent: tuple[bool, ...]
 
 
 @lru_cache(maxsize=4)
-def _boundary_grid(body, n: int) -> np.ndarray:
-    """Read-only (n, 2) boundary samples at the angles ``i * 2pi/n``."""
-    grid = boundary_points(body, np.arange(n) * (2 * math.pi / n))
+def _boundary_grid(body) -> np.ndarray:
+    """Read-only (_SAMPLES, 2) boundary samples at the angles ``i * _STEP``."""
+    grid = boundary_points(body, np.arange(_SAMPLES) * _STEP)
     grid.setflags(write=False)
     return grid
 
@@ -336,25 +342,18 @@ def _bisection_gap(body, alpha: float, x0: float, x1: float):
     return gap
 
 
-def strictly_convex_intersection_count(
-    body,
-    alpha: float,
-    x,
-    resolution: float = 1e-4,
-    detail: bool = False,
-):
-    """Count the points of G intersect (alpha*G + x) for a strictly convex body.
+def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
+    """Find the points of G intersect (alpha*G + x) for a strictly convex body.
 
-    Scans g(theta) = gauge((boundary(theta) - x)/alpha) - 1 over a full turn at
-    the given angular resolution, refines each sign change by bisection, and
-    counts grid zeros and tangential minima with |g| <= 1e-9 once (tangencies
-    are flagged in the detail view).
+    Scans g(theta) = gauge((boundary(theta) - x)/alpha) - 1 on a fixed grid of
+    ``_SAMPLES`` = ceil(2pi/1e-4) = 62,832 angles over a full turn, refines
+    each sign change by bisection, and counts each run of zero samples and
+    each tangential minimum with |g| <= 1e-9 once.  Roots closer than 1.5 grid
+    steps merge.  Returns a ``RootScan``: the count, one angle per root and
+    whether the root is a tangency.
 
-    The sampled boundary depends only on the body and the sample count
-    n = ceil(2pi/resolution).  At resolutions of 1e-4 (the default) or coarser
-    it is computed once and cached: up to four grids of 16*n bytes, at most
-    about 1 MB each, stay resident.  A finer grid is sampled on every call and
-    freed with it.
+    The sampled boundary depends only on the body, so it is computed once per
+    body and cached: up to four grids of about 1 MB each stay resident.
     """
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
@@ -365,15 +364,9 @@ def strictly_convex_intersection_count(
         raise ValueError("translation must be finite")
     if x0 == 0 and x1 == 0:
         raise ValueError("translation must be nonzero")
-    if not (0 < resolution <= 1e-2):
-        raise ValueError("angular resolution must be in (0, 1e-2]")
 
-    n = int(math.ceil(2 * math.pi / resolution))
-    step = 2 * math.pi / n
-    if n <= _MAX_CACHED_SAMPLES:
-        grid = _boundary_grid(body, n)
-    else:
-        grid = boundary_points(body, np.arange(n) * step)
+    n, step = _SAMPLES, _STEP
+    grid = _boundary_grid(body)
     # (grid - x) / alpha, a column at a time: broadcasting the (n, 2) grid
     # against x would run a length-2 inner loop n times
     d = np.empty((n, 2))
@@ -385,44 +378,37 @@ def strictly_convex_intersection_count(
     sign = np.sign(g)
 
     roots: list[tuple[float, bool]] = []
-    zero_idx = np.flatnonzero(sign == 0).tolist()
-    if len(zero_idx) == n:
+    zero = sign == 0
+    if zero.all():
         raise ValueError("degenerate scan: the curves coincide at every sample")
-    used = set(zero_idx)
-    if zero_idx:
-        runs = []
-        run = [zero_idx[0]]
-        for idx in zero_idx[1:]:
-            if idx == run[-1] + 1:
-                run.append(idx)
-            else:
-                runs.append(run)
-                run = [idx]
-        runs.append(run)
-        # a run wrapping the 0 index joins the last run
-        if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
-            runs[0] = runs.pop() + runs[0]
-        for run in runs:
-            before = sign[(run[0] - 1) % n]
-            after = sign[(run[-1] + 1) % n]
-            roots.append((run[len(run) // 2] * step, before == after))
+    if zero.any():
+        # cyclic runs of zero samples, from where the mask switches on and off;
+        # a run through index 0 has the last start and the first end
+        starts = np.flatnonzero(zero & ~np.roll(zero, 1)).tolist()
+        ends = np.flatnonzero(zero & ~np.roll(zero, -1)).tolist()
+        if ends[0] < starts[0]:
+            ends.append(ends.pop(0))
+        for a, b in zip(starts, ends):
+            middle = (a + ((b - a) % n + 1) // 2) % n
+            roots.append((middle * step, sign[a - 1] == sign[(b + 1) % n]))
 
     # strict sign changes between neighbours, the pair (n-1, 0) included
     crossings = np.flatnonzero(sign[:-1] * sign[1:] < 0).tolist()
     if sign[-1] * sign[0] < 0:
         crossings.append(n - 1)
     gap = _bisection_gap(body, alpha, x0, x1)
+    used = set()
     for i in crossings:
         lo = i * step
-        hi = lo + step
-        flo = float(g[i])
+        hi, flo = lo + step, float(g[i])
         for _ in range(60):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # neighbouring doubles: no further halving
+                break
             fm = gap(mid)
             if fm == 0.0:
                 lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
+            elif (fm > 0) == (flo > 0):
                 lo, flo = mid, fm
             else:
                 hi = mid
@@ -430,7 +416,7 @@ def strictly_convex_intersection_count(
         used.update((i, (i + 1) % n))
 
     # a tangency is a local minimum of |g| within the tolerance that g does not
-    # cross, away from the zeros and crossings found above
+    # cross, away from the crossings found above (its neighbours are nonzero)
     absg = np.abs(g)
     cand = np.flatnonzero(absg <= _TANGENT_TOL)
     h, j, s, a = (cand - 1) % n, (cand + 1) % n, sign[cand], absg[cand]
@@ -439,26 +425,19 @@ def strictly_convex_intersection_count(
         if used.isdisjoint(((i - 1) % n, i, (i + 1) % n)):
             roots.append((i * step, True))
 
-    if not roots:
-        result = RootScan(0, (), ())
-        return result if detail else 0
-
     # cyclic dedupe of roots closer than 1.5 times the grid step
     roots.sort()
-    clusters: list[list[tuple[float, bool]]] = [[roots[0]]]
-    for r in roots[1:]:
-        if r[0] - clusters[-1][-1][0] <= 1.5 * step:
+    clusters: list[list[tuple[float, bool]]] = []
+    for r in roots:
+        if clusters and r[0] - clusters[-1][-1][0] <= 1.5 * step:
             clusters[-1].append(r)
         else:
             clusters.append([r])
-    if len(clusters) > 1:
-        wrap = (roots[0][0] + 2 * math.pi) - clusters[-1][-1][0]
-        if wrap <= 1.5 * step:
-            clusters[0] = clusters.pop() + clusters[0]
+    if len(clusters) > 1 and roots[0][0] + 2 * math.pi - clusters[-1][-1][0] <= 1.5 * step:
+        clusters[0] = clusters.pop() + clusters[0]
     thetas = tuple(c[0][0] for c in clusters)
     tangent = tuple(any(t for _, t in c) for c in clusters)
-    result = RootScan(len(clusters), thetas, tangent)
-    return result if detail else result.count
+    return RootScan(len(clusters), thetas, tangent)
 
 
 def convex_hull(points) -> list:

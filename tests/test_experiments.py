@@ -211,6 +211,15 @@ class TestLemmaBatches:
             assert set(row) == {"trial", "alpha", "u", "count", "flags"}
 
 
+class TestRunMoser:
+    def test_empty_range_gives_no_rows(self):
+        assert run_moser(square(), Cone(0, math.pi / 2), Cone(0.3, 1.2), range(5, 3)) == []
+
+    def test_empty_range_still_checks_the_cones(self):
+        with pytest.raises(ValueError, match="strictly inside"):
+            run_moser(square(), Cone(0, math.pi / 2), Cone(0, 1.2), range(5, 3))
+
+
 class TestWriters:
     def test_sweep_csv_timestamp_toggle(self, tmp_path):
         rows = run_sweep(square(), LATTICE, [3], exact=True)

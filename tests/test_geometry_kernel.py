@@ -24,7 +24,7 @@ from gaugedist import (
     transform_polygon,
     validate,
 )
-from gaugedist.geometry_kernel import _boundary_grid
+from gaugedist.geometry_kernel import _SAMPLES, _STEP, _boundary_grid
 from gaugedist.prng import Xorshift64Star
 
 from oracles import (
@@ -380,6 +380,22 @@ class TestConcurrence:
             assert rep.ok and rep.checked == 2
             assert rep.max_point_error == 0.0
 
+    def test_non_dyadic_homothety_in_doubles_misses(self):
+        # the doubles 0.3 and 0.7 are not 3/10 and 7/10, and 0.7/(1 - 0.3) is not 1
+        u = (0.7, 0.7)
+        res = boundary_intersection(square(), transform_polygon(square(), 0.3, u))
+        rep = concurrence_check(res, 0.3, u, polygon=square())
+        assert not rep.ok and rep.checked == 2
+        assert rep.max_point_error == pytest.approx(5.6e-17, rel=0.01)
+
+    def test_non_dyadic_homothety_in_fractions_passes(self):
+        alpha, u = Fraction(3, 10), (Fraction(7, 10), Fraction(7, 10))
+        moved = [(alpha * Fraction(x) + u[0], alpha * Fraction(y) + u[1])
+                 for x, y in square().vertices]
+        rep = concurrence_check(boundary_intersection(square(), moved), alpha, u, polygon=square())
+        assert rep.ok and rep.checked == 2
+        assert rep.max_point_error == 0.0
+
     def test_line_missing_the_target_by_a_tiny_residual_fails(self):
         # alpha = 2, u = (1, 0): the target u/(1-alpha) is (-1, 0); x = -1 + 2**-40 misses it
         seg = Segment((-1 + 2**-40, -1.0), (-1 + 2**-40, 1.0))
@@ -494,13 +510,13 @@ class TestConcurrenceOracle:
 
 class TestStrictlyConvexCount:
     def test_two_circles_crossing(self):
-        assert strictly_convex_intersection_count(Disc(1.0), 1.0, (1.0, 0.0)) == 2
+        assert strictly_convex_intersection_count(Disc(1.0), 1.0, (1.0, 0.0)).count == 2
 
     def test_two_circles_disjoint(self):
-        assert strictly_convex_intersection_count(Disc(1.0), 1.0, (3.0, 0.0)) == 0
+        assert strictly_convex_intersection_count(Disc(1.0), 1.0, (3.0, 0.0)).count == 0
 
     def test_external_tangency_counts_once_and_flags(self):
-        scan = strictly_convex_intersection_count(Disc(1.0), 1.0, (2.0, 0.0), detail=True)
+        scan = strictly_convex_intersection_count(Disc(1.0), 1.0, (2.0, 0.0))
         assert scan.count == 1
         assert scan.tangent == (True,)
 
@@ -509,24 +525,23 @@ class TestStrictlyConvexCount:
         # the touching angle falls between grid samples (and across the wrap
         # for k = 0), so no sample is zero and no sign changes: the root is the
         # sampled minimum of |g| below the tangency tolerance
-        step = 2 * math.pi / math.ceil(2 * math.pi / 1e-4)
-        phi = k * step + offset
+        phi = k * _STEP + offset
         x = (2 * math.cos(phi), 2 * math.sin(phi))
-        scan = strictly_convex_intersection_count(Disc(1.0), 1.0, x, detail=True)
+        scan = strictly_convex_intersection_count(Disc(1.0), 1.0, x)
         assert scan.count == 1
         assert scan.tangent == (True,)
 
     def test_internal_tangency(self):
-        scan = strictly_convex_intersection_count(Disc(1.0), 0.5, (0.5, 0.0), detail=True)
+        scan = strictly_convex_intersection_count(Disc(1.0), 0.5, (0.5, 0.0))
         assert scan.count == 1 and scan.tangent == (True,)
 
     def test_containment_gives_zero(self):
-        assert strictly_convex_intersection_count(Disc(1.0), 3.0, (0.5, 0.0)) == 0
+        assert strictly_convex_intersection_count(Disc(1.0), 3.0, (0.5, 0.0)).count == 0
 
     def test_circle_count_matches_geometry(self):
         # |1 - alpha| < |x| < 1 + alpha is the two-point regime for circles
         for alpha, d, expect in [(1.0, 0.4, 2), (2.0, 1.5, 2), (2.0, 0.5, 0), (0.5, 2.0, 0)]:
-            got = strictly_convex_intersection_count(Disc(1.0), alpha, (d, 0.0))
+            got = strictly_convex_intersection_count(Disc(1.0), alpha, (d, 0.0)).count
             assert got == expect, (alpha, d)
 
     def test_cubic_ball_scaled_translates(self):
@@ -540,7 +555,7 @@ class TestStrictlyConvexCount:
             rho = 0.4 + 2.2 * rng.random()
             gd = gauge(body, (dx, dy))
             x = (rho * dx / gd, rho * dy / gd)
-            assert strictly_convex_intersection_count(body, 1.3, x) <= 2
+            assert strictly_convex_intersection_count(body, 1.3, x).count <= 2
 
     def test_pball_bound_small_batch(self):
         rng = Xorshift64Star(99)
@@ -553,15 +568,13 @@ class TestStrictlyConvexCount:
                 rho = abs(1 - alpha) + (1 + alpha - abs(1 - alpha)) * (0.1 + 0.8 * rng.random())
                 gd = gauge(body, (dx, dy))
                 x = (rho * dx / gd, rho * dy / gd)
-                assert strictly_convex_intersection_count(body, alpha, x) <= 2
+                assert strictly_convex_intersection_count(body, alpha, x).count <= 2
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             strictly_convex_intersection_count(square(), 1.0, (1.0, 0.0))
         with pytest.raises(ValueError):
             strictly_convex_intersection_count(Disc(1.0), 1.0, (0.0, 0.0))
-        with pytest.raises(ValueError):
-            strictly_convex_intersection_count(Disc(1.0), 1.0, (1.0, 0.0), resolution=0.5)
         with pytest.raises(ValueError):
             strictly_convex_intersection_count(Disc(1.0), -1.0, (1.0, 0.0))
 
@@ -575,7 +588,7 @@ class TestStrictlyConvexCount:
 
 @st.composite
 def scan_case(draw):
-    """(body, alpha, x, resolution) for the root scan.  Translations cross,
+    """(body, alpha, x) for the root scan.  Translations cross,
     miss, contain, touch exactly on an axis at 1 + alpha or |1 - alpha|, cross
     inside the last grid cell (the sample pair (n-1, 0)), or sit at the
     rounding floor at alpha = 1, where g is noise and zero runs, crossings and
@@ -587,7 +600,6 @@ def scan_case(draw):
         )
     )
     alpha = draw(st.floats(0.3, 3.0))
-    res = draw(st.sampled_from([1e-2, 1e-3, 1e-4]))
     kind = draw(st.sampled_from(["cross", "disjoint", "contain", "axis", "wrap", "rounding"]))
     phi = draw(st.floats(0.0, 2 * math.pi))
     r = body.radius
@@ -597,8 +609,7 @@ def scan_case(draw):
         x = draw(st.sampled_from([(rho, 0.0), (0.0, rho), (-rho, 0.0), (0.0, -rho)]))
     elif kind == "wrap":
         # a point of the last cell [(n-1) step, 2 pi) lies on both curves
-        n = math.ceil(2 * math.pi / res)
-        t = (n - 1 + draw(st.floats(0.0, 1.0, exclude_max=True))) * (2 * math.pi / n)
+        t = (_SAMPLES - 1 + draw(st.floats(0.0, 1.0, exclude_max=True))) * _STEP
         (px, py), (qx, qy) = boundary_point(body, t), boundary_point(body, phi)
         x = (px - alpha * qx, py - alpha * qy)
     else:
@@ -612,7 +623,7 @@ def scan_case(draw):
         ux, uy = boundary_point(body, phi)
         x = (rho * ux, rho * uy)
     assume(x[0] != 0 or x[1] != 0)
-    return body, alpha, x, res
+    return body, alpha, x
 
 
 class TestRootScanOracles:
@@ -621,30 +632,31 @@ class TestRootScanOracles:
     @settings(max_examples=120, deadline=None)
     @given(case=scan_case())
     # a crossing inside the last grid cell, seen only through the pair (n-1, 0)
-    @example(case=(Disc(1.0), 1.496175877787816, (2.496175877787816, 0.0), 1e-4))
+    @example(case=(Disc(1.0), 1.496175877787816, (2.496175877787816, 0.0)))
     # rounding noise: flat minima of |g| next to crossings are not tangencies
-    @example(case=(PBall(1.5, 1.0), 1.0, (-3.2074114325844885e-14, 2.6793523255958387e-14), 1e-3))
+    @example(case=(PBall(1.5, 1.0), 1.0, (-3.2074114325844885e-14, 2.6793523255958387e-14)))
+    # a run of zero samples through index 0: g is 0.0 at samples n-1 and 0
+    @example(case=(Disc(1.0), 1.0, (1.8218282497603827e-17, 2.1933282903958047e-16)))
     def test_matches_reference_scan(self, case):
-        body, alpha, x, res = case
         try:
-            want = reference_root_scan(body, alpha, x, res)
+            want = reference_root_scan(*case)
         except ValueError as exc:
             with pytest.raises(type(exc)):
-                strictly_convex_intersection_count(body, alpha, x, res, detail=True)
+                strictly_convex_intersection_count(*case)
             return
-        assert strictly_convex_intersection_count(body, alpha, x, res, detail=True) == want
+        assert strictly_convex_intersection_count(*case) == want
 
     def test_results_do_not_depend_on_cache_state(self):
         three = [Disc(1.0), PBall(1.5, 1.0), PBall(3.0, 1.0)]
         five = three + [Disc(0.5), PBall(3.0, 2.0)]
-        calls = [(three[k % 3], 0.6 + 0.1 * k, (0.9 * math.cos(k), 0.9 * math.sin(k)), 1e-4)
+        calls = [(three[k % 3], 0.6 + 0.1 * k, (0.9 * math.cos(k), 0.9 * math.sin(k)))
                  for k in range(9)]
-        # five grids cycling through a cache of four: every call evicts one
-        calls += [(five[k % 5], 0.7 + 0.1 * k, (1.1 * math.cos(k), 1.1 * math.sin(k)), 1e-3)
+        # five grids cycling through a cache of four: once it is full, every call evicts one
+        calls += [(five[k % 5], 0.7 + 0.1 * k, (1.1 * math.cos(k), 1.1 * math.sin(k)))
                   for k in range(10)]
 
         def scan(call):
-            return strictly_convex_intersection_count(*call, detail=True)
+            return strictly_convex_intersection_count(*call)
 
         cold = []
         for call in calls:
@@ -655,12 +667,6 @@ class TestRootScanOracles:
         assert _boundary_grid.cache_info().hits >= 6
         rewarm = [scan(call) for call in reversed(calls)][::-1]
         assert cold == warm == rewarm == [reference_root_scan(*call) for call in calls]
-
-    def test_grid_finer_than_default_resolution_is_not_kept(self):
-        _boundary_grid.cache_clear()
-        for call in [(Disc(1.0), 0.8, (0.9, 0.4), 5e-5), (PBall(3.0, 1.0), 1.3, (-0.2, 1.1), 2e-5)]:
-            assert strictly_convex_intersection_count(*call, detail=True) == reference_root_scan(*call)
-        assert _boundary_grid.cache_info().currsize == 0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -673,7 +679,7 @@ class TestRootScanOracles:
         d = t * 2 * (1 + alpha) * r
         assume(all(abs(d - rt) > 1e-6 * rt for rt in ((1 + alpha) * r, abs(1 - alpha) * r)))
         x = (d * math.cos(phi), d * math.sin(phi))
-        assert strictly_convex_intersection_count(Disc(r), alpha, x) == disc_pair_count(r, alpha, x)
+        assert strictly_convex_intersection_count(Disc(r), alpha, x).count == disc_pair_count(r, alpha, x)
 
 
 class TestConvexHull:
