@@ -106,16 +106,7 @@ def _cmd_lemma_checks(args) -> int:
     batch = run_lemma_checks(args.which, args.trials, args.seed)
     if args.out:
         write_jsonl(batch.rows, args.out, timestamp=not args.no_timestamp)
-    summary = {
-        "which": batch.which,
-        "trials": batch.trials,
-        "violations": batch.violations,
-        "segments_checked": batch.segments_checked,
-        "segments_flagged": batch.segments_flagged,
-        "max_classes": batch.max_classes,
-        "max_count": batch.max_count,
-    }
-    print(json.dumps(summary))
+    print(json.dumps({k: v for k, v in vars(batch).items() if k not in ("seed", "rows")}))
     return 1 if batch.violations else 0
 
 

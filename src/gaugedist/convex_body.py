@@ -265,12 +265,21 @@ def gauge(body: ConvexBody, x) -> float:
     px, py = float(x[0]), float(x[1])
     if not (math.isfinite(px) and math.isfinite(py)):
         raise ValueError("gauge of a non-finite point")
+    return _scalar_gauge(body)(px, py)
+
+
+def _scalar_gauge(body: ConvexBody):
+    """``(px, py) -> gauge`` for finite floats, without :func:`gauge`'s
+    conversion, check and type dispatch; the one scalar formula per body.
+    :func:`gauge_many` keeps numpy's: its hypot and pow can differ in the last bit."""
     if isinstance(body, SymmetricPolygon):
         normals, offsets = body._normal_form
-        return float(np.max((normals[:, 0] * px + normals[:, 1] * py) / offsets))
+        return lambda px, py: float(np.max((normals[:, 0] * px + normals[:, 1] * py) / offsets))
+    r = body.radius
     if isinstance(body, Disc):
-        return math.hypot(px, py) / body.radius
-    return (abs(px) ** body.p + abs(py) ** body.p) ** (1.0 / body.p) / body.radius
+        return lambda px, py: math.hypot(px, py) / r
+    p, inv = body.p, 1.0 / body.p
+    return lambda px, py: (abs(px) ** p + abs(py) ** p) ** inv / r
 
 
 def gauge_many(body: ConvexBody, points) -> np.ndarray:

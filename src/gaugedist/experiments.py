@@ -45,6 +45,7 @@ from .distance_sets import (
     MoserRow,
 )
 from .geometry_kernel import (
+    ConcurrenceReport,
     boundary_intersection,
     concurrence_check,
     direction_line_classes,
@@ -91,10 +92,13 @@ def run_sweep(
     (:func:`grid_distance_set`), so no lattice sweep runs the pair loop; other
     point sets are generated and go through :func:`distance_set`.
     """
+    radii = sorted(map(float, R_list))
+    for a, b in zip(radii, radii[1:]):
+        if a == b:
+            raise ValueError(f"window radius {a!r} is given twice")
     rows = []
-    samples = []
-    for R in sorted(R_list):
-        spec = replace(genspec, R=float(R))
+    for R in radii:
+        spec = replace(genspec, R=R)
         if spec.kind == "lattice":
             side = len(_lattice_indices(spec.R, spec.spacing))
             ds = grid_distance_set(body, side, side, spec.spacing, tol=tol, exact=exact)
@@ -103,18 +107,9 @@ def run_sweep(
             ps = generate(spec)
             n_points = len(ps)
             ds = distance_set(body, ps, tol=tol, exact=exact)
-        rows.append(
-            ExperimentRow(
-                R=float(R),
-                n_points=n_points,
-                n_distances=len(ds),
-                min_gap=min_gap(ds),
-                alpha_hat=None,
-            )
-        )
-        samples.append((float(R), n_points))
-    if len(samples) >= 3:
-        alpha = alpha_dimension_estimate(samples).alpha
+        rows.append(ExperimentRow(R, n_points, len(ds), min_gap(ds), alpha_hat=None))
+    if len(rows) >= 3:
+        alpha = alpha_dimension_estimate([(r.R, r.n_points) for r in rows]).alpha
         rows = [replace(r, alpha_hat=alpha) for r in rows]
     return rows
 
@@ -149,11 +144,10 @@ def erdos_bound(body: ConvexBody, N: int, seed: int = 0) -> dict:
     rng = Xorshift64Star(seed)
     pts = np.array([[rng.uniform(0.0, n), rng.uniform(0.0, n)] for _ in range(N)])
     random_ds = distance_set(body, pts, tol=1e-12 * n)
-    exact_ok = isinstance(body, (SymmetricPolygon, Disc))
-    if exact_ok:
-        lattice_ds = grid_distance_set(body, n, n, 1.0, exact=True)
-    else:
-        lattice_ds = grid_distance_set(body, n, n, 1.0, exact=False, tol=1e-12 * n)
+    # exact mode ignores tol
+    lattice_ds = grid_distance_set(
+        body, n, n, 1.0, tol=1e-12 * n, exact=isinstance(body, (SymmetricPolygon, Disc))
+    )
     out = {"N": N, "seed": seed, "witnesses": {}}
     flagged = False
     for name, ds, count in (
@@ -219,34 +213,24 @@ def _choose_u(rng: Xorshift64Star, poly: SymmetricPolygon, alpha: float):
     return u
 
 
-def _polygon_trial(k: int, seed: int, alpha: float) -> tuple[dict, dict]:
+def _polygon_trial(k: int, seed: int, alpha: float) -> tuple[dict, ConcurrenceReport]:
     rng = Xorshift64Star(derive_seed(seed, k))
-    n_half = 2 + rng.below(7)
-    poly = random_symmetric_polygon(n_half, rng.next_u64())
+    poly = random_symmetric_polygon(2 + rng.below(7), rng.next_u64())
     u = _choose_u(rng, poly, alpha)
-    moved = transform_polygon(poly, alpha, u)
-    res = boundary_intersection(poly, moved)
-    classes = direction_line_classes(res)
+    res = boundary_intersection(poly, transform_polygon(poly, alpha, u))
     rep = concurrence_check(res, alpha, u, polygon=poly)
     row = {
         "trial": k,
         "alpha": alpha,
         "u": [u[0], u[1]],
-        "classes": classes,
+        "classes": direction_line_classes(res),
         "max_concurrence_error": float(max(rep.max_point_error, rep.max_angle_error)),
         "flags": sorted(rep.flags),
     }
-    info = {
-        "classes": classes,
-        "concurrence_ok": rep.ok,
-        "checked": rep.checked,
-        "flagged": rep.flagged,
-        "segments": len(res.maximal_segments),
-    }
-    return row, info
+    return row, rep
 
 
-def _strict_trial(k: int, seed: int) -> tuple[dict, dict]:
+def _strict_trial(k: int, seed: int) -> dict:
     rng = Xorshift64Star(derive_seed(seed, k))
     body = _STRICT_BODIES[k % 3]
     alpha = 0.5 + 1.5 * rng.random()
@@ -265,62 +249,46 @@ def _strict_trial(k: int, seed: int) -> tuple[dict, dict]:
         rho = lo + (hi - lo) * 0.002  # barely past internal tangency
     x = (rho * dx / gd, rho * dy / gd)
     count = strictly_convex_intersection_count(body, alpha, x).count
-    row = {
-        "trial": k,
-        "alpha": alpha,
-        "u": [x[0], x[1]],
-        "count": count,
-        "flags": [],
-    }
-    return row, {"count": count}
+    return {"trial": k, "alpha": alpha, "u": [x[0], x[1]], "count": count, "flags": []}
 
 
 def run_lemma_checks(which: str, trials: int, seed: int) -> LemmaBatch:
-    """Run a seeded trial batch.
+    """Run a seeded trial batch and sum its summary from the trials.
 
     which "13": bound on distinct supporting-line classes (must stay <= 2).
     which "14": concurrence of segment lines through u/(1-alpha); every fourth
     trial exercises alpha == 1 parallelism with opposite-edge flagging.
     which "strict": intersection counts for strictly convex bodies (<= 2), from
     the root scan on its fixed grid of angles about 1e-4 apart.
+
+    ``violations`` counts rows with classes > 2 ("13"), reports not ok ("14")
+    or rows with count > 2 ("strict"); ``segments_checked``/``_flagged`` sum
+    the reports' ``checked``/``flagged``; ``max_classes`` and ``max_count``
+    are maxima over the rows, 0 where the batch has no such column.
     """
     which = str(which)
     if trials < 1:
         raise ValueError("need at least one trial")
-    rows = []
-    violations = 0
-    seg_checked = seg_flagged = 0
-    max_classes = 0
-    max_count = 0
-    for k in range(trials):
-        if which == "strict":
-            row, info = _strict_trial(k, seed)
-            max_count = max(max_count, info["count"])
-            if info["count"] > 2:
-                violations += 1
-        elif which in ("13", "14"):
-            alphas = _ALPHAS_13 if which == "13" else _ALPHAS_14
-            row, info = _polygon_trial(k, seed, alphas[k % 4])
-            max_classes = max(max_classes, info["classes"])
-            seg_checked += info["checked"]
-            seg_flagged += info["flagged"]
-            if which == "13" and info["classes"] > 2:
-                violations += 1
-            if which == "14" and not info["concurrence_ok"]:
-                violations += 1
-        else:
-            raise ValueError("which must be one of 13, 14, strict")
-        rows.append(row)
+    reps: tuple[ConcurrenceReport, ...] = ()
+    if which == "strict":
+        rows = tuple(_strict_trial(k, seed) for k in range(trials))
+        bad = [r["count"] > 2 for r in rows]
+    elif which in ("13", "14"):
+        alphas = _ALPHAS_13 if which == "13" else _ALPHAS_14
+        rows, reps = zip(*(_polygon_trial(k, seed, alphas[k % 4]) for k in range(trials)))
+        bad = [r["classes"] > 2 for r in rows] if which == "13" else [not r.ok for r in reps]
+    else:
+        raise ValueError("which must be one of 13, 14, strict")
     return LemmaBatch(
         which=which,
         trials=trials,
         seed=seed,
-        rows=tuple(rows),
-        violations=violations,
-        segments_checked=seg_checked,
-        segments_flagged=seg_flagged,
-        max_classes=max_classes,
-        max_count=max_count,
+        rows=rows,
+        violations=sum(bad),
+        segments_checked=sum(r.checked for r in reps),
+        segments_flagged=sum(r.flagged for r in reps),
+        max_classes=max(r.get("classes", 0) for r in rows),
+        max_count=max(r.get("count", 0) for r in rows),
     )
 
 

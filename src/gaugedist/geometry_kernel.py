@@ -37,6 +37,7 @@ from .convex_body import (
     PBall,
     SymmetricPolygon,
     _convexity,
+    _scalar_gauge,
     _scale_to_ints,
     boundary_points,
     gauge_many,
@@ -80,15 +81,21 @@ class IntersectionResult:
     maximal_segments: tuple
 
 
-def transform_polygon(boundary, alpha: float, u) -> tuple:
-    """Vertices of alpha * boundary + u (orientation preserved; alpha > 0, finite),
-    in floats from alpha and u as given (the double 0.3 is not 3/10): exact
-    only when every alpha * v + u is a double."""
+def _checked_scale_shift(alpha, u) -> tuple[float, float]:
+    """u as floats, once alpha is positive and finite and u is finite."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("scale factor must be positive and finite")
     ux, uy = float(u[0]), float(u[1])
     if not (math.isfinite(ux) and math.isfinite(uy)):
         raise ValueError("translation must be finite")
+    return ux, uy
+
+
+def transform_polygon(boundary, alpha: float, u) -> tuple:
+    """Vertices of alpha * boundary + u (orientation preserved; alpha > 0, finite),
+    in floats from alpha and u as given (the double 0.3 is not 3/10): exact
+    only when every alpha * v + u is a double."""
+    ux, uy = _checked_scale_shift(alpha, u)
     verts = boundary.vertices if isinstance(boundary, SymmetricPolygon) else boundary
     return tuple((alpha * float(x) + ux, alpha * float(y) + uy) for x, y in verts)
 
@@ -244,11 +251,7 @@ def concurrence_check(
     ``max_angle_error``.  alpha and u are read exactly as given, so the
     double 0.3 is not 3/10: state a non-dyadic homothety in ``Fraction``s.
     """
-    ux, uy = float(u[0]), float(u[1])
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("scale factor must be positive and finite")
-    if not (math.isfinite(ux) and math.isfinite(uy)):
-        raise ValueError("translation must be finite")
+    ux, uy = _checked_scale_shift(alpha, u)
     if alpha == 1 and ux == 0 and uy == 0:
         raise ValueError("alpha == 1 requires a nonzero translation")
     if alpha == 1:
@@ -325,20 +328,12 @@ def _bisection_gap(body, alpha: float, x0: float, x1: float):
     """``theta -> gauge((boundary(theta) - x)/alpha) - 1`` for a disc or
     p-ball, as the same float expression ``boundary_point`` then ``gauge``
     evaluate, without their per-call type dispatch and argument conversion."""
-    r = body.radius
-    if isinstance(body, Disc):
-        def gap(theta: float) -> float:
-            c, s = math.cos(theta), math.sin(theta)
-            gb = math.hypot(c, s) / r
-            return math.hypot((c / gb - x0) / alpha, (s / gb - x1) / alpha) / r - 1.0
-        return gap
-    p, inv = body.p, 1.0 / body.p
+    f = _scalar_gauge(body)
 
     def gap(theta: float) -> float:
         c, s = math.cos(theta), math.sin(theta)
-        gb = (abs(c) ** p + abs(s) ** p) ** inv / r
-        px, py = (c / gb - x0) / alpha, (s / gb - x1) / alpha
-        return (abs(px) ** p + abs(py) ** p) ** inv / r - 1.0
+        gb = f(c, s)
+        return f((c / gb - x0) / alpha, (s / gb - x1) / alpha) - 1.0
     return gap
 
 
@@ -357,11 +352,7 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
     """
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("scale factor must be positive and finite")
-    x0, x1 = float(x[0]), float(x[1])
-    if not (math.isfinite(x0) and math.isfinite(x1)):
-        raise ValueError("translation must be finite")
+    x0, x1 = _checked_scale_shift(alpha, x)
     if x0 == 0 and x1 == 0:
         raise ValueError("translation must be nonzero")
 

@@ -154,12 +154,9 @@ def well_distributed_check(
     square, so a point sitting exactly on a square's edge does not count.
     Witnesses are the lower-left corners of empty squares.
     """
-    if not (C > 0):
-        raise ValueError("cube side must be positive")
-    if stride is None:
-        stride = C / 4
-    if stride > C / 2:
-        raise ValueError("stride above C/2 is too coarse to be meaningful")
+    stride = C / 4 if stride is None else stride
+    if not (math.isfinite(C) and C > 0 and 0 < stride <= C / 2):
+        raise ValueError(f"need C finite and positive and 0 < stride <= C/2, not {C=}, {stride=}")
     R = ps.R
     n_steps = int(math.floor((2 * R - C) / stride + 1e-9))
     if n_steps < 0:

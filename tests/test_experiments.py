@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -62,6 +63,11 @@ class TestSweep:
         spec = GeneratorSpec(kind="perturbed_lattice", R=5.0, jitter=0.3, seed=2)
         rows = run_sweep(Disc(1.0), spec, [3, 5], tol=1e-9)
         assert all(r.n_distances > r.n_points for r in rows)  # generic positions
+
+    @pytest.mark.parametrize("R_list", [[5, 5], [5, 5, 10], [10, 5.0, 5], [3, 5, 10, 5]])
+    def test_repeated_radius_is_rejected(self, R_list):
+        with pytest.raises(ValueError, match="window radius 5.0 is given twice"):
+            run_sweep(square(), LATTICE, R_list, exact=True)
 
 
 EACH_FLOAT_BODY = pytest.mark.parametrize(
@@ -296,6 +302,32 @@ class TestCli:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    # recorded before the batch summary was summed from the trials; the
+    # summary's key order is LemmaBatch's field order
+    @pytest.mark.parametrize("which, seed, summary, digest", [
+        ("13", 1, '{"which": "13", "trials": 200, "violations": 0, "segments_checked": 175, '
+         '"segments_flagged": 16, "max_classes": 2, "max_count": 0}',
+         "49ee360beb0174544cf935f85a4fe6f0aedb70a8597ced6d69a616245b357016"),
+        ("13", 99, '{"which": "13", "trials": 200, "violations": 0, "segments_checked": 186, '
+         '"segments_flagged": 20, "max_classes": 2, "max_count": 0}',
+         "3ee51c0fab1722a37e1f9b39debb8d73923a5b7643d62e62b06c01174b1b2d86"),
+        ("14", 1, '{"which": "14", "trials": 200, "violations": 0, "segments_checked": 176, '
+         '"segments_flagged": 15, "max_classes": 2, "max_count": 0}',
+         "278da0d2046fa6e672363bbab316a102ec367cba59932436a9ceea181f19094b"),
+        ("14", 99, '{"which": "14", "trials": 200, "violations": 0, "segments_checked": 184, '
+         '"segments_flagged": 20, "max_classes": 2, "max_count": 0}',
+         "f4127cb7d47e2785bfa65c42213a1e958311344d290ba5a523607d25f1ce3706"),
+    ])
+    def test_lemma_checks_output_is_pinned(self, tmp_path, capsys, which, seed, summary, digest):
+        out = tmp_path / "lemma.jsonl"
+        rc = main([
+            "lemma-checks", "--which", which, "--trials", "200", "--seed", str(seed),
+            "--out", str(out), "--no-timestamp",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == summary + "\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_moser_exit_code(self, tmp_path, capsys):
         rc = main([
             "moser", "--body", "square",
@@ -366,6 +398,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert violation in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radii", ["5,5", "5,5,10", "10,5,5"])
+    def test_repeated_sweep_radius_is_exit_2(self, tmp_path, capsys, radii):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--R", radii, "--out", str(out), "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == "error: window radius 5.0 is given twice\n"
         assert not out.exists()
 
     def test_missing_file_is_exit_2(self, capsys):

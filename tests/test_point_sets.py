@@ -105,6 +105,15 @@ class TestWellDistributed:
         with pytest.raises(ValueError):
             well_distributed_check(unit_lattice(2.0), C=1.0, stride=0.75)
 
+    # each of these once passed with no square scanned or failed with another error
+    @pytest.mark.parametrize("C, stride", [
+        (1.0, -0.25), (1.0, 0.0), (1.0, math.nan),
+        (math.inf, None), (math.inf, 0.5), (math.nan, None), (0.0, None), (-1.0, None),
+    ])
+    def test_bad_side_or_stride_is_rejected(self, C, stride):
+        with pytest.raises(ValueError, match="need C finite and positive and 0 < stride <= C/2"):
+            well_distributed_check(unit_lattice(2.0), C=C, stride=stride)
+
     def test_monotone_in_c(self):
         ps = generate(GeneratorSpec(kind="perturbed_lattice", R=6.0, jitter=0.4, seed=5))
         stride = 0.5
