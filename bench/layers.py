@@ -13,10 +13,12 @@ random points of ``erdos-bound``), the float lattice ``run_sweep`` and
 (under random translates, and under edge-aligned translates with the polygon
 body passed in), ``concurrence_check`` and ``direction_line_classes`` (on the
 edge-aligned intersections, computed outside the timed call) and
-``strictly_convex_intersection_count``.  The root scan is timed twice:
-warm (its per-body boundary grid already cached, as in a batch) and cold (the
-cache cleared before every call), when the library under ``--src`` has such a
-cache.
+``strictly_convex_intersection_count``.  The root scan is timed twice: on
+12 translates in the two-crossing range, as the lemma batches call it
+(``.warm``, the name kept from when the scan cached a boundary grid), and on
+12 translates of size 1e-12 at alpha = 1 (``.floor``), where float error
+hides the sign of g almost everywhere and the certified scan spends its whole
+halving budget.
 
 ``--src`` names the ``src`` directory to import ``gaugedist`` from, so one
 script can time two checkouts on the same machine.  Only numpy and the
@@ -40,8 +42,6 @@ REPEATS = 7  # timed runs per layer; --quick times one
 def _layers(gd):
     """``{name: (description, zero-argument callable)}`` on fixed inputs."""
     import numpy as np
-
-    from gaugedist import geometry_kernel as gk
 
     rng = np.random.default_rng(8)
     pts = rng.uniform(-3.0, 3.0, size=(200_000, 2))
@@ -151,25 +151,15 @@ def _layers(gd):
         scans.append((body, alpha, (rho * math.cos(k), rho * math.sin(k))))
     scan = gd.strictly_convex_intersection_count
     layers["strictly_convex_intersection_count.warm"] = (
-        f"{len(scans)} root scans at resolution 1e-4 over three bodies, boundary grids cached",
+        f"{len(scans)} root scans over three bodies, translates in the two-crossing range",
         lambda: [scan(b, a, x) for b, a, x in scans],
     )
-    grid_cache = getattr(gk, "_boundary_grid", None)
-    if grid_cache is not None:
-        def cold():
-            for b, a, x in scans:
-                grid_cache.cache_clear()
-                scan(b, a, x)
-
-        layers["strictly_convex_intersection_count.cold"] = (
-            f"{len(scans)} root scans at resolution 1e-4, boundary-grid cache cleared before each",
-            cold,
-        )
-    else:
-        layers["strictly_convex_intersection_count.cold"] = (
-            f"{len(scans)} root scans at resolution 1e-4 (no boundary-grid cache)",
-            lambda: [scan(b, a, x) for b, a, x in scans],
-        )
+    floor = [(b, 1.0, (1e-12 * math.cos(k), 1e-12 * math.sin(k)))
+             for k, (b, _, _) in enumerate(scans)]
+    layers["strictly_convex_intersection_count.floor"] = (
+        f"{len(floor)} root scans over three bodies at alpha = 1 and |x| = 1e-12",
+        lambda: [scan(b, a, x) for b, a, x in floor],
+    )
     return layers
 
 

@@ -248,8 +248,9 @@ def _strict_trial(k: int, seed: int) -> dict:
     else:
         rho = lo + (hi - lo) * 0.002  # barely past internal tangency
     x = (rho * dx / gd, rho * dy / gd)
-    count = strictly_convex_intersection_count(body, alpha, x).count
-    return {"trial": k, "alpha": alpha, "u": [x[0], x[1]], "count": count, "flags": []}
+    scan = strictly_convex_intersection_count(body, alpha, x)
+    flags = ["unresolved"] if scan.unresolved else []
+    return {"trial": k, "alpha": alpha, "u": [x[0], x[1]], "count": scan.count, "flags": flags}
 
 
 def run_lemma_checks(which: str, trials: int, seed: int) -> LemmaBatch:
@@ -259,7 +260,8 @@ def run_lemma_checks(which: str, trials: int, seed: int) -> LemmaBatch:
     which "14": concurrence of segment lines through u/(1-alpha); every fourth
     trial exercises alpha == 1 parallelism with opposite-edge flagging.
     which "strict": intersection counts for strictly convex bodies (<= 2), from
-    the root scan on its fixed grid of angles about 1e-4 apart.
+    the certified root scan; a row whose scan is unresolved (its count only a
+    lower bound) carries the flag "unresolved".
 
     ``violations`` counts rows with classes > 2 ("13"), reports not ok ("14")
     or rows with count > 2 ("strict"); ``segments_checked``/``_flagged`` sum

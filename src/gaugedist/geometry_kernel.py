@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -41,6 +40,7 @@ from .convex_body import (
     _scale_to_ints,
     boundary_points,
     gauge_many,
+    max_euclid_radius,
 )
 from .prng import Xorshift64Star, derive_seed, quantize
 
@@ -300,98 +300,87 @@ def concurrence_check(
     )
 
 
-# a sampled |g| at or below this, at a local minimum, is a tangential touch
-_TANGENT_TOL = 1e-9
-# the scan samples a full turn at the angles i * _STEP, about 1e-4 apart
+# the scan's grid: a full turn at the angles i * _STEP, about 1e-4 apart
 _SAMPLES = math.ceil(2 * math.pi / 1e-4)
 _STEP = 2 * math.pi / _SAMPLES
+_STRIDE = 16  # the first pass takes every 16th grid angle: 62,832 = 16 * 3,927
+_BUDGET = 15_000  # halving evaluations per scan; 6,000 strict trials needed at most 9,296
 
 
 @dataclass(frozen=True)
 class RootScan:
-    """The strictly-convex scan's roots: how many, their angles, which are tangencies."""
+    """The scan's certified roots, one angle each.  ``unresolved``: some stretch is neither
+    shown root-free nor a sign change, and ``count`` a lower bound (always at a tangency)."""
 
     count: int
     thetas: tuple[float, ...]
-    tangent: tuple[bool, ...]
+    unresolved: bool
 
 
-@lru_cache(maxsize=4)
-def _boundary_grid(body) -> np.ndarray:
-    """Read-only (_SAMPLES, 2) boundary samples at the angles ``i * _STEP``."""
-    grid = boundary_points(body, np.arange(_SAMPLES) * _STEP)
-    grid.setflags(write=False)
-    return grid
+def _scan_bounds(body, alpha: float, x_norm: float) -> tuple[float, float]:
+    """(L, eps): |dg/dtheta| <= L, and |computed g - g| <= eps at a double
+    theta, for g(theta) = phi((b(theta) - x)/alpha) - 1, phi the gauge and
+    b(theta) the boundary point in direction theta.  R = ``max_euclid_radius``
+    and r (the radius, times min(1, 2^(1/2 - 1/p)) for a p-ball) bound |b|,
+    R/r <= sqrt 2, and Q = (R + |x|)/(alpha r).
 
+    L = R^2/(alpha r^2): phi is sublinear, symmetric and at most |y|/r, so
+    1/r-Lipschitz, and |b'| = rho^2/h <= R^2/r, as |b x b'| = rho^2 = h |b'|
+    for b = rho (cos, sin) and h >= r the distance from 0 to the tangent.
 
-def _bisection_gap(body, alpha: float, x0: float, x1: float):
-    """``theta -> gauge((boundary(theta) - x)/alpha) - 1`` for a disc or
-    p-ball, as the same float expression ``boundary_point`` then ``gauge``
-    evaluate, without their per-call type dispatch and argument conversion."""
-    f = _scalar_gauge(body)
-
-    def gap(theta: float) -> float:
-        c, s = math.cos(theta), math.sin(theta)
-        gb = f(c, s)
-        return f((c / gb - x0) / alpha, (s / gb - x1) / alpha) - 1.0
-    return gap
+    eps, in u = 2^-53, holds for the numpy first pass and the scalar gap (the
+    same operations) if +-*/ round correctly and cos, sin, hypot and pow are
+    within 4 ulp, 8u.  (cos, sin) points within 8u of theta; its gauge is off
+    by 19u (18.2u for the norm and / r, 0.35u for the exponent fl(1/p)); so b
+    is within 20.1u R + 8u R^2/r <= 31.5u R of b(theta).  (b - x)/alpha rounds
+    twice per entry: the outer gauge's argument is off by 33.6u (R + |x|)/alpha
+    and its value by 33.6u Q.  That gauge adds 18.2u Q, plus, for a p-ball,
+    u Q (|ln r| + max(0, ln Q)) + u/e: fl(1/p) = (1 + d)/p, |d| <= u, scales
+    the root by exp(d ln(r phi)).  "- 1" adds u (1 + Q).  The sum, u (1.4 +
+    52.9 Q + Q |ln r| + Q max(0, ln Q)), spares 62u + 11u Q of each eps: room for
+    rounding R, r, L, the tests and each angle (6.3u, so 9u Q in L * width).
+    """
+    R = max_euclid_radius(body)
+    r = body.radius * (min(1.0, 2.0 ** (0.5 - 1.0 / body.p)) if isinstance(body, PBall) else 1.0)
+    q = (R + x_norm) / (alpha * r)
+    eps = 2.0**-53 * (64 + q * (64 + abs(math.log(body.radius)) + max(0.0, math.log(q))))
+    return R * R / (alpha * r * r), eps
 
 
 def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
-    """Find the points of G intersect (alpha*G + x) for a strictly convex body.
+    """Find the points of G intersect (alpha*G + x) for a strictly convex body:
+    the roots of g(theta) = gauge((boundary(theta) - x)/alpha) - 1.
 
-    Scans g(theta) = gauge((boundary(theta) - x)/alpha) - 1 on a fixed grid of
-    ``_SAMPLES`` = ceil(2pi/1e-4) = 62,832 angles over a full turn, refines
-    each sign change by bisection, and counts each run of zero samples and
-    each tangential minimum with |g| <= 1e-9 once.  Roots closer than 1.5 grid
-    steps merge.  Returns a ``RootScan``: the count, one angle per root and
-    whether the root is a tangency.
-
-    The sampled boundary depends only on the body, so it is computed once per
-    body and cached: up to four grids of about 1 MB each stay resident.
+    A sample is certain when |g| > eps (``_scan_bounds``).  The first pass
+    takes every 16th grid angle i * ``_STEP``.  A bracket [a, b] of certain
+    ends is a root if their signs differ (halved at grid angles to one step,
+    then bisected to neighbouring doubles), and root-free if |g(a)| + |g(b)|
+    - 2 eps > L (b - a).  Any other is halved, at grid angles to one step,
+    then at midpoints while both ends are certain.  A run of uncertain
+    samples is one root, at its middle grid angle, if the certain samples
+    around it differ in sign; otherwise, or when the budget or doubles run
+    out, the scan is unresolved.
     """
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
     x0, x1 = _checked_scale_shift(alpha, x)
     if x0 == 0 and x1 == 0:
         raise ValueError("translation must be nonzero")
+    lip, eps = _scan_bounds(body, alpha, math.hypot(x0, x1))
+    n, step, k = _SAMPLES, _STEP, _STRIDE
+    g = gauge_many(body, (boundary_points(body, np.arange(0, n, k) * step) - (x0, x1)) / alpha) - 1
+    g = np.append(g, g[0])  # grid index n is index 0 again
+    free = (g[:-1] * g[1:] > 0) & (np.minimum(abs(g[:-1]), abs(g[1:])) > eps)
+    free &= abs(g[:-1]) + abs(g[1:]) - 2 * eps > lip * k * step
 
-    n, step = _SAMPLES, _STEP
-    grid = _boundary_grid(body)
-    # (grid - x) / alpha, a column at a time: broadcasting the (n, 2) grid
-    # against x would run a length-2 inner loop n times
-    d = np.empty((n, 2))
-    np.subtract(grid[:, 0], x0, out=d[:, 0])
-    np.subtract(grid[:, 1], x1, out=d[:, 1])
-    d /= alpha
-    g = gauge_many(body, d)
-    g -= 1.0
-    sign = np.sign(g)
+    f = _scalar_gauge(body)
 
-    roots: list[tuple[float, bool]] = []
-    zero = sign == 0
-    if zero.all():
-        raise ValueError("degenerate scan: the curves coincide at every sample")
-    if zero.any():
-        # cyclic runs of zero samples, from where the mask switches on and off;
-        # a run through index 0 has the last start and the first end
-        starts = np.flatnonzero(zero & ~np.roll(zero, 1)).tolist()
-        ends = np.flatnonzero(zero & ~np.roll(zero, -1)).tolist()
-        if ends[0] < starts[0]:
-            ends.append(ends.pop(0))
-        for a, b in zip(starts, ends):
-            middle = (a + ((b - a) % n + 1) // 2) % n
-            roots.append((middle * step, sign[a - 1] == sign[(b + 1) % n]))
+    def gap(theta: float) -> float:  # as boundary_point then gauge, without their dispatch
+        c, s = math.cos(theta), math.sin(theta)
+        gb = f(c, s)
+        return f((c / gb - x0) / alpha, (s / gb - x1) / alpha) - 1.0
 
-    # strict sign changes between neighbours, the pair (n-1, 0) included
-    crossings = np.flatnonzero(sign[:-1] * sign[1:] < 0).tolist()
-    if sign[-1] * sign[0] < 0:
-        crossings.append(n - 1)
-    gap = _bisection_gap(body, alpha, x0, x1)
-    used = set()
-    for i in crossings:
-        lo = i * step
-        hi, flo = lo + step, float(g[i])
+    def bisect(lo: float, hi: float, flo: float) -> None:
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:  # neighbouring doubles: no further halving
@@ -403,32 +392,43 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
                 lo, flo = mid, fm
             else:
                 hi = mid
-        roots.append((0.5 * (lo + hi), False))
-        used.update((i, (i + 1) % n))
+        roots.append(0.5 * (lo + hi))
 
-    # a tangency is a local minimum of |g| within the tolerance that g does not
-    # cross, away from the crossings found above (its neighbours are nonzero)
-    absg = np.abs(g)
-    cand = np.flatnonzero(absg <= _TANGENT_TOL)
-    h, j, s, a = (cand - 1) % n, (cand + 1) % n, sign[cand], absg[cand]
-    dip = (s != 0) & (sign[h] == s) & (sign[j] == s) & (a <= absg[h]) & (a <= absg[j])
-    for i in cand[dip].tolist():
-        if used.isdisjoint(((i - 1) % n, i, (i + 1) % n)):
-            roots.append((i * step, True))
+    roots, seen = [], []  # root angles; (grid index, g) of samples not cleared, in turn order
+    budget, unresolved = _BUDGET, False
+    for c in np.flatnonzero(~free).tolist():
+        seen.append((c * k, float(g[c])))
+        todo = [(c * k, float(g[c]), c * k + k, float(g[c + 1]))]
+        while todo:  # brackets [i, j] in grid indices, fractional within one step, leftmost last
+            i, gi, j, gj = todo.pop()
+            si, sj, wide = abs(gi) > eps, abs(gj) > eps, j - i > 1
+            cross = si and sj and (gi > 0) != (gj > 0)
+            clear = si and sj and not cross and abs(gi) + abs(gj) - 2 * eps > lip * (j - i) * step
+            if cross and not wide:
+                bisect(i * step, i * step + (j - i) * step, gi)
+            elif not clear and (si and sj or wide and (si or sj)):
+                m = (i + j) // 2 if wide else 0.5 * (i + j)
+                if cross or (budget > 0 and i < m < j):  # a sign change is always located
+                    budget -= 1
+                    gm = gap(m * step)
+                    if wide or abs(gm) > eps:  # else uncertain between samples of one sign
+                        todo += [(m, gm, j, gj), (i, gi, m, gm)]
+                        continue
+                unresolved = True
+            if isinstance(j, int):  # finer samples lie between certain grid samples
+                seen.append((j % n, gj))
 
-    # cyclic dedupe of roots closer than 1.5 times the grid step
+    # a run: the uncertain samples between two cyclically consecutive certain ones
+    sure = [t for t, (_, v) in enumerate(seen) if abs(v) > eps]
+    unresolved |= bool(seen) and not sure
+    for s, t in zip(sure, sure[1:] + sure[:1]):
+        if (t - s - 1) % len(seen) and (seen[s][1] > 0) == (seen[t][1] > 0):
+            unresolved = True
+        elif (t - s - 1) % len(seen):
+            lo, hi = seen[(s + 1) % len(seen)][0], seen[t - 1][0]
+            roots.append((lo + ((hi - lo) % n + 1) // 2) % n * step)
     roots.sort()
-    clusters: list[list[tuple[float, bool]]] = []
-    for r in roots:
-        if clusters and r[0] - clusters[-1][-1][0] <= 1.5 * step:
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-    if len(clusters) > 1 and roots[0][0] + 2 * math.pi - clusters[-1][-1][0] <= 1.5 * step:
-        clusters[0] = clusters.pop() + clusters[0]
-    thetas = tuple(c[0][0] for c in clusters)
-    tangent = tuple(any(t for _, t in c) for c in clusters)
-    return RootScan(len(clusters), thetas, tangent)
+    return RootScan(len(roots), tuple(roots), unresolved)
 
 
 def convex_hull(points) -> list:

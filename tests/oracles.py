@@ -6,8 +6,8 @@ test, no half-plane normal form), distance oracles are brute-force pair loops,
 orientation checks use exact rational cross products, the annulus/cone
 counts test one point at a time, and the concurrence reference keys each
 segment's supporting line on its own.  The root-scan references are the
-exception: ``reference_root_scan`` is the strictly-convex scan written
-directly on the public gauge API, with no cached state, and
+exception: ``reference_root_scan`` is the uncertified full-grid
+strictly-convex scan written directly on the public gauge API, and
 ``disc_pair_count`` is the closed-form count for two circles.
 """
 
@@ -20,7 +20,6 @@ import numpy as np
 from gaugedist import (
     Disc,
     PBall,
-    RootScan,
     boundary_point,
     boundary_points,
     gauge,
@@ -319,12 +318,14 @@ def reference_root_scan(
     x,
     resolution: float = 1e-4,
 ):
-    """The strictly-convex root scan as it stood before its boundary grid was
-    cached, kept as a differential oracle: every trial samples the boundary
-    through the public ``boundary_points``, writes out the gauge of the
-    samples, evaluates the bisection through the public ``boundary_point`` and
-    ``gauge``, and builds its crossing and tangency masks over the whole sample
-    array with ``np.roll``.  Returns the detail view (``RootScan``) always."""
+    """The strictly-convex root scan on the full grid, without certainty
+    bounds, kept as a differential oracle where the library's certified scan
+    is resolved: it samples the boundary through the public
+    ``boundary_points``, writes out the gauge of the samples, evaluates the
+    bisection through the public ``boundary_point`` and ``gauge``, and builds
+    its crossing and tangency masks over the whole sample array with
+    ``np.roll``.  Below about 1e-9 it counts float noise as roots.  Returns
+    ``(count, thetas, tangent)``, one angle and one tangency flag per root."""
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
     if not (alpha > 0):
@@ -415,7 +416,7 @@ def reference_root_scan(
         used[i] = True
 
     if not roots:
-        return RootScan(0, (), ())
+        return 0, (), ()
 
     # cyclic dedupe of roots closer than 1.5 times the grid step
     roots.sort()
@@ -431,4 +432,4 @@ def reference_root_scan(
             clusters[0] = clusters.pop() + clusters[0]
     thetas = tuple(c[0][0] for c in clusters)
     tangent = tuple(any(t for _, t in c) for c in clusters)
-    return RootScan(len(clusters), thetas, tangent)
+    return len(clusters), thetas, tangent

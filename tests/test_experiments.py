@@ -216,6 +216,16 @@ class TestLemmaBatches:
         for row in strict.rows:
             assert set(row) == {"trial", "alpha", "u", "count", "flags"}
 
+    def test_unresolved_scan_is_flagged_not_counted(self, monkeypatch):
+        import gaugedist.experiments as experiments
+        from gaugedist import RootScan
+
+        monkeypatch.setattr(experiments, "strictly_convex_intersection_count",
+                            lambda body, alpha, x: RootScan(1, (0.5,), True))
+        batch = run_lemma_checks("strict", 3, seed=2)
+        assert [(r["count"], r["flags"]) for r in batch.rows] == [(1, ["unresolved"])] * 3
+        assert (batch.violations, batch.max_count) == (0, 1)
+
 
 class TestRunMoser:
     def test_empty_range_gives_no_rows(self):

@@ -101,6 +101,11 @@ class TestWellDistributed:
         rep = well_distributed_check(ps, C=2.0, stride=1.0)
         assert rep.ok and rep.cubes_scanned == 1
 
+    def test_square_wider_than_window_is_rejected(self):
+        # no square fits, so no answer: ok=True here once meant nothing was scanned
+        with pytest.raises(ValueError, match="no square of side"):
+            well_distributed_check(PointSet(np.array([[0.0, 0.0]]), 0.2), C=1.0)
+
     def test_stride_too_coarse(self):
         with pytest.raises(ValueError):
             well_distributed_check(unit_lattice(2.0), C=1.0, stride=0.75)
