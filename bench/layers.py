@@ -17,8 +17,8 @@ edge-aligned intersections, computed outside the timed call) and
 12 translates in the two-crossing range, as the lemma batches call it
 (``.warm``, the name kept from when the scan cached a boundary grid), and on
 12 translates of size 1e-12 at alpha = 1 (``.floor``), where float error
-hides the sign of g almost everywhere and the certified scan spends its whole
-halving budget.
+hides the sign of g over wide arcs: the disc's scans resolve, the p = 1.5
+ball's spend the whole halving budget.
 
 ``--src`` names the ``src`` directory to import ``gaugedist`` from, so one
 script can time two checkouts on the same machine.  Only numpy and the

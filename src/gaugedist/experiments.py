@@ -260,8 +260,8 @@ def run_lemma_checks(which: str, trials: int, seed: int) -> LemmaBatch:
     which "14": concurrence of segment lines through u/(1-alpha); every fourth
     trial exercises alpha == 1 parallelism with opposite-edge flagging.
     which "strict": intersection counts for strictly convex bodies (<= 2), from
-    the certified root scan; a row whose scan is unresolved (its count only a
-    lower bound) carries the flag "unresolved".
+    the certified root scan, whose count is a lower bound; a row whose scan is
+    unresolved (not all the rest shown root-free) carries the flag "unresolved".
 
     ``violations`` counts rows with classes > 2 ("13"), reports not ok ("14")
     or rows with count > 2 ("strict"); ``segments_checked``/``_flagged`` sum

@@ -300,17 +300,16 @@ def concurrence_check(
     )
 
 
-# the scan's grid: a full turn at the angles i * _STEP, about 1e-4 apart
-_SAMPLES = math.ceil(2 * math.pi / 1e-4)
+_SAMPLES = math.ceil(2 * math.pi / 1e-4)  # the scan's grid: a full turn at the angles i * _STEP
 _STEP = 2 * math.pi / _SAMPLES
 _STRIDE = 16  # the first pass takes every 16th grid angle: 62,832 = 16 * 3,927
-_BUDGET = 15_000  # halving evaluations per scan; 6,000 strict trials needed at most 9,296
+_BUDGET = 15_000  # halving evaluations per scan; 6,000 strict trials needed at most 5,139
 
 
 @dataclass(frozen=True)
 class RootScan:
-    """The scan's certified roots, one angle each.  ``unresolved``: some stretch is neither
-    shown root-free nor a sign change, and ``count`` a lower bound (always at a tangency)."""
+    """One angle per stretch shown to hold an odd number of roots, so ``count``
+    is a lower bound.  Resolved: all else was shown root-free (a tangency never is)."""
 
     count: int
     thetas: tuple[float, ...]
@@ -318,48 +317,46 @@ class RootScan:
 
 
 def _scan_bounds(body, alpha: float, x_norm: float) -> tuple[float, float]:
-    """(L, eps): |dg/dtheta| <= L, and |computed g - g| <= eps at a double
-    theta, for g(theta) = phi((b(theta) - x)/alpha) - 1, phi the gauge and
-    b(theta) the boundary point in direction theta.  R = ``max_euclid_radius``
-    and r (the radius, times min(1, 2^(1/2 - 1/p)) for a p-ball) bound |b|,
-    R/r <= sqrt 2, and Q = (R + |x|)/(alpha r).
+    """(L, eps): |dg/dtheta| <= L, and |computed g - g| <= eps at a double theta, for g(theta) =
+    phi((b(theta) - x)/alpha) - 1, phi the gauge and b the boundary point in direction theta.
+    R = ``max_euclid_radius`` and r (the radius, times 2^(1/2 - 1/p) for a p-ball with p < 2)
+    bound |b|, R/r <= sqrt 2, and Q = (R + |x|)/(alpha r).
 
-    L = R^2/(alpha r^2): phi is sublinear, symmetric and at most |y|/r, so
-    1/r-Lipschitz, and |b'| = rho^2/h <= R^2/r, as |b x b'| = rho^2 = h |b'|
-    for b = rho (cos, sin) and h >= r the distance from 0 to the tangent.
+    L = R^2/(alpha r^2) min(1, f), f = 3 (p - 1) |x|/r for p >= 2 (a disc is p = 2), else 1.
+    phi is 1/r-Lipschitz (sublinear, symmetric, <= |y|/r) and |b'| = rho^2/h <= R^2/r, as
+    |b x b'| = rho^2 = h |b'|, h >= r the distance from 0 to the tangent.  If f < 1, |x| < r/3;
+    grad phi is 0-homogeneous and normal to b' at b, and on [b - x, b] phi > 2/3 and the
+    Hessian (p - 1)/(r^2 phi) (diag(|z_i|/(r phi))^(p-2) - v v^T), v = r grad phi, both terms
+    of norm <= 1, has norm < 1.5 (p - 1)/r^2, so |g'| = |(grad phi(b - x) - grad phi(b)) . b'|
+    /alpha <= L f/2 (the factor 2 covers the rounding of f).
 
-    eps, in u = 2^-53, holds for the numpy first pass and the scalar gap (the
-    same operations) if +-*/ round correctly and cos, sin, hypot and pow are
-    within 4 ulp, 8u.  (cos, sin) points within 8u of theta; its gauge is off
-    by 19u (18.2u for the norm and / r, 0.35u for the exponent fl(1/p)); so b
-    is within 20.1u R + 8u R^2/r <= 31.5u R of b(theta).  (b - x)/alpha rounds
-    twice per entry: the outer gauge's argument is off by 33.6u (R + |x|)/alpha
-    and its value by 33.6u Q.  That gauge adds 18.2u Q, plus, for a p-ball,
-    u Q (|ln r| + max(0, ln Q)) + u/e: fl(1/p) = (1 + d)/p, |d| <= u, scales
-    the root by exp(d ln(r phi)).  "- 1" adds u (1 + Q).  The sum, u (1.4 +
-    52.9 Q + Q |ln r| + Q max(0, ln Q)), spares 62u + 11u Q of each eps: room for
-    rounding R, r, L, the tests and each angle (6.3u, so 9u Q in L * width).
+    eps, in u = 2^-53, holds for the numpy first pass and the scalar gap (the same operations) if
+    +-*/ round correctly and cos, sin, hypot and pow are within 4 ulp, 8u.  (cos, sin) points
+    within 8u of theta; its gauge is off by 19u (18.2u for the norm and / r, 0.35u for the
+    exponent fl(1/p)); so b is within 20.1u R + 8u R^2/r <= 31.5u R of b(theta).  (b - x)/alpha
+    rounds twice per entry: the outer gauge's argument is off by 33.6u (R + |x|)/alpha and its
+    value by 33.6u Q.  That gauge adds 18.2u Q, plus, for a p-ball, u Q (|ln r| + max(0, ln Q))
+    + u/e: fl(1/p) = (1 + d)/p, |d| <= u, scales the root by exp(d ln(r phi)).  "- 1" adds
+    u (1 + Q).  The sum, u (1.4 + 52.9 Q + Q |ln r| + Q max(0, ln Q)), spares 62u + 11u Q of
+    each eps: room for rounding R, r, L, the tests and each angle (6.3u, so 9u Q in L * width).
     """
     R = max_euclid_radius(body)
-    r = body.radius * (min(1.0, 2.0 ** (0.5 - 1.0 / body.p)) if isinstance(body, PBall) else 1.0)
+    p = body.p if isinstance(body, PBall) else 2.0
+    r = body.radius * min(1.0, 2.0 ** (0.5 - 1.0 / p))
     q = (R + x_norm) / (alpha * r)
     eps = 2.0**-53 * (64 + q * (64 + abs(math.log(body.radius)) + max(0.0, math.log(q))))
-    return R * R / (alpha * r * r), eps
+    return R * R / (alpha * r * r) * min(1.0, 3 * (p - 1) * x_norm / r if p >= 2 else 1.0), eps
 
 
 def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
-    """Find the points of G intersect (alpha*G + x) for a strictly convex body:
-    the roots of g(theta) = gauge((boundary(theta) - x)/alpha) - 1.
+    """G intersect (alpha*G + x), G strictly convex: the roots of g = gauge((b - x)/alpha) - 1.
 
-    A sample is certain when |g| > eps (``_scan_bounds``).  The first pass
-    takes every 16th grid angle i * ``_STEP``.  A bracket [a, b] of certain
-    ends is a root if their signs differ (halved at grid angles to one step,
-    then bisected to neighbouring doubles), and root-free if |g(a)| + |g(b)|
-    - 2 eps > L (b - a).  Any other is halved, at grid angles to one step,
-    then at midpoints while both ends are certain.  A run of uncertain
-    samples is one root, at its middle grid angle, if the certain samples
-    around it differ in sign; otherwise, or when the budget or doubles run
-    out, the scan is unresolved.
+    A sample is certain when |g| > eps (``_scan_bounds``); the first pass takes every 16th grid
+    angle i * ``_STEP``.  A bracket [a, b] of certain ends is a root if their signs differ (cut
+    to one grid step, then bisected) and root-free if |g(a)| + |g(b)| - 2 eps > L (b - a).  Any
+    other is halved: at grid angles while an end is certain, then at midpoints while both are.
+    The uncertain grid samples between two certain ones are one root, at their middle, if those
+    differ in sign; else, or when the budget or doubles run out, the scan is unresolved.
     """
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
@@ -372,7 +369,6 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
     g = np.append(g, g[0])  # grid index n is index 0 again
     free = (g[:-1] * g[1:] > 0) & (np.minimum(abs(g[:-1]), abs(g[1:])) > eps)
     free &= abs(g[:-1]) + abs(g[1:]) - 2 * eps > lip * k * step
-
     f = _scalar_gauge(body)
 
     def gap(theta: float) -> float:  # as boundary_point then gauge, without their dispatch
@@ -397,10 +393,11 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
     roots, seen = [], []  # root angles; (grid index, g) of samples not cleared, in turn order
     budget, unresolved = _BUDGET, False
     for c in np.flatnonzero(~free).tolist():
-        seen.append((c * k, float(g[c])))
-        todo = [(c * k, float(g[c]), c * k + k, float(g[c + 1]))]
-        while todo:  # brackets [i, j] in grid indices, fractional within one step, leftmost last
-            i, gi, j, gj = todo.pop()
+        if free[c - 1]:  # else seen as the previous bracket's end (for c = 0, at the end)
+            seen.append((c * k, float(g[c])))
+        todo = [(c * k, float(g[c]), c * k + k, float(g[c + 1]), True)]
+        while todo:  # brackets [i, j] in grid indices, leftmost last; grid: j is a grid index
+            i, gi, j, gj, grid = todo.pop()
             si, sj, wide = abs(gi) > eps, abs(gj) > eps, j - i > 1
             cross = si and sj and (gi > 0) != (gj > 0)
             clear = si and sj and not cross and abs(gi) + abs(gj) - 2 * eps > lip * (j - i) * step
@@ -412,21 +409,24 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
                     budget -= 1
                     gm = gap(m * step)
                     if wide or abs(gm) > eps:  # else uncertain between samples of one sign
-                        todo += [(m, gm, j, gj), (i, gi, m, gm)]
+                        todo += [(m, gm, j, gj, grid), (i, gi, m, gm, wide)]
                         continue
                 unresolved = True
-            if isinstance(j, int):  # finer samples lie between certain grid samples
+            if grid:  # samples between grid angles lie between certain grid samples
                 seen.append((j % n, gj))
 
-    # a run: the uncertain samples between two cyclically consecutive certain ones
-    sure = [t for t, (_, v) in enumerate(seen) if abs(v) > eps]
-    unresolved |= bool(seen) and not sure
-    for s, t in zip(sure, sure[1:] + sure[:1]):
-        if (t - s - 1) % len(seen) and (seen[s][1] > 0) == (seen[t][1] > 0):
-            unresolved = True
-        elif (t - s - 1) % len(seen):
-            lo, hi = seen[(s + 1) % len(seen)][0], seen[t - 1][0]
-            roots.append((lo + ((hi - lo) % n + 1) // 2) % n * step)
+    # from the first certain sample round to it again; each run ends at a certain one
+    first = next((t for t, (_, v) in enumerate(seen) if abs(v) > eps), 0)
+    run, last = [], 0.0  # the open run's grid indices; g of the last certain sample
+    for j, v in seen[first:] + seen[: first + 1]:
+        if abs(v) <= eps:
+            run.append(j)
+            continue
+        if run and (v > 0) != (last > 0):
+            roots.append((run[0] + ((run[-1] - run[0]) % n + 1) // 2) % n * step)
+        unresolved |= bool(run) and (v > 0) == (last > 0)
+        run, last = [], v
+    unresolved |= bool(run)  # no certain sample at all
     roots.sort()
     return RootScan(len(roots), tuple(roots), unresolved)
 

@@ -153,15 +153,16 @@ def well_distributed_check(
     Corners run over the stride grid anchored at -R; membership uses the open
     square, so a point sitting exactly on a square's edge does not count.
     Witnesses are the lower-left corners of empty squares.  A square wider
-    than the window (C > 2R) raises ``ValueError``: nothing could be scanned.
+    than the window (C > 2R beyond a rounding slack of 1e-9 strides) raises
+    ``ValueError``: nothing could be scanned.
     """
     stride = C / 4 if stride is None else stride
     if not (math.isfinite(C) and C > 0 and 0 < stride <= C / 2):
         raise ValueError(f"need C finite and positive and 0 < stride <= C/2, not {C=}, {stride=}")
     R = ps.R
-    if C > 2 * R:
-        raise ValueError(f"no square of side C={C} fits in the window of half-width R={R}")
     n_steps = int(math.floor((2 * R - C) / stride + 1e-9))
+    if n_steps < 0:
+        raise ValueError(f"no square of side C={C} fits in the window of half-width R={R}")
     corners_1d = -R + stride * np.arange(n_steps + 1)
     cx, cy = np.meshgrid(corners_1d, corners_1d, indexing="ij")
     corners = np.column_stack([cx.ravel(), cy.ravel()])

@@ -415,21 +415,25 @@ def reference_root_scan(
         roots.append((th[i], True))
         used[i] = True
 
-    if not roots:
-        return 0, (), ()
-
-    # cyclic dedupe of roots closer than 1.5 times the grid step
     roots.sort()
-    clusters: list[list[tuple[float, bool]]] = [[roots[0]]]
-    for r in roots[1:]:
-        if r[0] - clusters[-1][-1][0] <= 1.5 * step:
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-    if len(clusters) > 1:
-        wrap = (roots[0][0] + 2 * math.pi) - clusters[-1][-1][0]
-        if wrap <= 1.5 * step:
-            clusters[0] = clusters.pop() + clusters[0]
-    thetas = tuple(c[0][0] for c in clusters)
-    tangent = tuple(any(t for _, t in c) for c in clusters)
+    clusters = merge_close_roots([t for t, _ in roots], step)
+    thetas = tuple(roots[c[0]][0] for c in clusters)
+    tangent = tuple(any(roots[i][1] for i in c) for c in clusters)
     return len(clusters), thetas, tangent
+
+
+def merge_close_roots(thetas, step: float) -> list[list[int]]:
+    """The reference scan's merge: indices of the sorted angles ``thetas`` in
+    clusters whose neighbours lie at most 1.5 ``step`` apart, cyclically.  A
+    cluster through angle 0 comes first and starts with its angles near 2 pi."""
+    if not len(thetas):
+        return []
+    clusters = [[0]]
+    for i in range(1, len(thetas)):
+        if thetas[i] - thetas[clusters[-1][-1]] <= 1.5 * step:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    if len(clusters) > 1 and thetas[0] + 2 * math.pi - thetas[clusters[-1][-1]] <= 1.5 * step:
+        clusters[0] = clusters.pop() + clusters[0]
+    return clusters

@@ -226,6 +226,16 @@ class TestLemmaBatches:
         assert [(r["count"], r["flags"]) for r in batch.rows] == [(1, ["unresolved"])] * 3
         assert (batch.violations, batch.max_count) == (0, 1)
 
+    @pytest.mark.parametrize("seed, k", [(2002, 15548), (3003, 15473), (5005, 12944)])
+    def test_trials_near_alpha_one_resolve(self, seed, k):
+        # "barely past internal tangency" at alpha within 0.02 of 1 for the p = 3 ball: g is
+        # small over wide arcs, and a slope bound that ignores |x| runs out of budget there
+        from gaugedist.experiments import _strict_trial
+
+        row = _strict_trial(k, seed)
+        assert abs(row["alpha"] - 1) < 0.02
+        assert (row["count"], row["flags"]) == (2, [])
+
 
 class TestRunMoser:
     def test_empty_range_gives_no_rows(self):

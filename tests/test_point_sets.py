@@ -106,6 +106,11 @@ class TestWellDistributed:
         with pytest.raises(ValueError, match="no square of side"):
             well_distributed_check(PointSet(np.array([[0.0, 0.0]]), 0.2), C=1.0)
 
+    def test_square_as_wide_as_window_up_to_rounding_is_scanned(self):
+        # 2 * (0.3 * 3) rounds just below 1.8: the one fitting square is still scanned
+        rep = well_distributed_check(PointSet(np.array([[0.1, 0.0]]), 0.3 * 3), C=1.8)
+        assert rep.ok and rep.cubes_scanned == 1
+
     def test_stride_too_coarse(self):
         with pytest.raises(ValueError):
             well_distributed_check(unit_lattice(2.0), C=1.0, stride=0.75)
