@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -138,6 +139,8 @@ class PBall:
 
 
 ConvexBody = Union[SymmetricPolygon, Disc, PBall]
+
+_MIN_NORMAL = sys.float_info.min  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -271,7 +274,11 @@ def gauge(body: ConvexBody, x) -> float:
 def _scalar_gauge(body: ConvexBody):
     """``(px, py) -> gauge`` for finite floats, without :func:`gauge`'s
     conversion, check and type dispatch; the one scalar formula per body.
-    :func:`gauge_many` keeps numpy's: its hypot and pow can differ in the last bit."""
+    :func:`gauge_many` keeps numpy's: its hypot and pow can differ in the last bit.
+
+    A p-ball gauge is (|x|^p + |y|^p)^(1/p) / r, except where that sum is not a
+    normal double (large p over- or underflows it): there it is
+    m ((|x|/m)^p + (|y|/m)^p)^(1/p) / r with m = max(|x|, |y|)."""
     if isinstance(body, SymmetricPolygon):
         normals, offsets = body._normal_form
         return lambda px, py: float(np.max((normals[:, 0] * px + normals[:, 1] * py) / offsets))
@@ -279,7 +286,21 @@ def _scalar_gauge(body: ConvexBody):
     if isinstance(body, Disc):
         return lambda px, py: math.hypot(px, py) / r
     p, inv = body.p, 1.0 / body.p
-    return lambda px, py: (abs(px) ** p + abs(py) ** p) ** inv / r
+
+    def pball(px, py):
+        ax, ay = abs(px), abs(py)
+        try:
+            s = ax**p + ay**p
+        except OverflowError:
+            s = math.inf
+        if _MIN_NORMAL <= s < math.inf:
+            return s**inv / r
+        m = max(ax, ay)
+        if m == 0:
+            return 0.0
+        return m * ((ax / m) ** p + (ay / m) ** p) ** inv / r
+
+    return pball
 
 
 def gauge_many(body: ConvexBody, points) -> np.ndarray:
@@ -302,11 +323,25 @@ def gauge_many(body: ConvexBody, points) -> np.ndarray:
     else:
         p = body.p
         out = np.abs(pts[:, 0])
-        out **= p
         y = np.abs(pts[:, 1])
-        y **= p
-        out += y
+        with np.errstate(over="ignore"):
+            out **= p
+            y **= p
+            out += y
+        # two reductions keep the check cheap; rows whose sum is not a normal
+        # double are rescaled as in _scalar_gauge
+        redo = None
+        if len(out) and not _MIN_NORMAL <= out.min() <= out.max() < np.inf:
+            redo = np.flatnonzero((out < _MIN_NORMAL) | (out == np.inf))
         out **= 1.0 / p
+        if redo is not None:
+            a = np.abs(pts[redo])
+            m = a.max(axis=1)
+            keep = (m > 0) & (m < np.inf)  # zero rows stay 0, non-finite rows as computed
+            redo, a, m = redo[keep], a[keep], m[keep]
+            a /= m[:, None]
+            a **= p
+            out[redo] = m * (a[:, 0] + a[:, 1]) ** (1.0 / p)
     out /= body.radius
     return out
 

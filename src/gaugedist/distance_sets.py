@@ -2,13 +2,14 @@
 
 The distance set of A under a body K collects every pairwise gauge distance,
 including the zero from coincident pairs.  One kernel builds it from difference
-vectors with pair counts, every pair once or a grid's closed-form multiset.
-Floating mode merges the sorted gauge values with one greedy routine into
+vectors with pair counts, every pair once or a grid's closed-form multiset, and
+one routine, :func:`_cluster`, sorts and groups the values of every distance
+set and distance list.  Floating mode groups gauge values greedily into
 clusters of spread <= tol (distinctness at double precision needs a tolerance);
-exact mode takes integer vectors and a rational scale, and groups them by an
-integer key, q * gauge in the polygon's integer form or the disc's squared
-length, so lattice counts are tolerance-free.  Keys are int64 when a bound
-rules out overflow and Python ints otherwise.  A :class:`DistanceSet` holds
+exact mode takes integer vectors and a rational scale, and groups them at tol 0
+by an integer key, q * gauge in the polygon's integer form or the disc's
+squared length, so lattice counts are tolerance-free.  Keys are int64 when a
+bound rules out overflow and Python ints otherwise.  A :class:`DistanceSet` holds
 numpy arrays (float clusters, polygon keys or rounded disc roots, with counts)
 and builds Python values only when a caller reads them.
 
@@ -95,21 +96,34 @@ class DistanceSet:
         )
 
 
-def _cluster(sorted_vals: np.ndarray, tol: float, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy clusters (value - first <= tol) of sorted values: firsts and sizes.
+def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
+    """Greedy clusters (value - first <= tol) of non-empty values, in increasing
+    order: (firsts, sizes, the tol used).
 
-    Rounded subtraction is monotone, so a gap > tol always starts a cluster and
-    a run of smaller gaps spanning <= tol is one; only wider runs are walked.
-    Sizes are summed weights when weights are given; sorted_vals is non-empty.
+    Unweighted values are sorted in place; weights (pair counts) are summed per
+    cluster.  tol None means 1e-9 times the largest value; a tol that is not
+    finite and >= 0 raises ``ValueError``.  At tol 0 the clusters are the
+    distinct values, int64 or Python ints.  Rounded subtraction is monotone, so
+    a gap > tol always starts a cluster and a run of smaller gaps spanning <= tol
+    is one; only wider runs are walked.
     """
-    n = len(sorted_vals)
-    runs = np.concatenate(([0], np.flatnonzero(np.diff(sorted_vals) > tol) + 1, [n]))
+    if weights is None:
+        vals.sort()
+    else:
+        order = np.argsort(vals)
+        vals, weights = vals[order], np.asarray(weights)[order]
+    if tol is None:
+        tol = 1e-9 * float(vals[-1])
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"clustering tolerance {tol} must be finite and >= 0")
+    n = len(vals)
+    runs = np.concatenate(([0], np.flatnonzero(np.diff(vals) > tol) + 1, [n]))
     starts = runs[:-1]
     split = []
-    for r in np.flatnonzero(sorted_vals[runs[1:] - 1] - sorted_vals[starts] > tol).tolist():
+    for r in np.flatnonzero(vals[runs[1:] - 1] - vals[starts] > tol).tolist():
         lo, hi = runs[r], runs[r + 1]
-        first = sorted_vals[lo]
-        for j, v in enumerate(sorted_vals[lo + 1 : hi].tolist(), lo + 1):
+        first = vals[lo]
+        for j, v in enumerate(vals[lo + 1 : hi].tolist(), lo + 1):
             if v - first > tol:
                 split.append(j)
                 first = v
@@ -119,7 +133,7 @@ def _cluster(sorted_vals: np.ndarray, tol: float, weights=None) -> tuple[np.ndar
         counts = np.diff(np.append(starts, n))
     else:
         counts = np.add.reduceat(weights, starts)
-    return sorted_vals[starts], counts
+    return vals[starts], counts, float(tol)
 
 
 def _as_points(source) -> np.ndarray:
@@ -171,14 +185,10 @@ def _exact_distance_set(
         raise ValueError("exact distance sets need a polygon or disc body")
     keys = _exact_keys(body, V)
     # the n coincident pairs have key 0, like zero vectors from repeated points
-    keys = np.concatenate((np.zeros(1, keys.dtype), keys))
-    mult = np.concatenate(([n], mult))
-    order = np.argsort(keys)
-    keys, mult = keys[order], mult[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    keys, counts = keys[starts], np.add.reduceat(mult, starts)
+    keys, mult = np.concatenate((np.zeros(1, keys.dtype), keys)), np.concatenate(([n], mult))
+    keys, counts, tol = _cluster(keys, 0, mult)
     if isinstance(body, SymmetricPolygon):
-        return DistanceSet(keys, counts, 0.0, scale / body._integer_form[1])
+        return DistanceSet(keys, counts, tol, scale / body._integer_form[1])
     c = scale * scale / Fraction(body.radius) ** 2  # the distance is sqrt(k * c)
     num, den = c.numerator, c.denominator
 
@@ -191,22 +201,7 @@ def _exact_distance_set(
     # rounded roots need not follow their keys; order by (value, key), so
     # distinct keys whose roots round to one double stay separate equal values
     order = np.argsort(values, kind="stable")
-    return DistanceSet(values[order], counts[order], 0.0)
-
-
-def _float_distance_set(n: int, vals: np.ndarray, tol, weights=None) -> DistanceSet:
-    """Distance set of n points from gauge values (sorted here in place) whose
-    first is the 0.0 of one coincident pair; ``weights`` are their pair counts."""
-    if weights is None:
-        vals.sort()
-    else:
-        order = np.argsort(vals, kind="stable")
-        vals, weights = vals[order], weights[order]
-    if tol is None:
-        tol = 1e-9 * float(vals[-1])
-    reps, counts = _cluster(vals, tol, weights)
-    counts[0] += n - 1  # the other coincident pairs land in the zero cluster
-    return DistanceSet(reps, counts, float(tol))
+    return DistanceSet(values[order], counts[order], tol)
 
 
 def distance_set(
@@ -217,9 +212,10 @@ def distance_set(
 ) -> DistanceSet:
     """All pairwise gauge distances of the point collection, clustered.
 
-    Floating mode defaults tol to 1e-9 times the largest distance.  Exact mode
-    (tol = 0) supports polygon bodies for any rational points and the disc via
-    exact squared distances; the p-ball has no exact evaluator.  A non-finite
+    Floating mode defaults tol to 1e-9 times the largest distance, and a tol
+    that is not finite and >= 0 raises ``ValueError``.  Exact mode (tol = 0)
+    supports polygon bodies for any rational points and the disc via exact
+    squared distances; the p-ball has no exact evaluator.  A non-finite
     coordinate raises ``ValueError`` in either mode.
     """
     pts = _as_points(points)
@@ -239,7 +235,9 @@ def distance_set(
     for i in range(n - 1):
         vals[pos : pos + n - 1 - i] = gauge_many(body, pts[i + 1 :] - pts[i])
         pos += n - 1 - i
-    return _float_distance_set(n, vals, tol)
+    reps, counts, tol = _cluster(vals, tol)
+    counts[0] += n - 1  # vals[0] = 0.0 is one coincident pair; the others join it
+    return DistanceSet(reps, counts, tol)
 
 
 def grid_distance_set(
@@ -274,8 +272,8 @@ def grid_distance_set(
     reps = np.stack((dx, dy), axis=1)
     if exact:
         return _exact_distance_set(body, total, reps, mult, Fraction(spacing))
-    vals = np.concatenate(([0.0], gauge_many(body, reps * spacing)))
-    return _float_distance_set(total, vals, tol, np.concatenate(([1], mult)))
+    vals = np.concatenate(([0.0], gauge_many(body, reps * spacing)))  # 0.0: coincident pairs
+    return DistanceSet(*_cluster(vals, tol, np.concatenate(([total], mult))))
 
 
 def min_gap(ds: DistanceSet):
@@ -359,9 +357,7 @@ def distance_lists_from_two_points(
         if len(subset) == 0:
             out.append(())
             continue
-        vals = np.sort(gauge_many(body, subset.points - np.asarray(base, dtype=float)))
-        t = 1e-9 * float(vals[-1]) if tol is None else tol
-        reps, _ = _cluster(vals, t)
+        reps, _, _ = _cluster(gauge_many(body, subset.points - np.asarray(base, dtype=float)), tol)
         out.append(tuple(reps.tolist()))
     return out[0], out[1]
 

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class ExperimentRow:
     R: float
     n_points: int
     n_distances: int
-    min_gap: Optional[float]
+    min_gap: Union[float, Fraction, None]  # a Fraction for exact polygon sweeps
     alpha_hat: Optional[float]
 
 

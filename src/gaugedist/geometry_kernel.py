@@ -339,6 +339,8 @@ def _scan_bounds(body, alpha: float, x_norm: float) -> tuple[float, float]:
     + u/e: fl(1/p) = (1 + d)/p, |d| <= u, scales the root by exp(d ln(r phi)).  "- 1" adds
     u (1 + Q).  The sum, u (1.4 + 52.9 Q + Q |ln r| + Q max(0, ln Q)), spares 62u + 11u Q of
     each eps: room for rounding R, r, L, the tests and each angle (6.3u, so 9u Q in L * width).
+    This covers the plain p-ball formula only, not the rescaled one the gauge takes where
+    |x|^p + |y|^p is not a normal double (``_scalar_gauge``).
     """
     R = max_euclid_radius(body)
     p = body.p if isinstance(body, PBall) else 2.0

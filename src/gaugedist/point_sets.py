@@ -238,7 +238,11 @@ def load_point_set(path, R: Optional[float] = None) -> PointSet:
         sidecar = path.with_name(path.name + ".json")
         if sidecar.exists():
             with open(sidecar, "r", encoding="utf-8") as fh:
-                R = float(json.load(fh)["R"])
+                spec = json.load(fh)
+            try:
+                R = float(spec["R"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{sidecar}: expected a JSON object with a numeric 'R'") from exc
         else:
             raise ValueError("window radius R missing: pass R or provide the sidecar")
     return PointSet(np.array(pts, dtype=float).reshape(-1, 2), R)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +150,17 @@ class TestGauge:
                 want = (np.abs(pts[:, 0]) ** p + np.abs(pts[:, 1]) ** p) ** (1.0 / p) / r
                 assert np.array_equal(gauge_many(PBall(p, r), pts), want)
 
+    def test_large_p_gauge_neither_overflows_nor_underflows(self):
+        # 10^400 overflows a double and 1e-3^400 underflows to 0
+        body = PBall(400.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gauge(body, (10.0, 0.0)) == 10.0
+            assert gauge(body, (1e-3, 0.0)) == 1e-3
+            assert gauge(body, (0.0, 0.0)) == 0.0
+            pts = [[10.0, 0.0], [1e-3, 0.0], [0.0, 0.0], [2.0, -1.0]]
+            assert gauge_many(body, pts).tolist() == [10.0, 1e-3, 0.0, 2.0]
+
     def test_exact_gauge_fractions(self):
         assert gauge_exact(square(), (Fraction(1, 3), Fraction(1, 7))) == Fraction(1, 3)
         assert gauge_exact(diamond(), (Fraction(1, 3), Fraction(1, 7))) == Fraction(10, 21)
@@ -159,6 +171,24 @@ class TestGauge:
         for body in (Disc(1.0), PBall(1.5, 1.0)):
             with pytest.raises(InvalidBodyError, match="polygon bodies"):
                 gauge_exact(body, (1.0, 0.0))
+
+
+finite_coord = st.floats(-1e300, 1e300, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1.01, 2000.0), x=st.tuples(finite_coord, finite_coord))
+def test_pball_gauge_lies_between_max_norm_and_its_bound(p, x):
+    """max(|x|, |y|) <= ||x||_p <= 2^(1/p) max(|x|, |y|) at any finite point and
+    exponent, on both sides of the rescaling, with no warning."""
+    m = max(abs(x[0]), abs(x[1]))
+    body = PBall(p, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one, many = gauge(body, x), gauge_many(body, [x])[0]
+    for g in (one, many):
+        assert m * (1 - 1e-12) <= g <= m * 2 ** (1 / p) * (1 + 1e-12)
+    assert abs(one - many) <= 1e-14 * m
 
 
 # dyadic rationals m * 2**e with denominators up to 2**52

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -412,8 +413,67 @@ def test_cluster_matches_greedy_loop(vals, tol, weighted, data):
     weights = None
     if weighted:
         weights = data.draw(st.lists(st.integers(1, 9), min_size=len(vals), max_size=len(vals)))
-    firsts, counts = _cluster(np.array(vals), tol, weights)
+    firsts, counts, _ = _cluster(np.array(vals), tol, weights)
     assert (firsts.tolist(), counts.tolist()) == greedy_cluster(vals, tol, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(st.integers(-20, 20), min_size=1, max_size=40),
+    big=st.booleans(),
+    data=st.data(),
+)
+def test_cluster_at_tol_0_sums_the_weights_of_each_distinct_key(keys, big, data):
+    """Unsorted int64 keys, or Python ints beyond int64 (object dtype), with weights."""
+    if big:
+        keys = [k * 2**70 + 1 for k in keys]
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
+    want = Counter()
+    for k, w in zip(keys, weights):
+        want[k] += w
+    arr = np.array(keys, dtype=object if big else np.int64)
+    firsts, counts, used = _cluster(arr, 0, np.array(weights, dtype=np.int64))
+    assert firsts.tolist() == sorted(want) and all(type(k) is int for k in firsts.tolist())
+    assert counts.tolist() == [want[k] for k in sorted(want)] and used == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vals=near_duplicate_runs(),
+    tol=st.sampled_from([None, 0.0, 1e-9, 1e-3, 1.0]),
+    weighted=st.booleans(),
+    data=st.data(),
+)
+def test_cluster_of_shuffled_values_matches_greedy_loop(vals, tol, weighted, data):
+    """Unsorted floats: the clusters of their sorted order, tol None meaning 1e-9
+    times the largest; without weights the values are sorted in place."""
+    weights = [1] * len(vals)
+    if weighted:
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(vals), max_size=len(vals)))
+    pairs = data.draw(st.permutations(list(zip(vals, weights))))
+    arr = np.array([v for v, _ in pairs])
+    firsts, counts, used = _cluster(arr, tol, np.array([w for _, w in pairs]) if weighted else None)
+    want_tol = 1e-9 * vals[-1] if tol is None else tol
+    assert used == want_tol
+    ordered = sorted(pairs)
+    want = greedy_cluster([v for v, _ in ordered], want_tol, [w for _, w in ordered])
+    assert (firsts.tolist(), counts.tolist()) == want
+    if not weighted:
+        assert arr.tolist() == vals
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_invalid_tol_raises(tol):
+    pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    subset = PointSet(np.array(pts), 3.0)
+    calls = [
+        lambda: distance_set(square(), pts, tol=tol),
+        lambda: grid_distance_set(Disc(1.0), 3, 2, tol=tol, exact=False),
+        lambda: distance_lists_from_two_points((0.0, 1.0), (1.0, 1.0), subset, square(), tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"clustering tolerance {tol} must be finite and >= 0"):
+            call()
 
 
 def polygon_oracle(body, pts):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -419,6 +420,27 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert violation in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tol_is_exit_2(self, tmp_path, capsys, tol):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--body", "disc", "--set", "lattice", "--R", "2,3", "--tol", tol]
+        assert main([*argv, "--out", str(out), "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: clustering tolerance {float(tol)} must be finite and >= 0\n"
+        assert not out.exists()
+
+    def test_large_p_sweep_counts_every_distance(self, tmp_path):
+        # the 11 x 11 lattice has 0, then 1 to 10, then k * 2^(1/400) for k = 1 to 10
+        body = tmp_path / "p400.json"
+        body.write_text(json.dumps({"type": "pball", "p": 400, "radius": 1}))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--body", str(body), "--R", "5,10", "--out", str(out), "--no-timestamp"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [("5.0", "21"), ("10.0", "41")]
 
     @pytest.mark.parametrize("radii", ["5,5", "5,5,10", "10,5,5"])
     def test_repeated_sweep_radius_is_exit_2(self, tmp_path, capsys, radii):

@@ -187,6 +187,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             load_point_set(path)
 
+    @pytest.mark.parametrize("sidecar", ['{"radius": 2}', "[2]", '{"R": null}', '{"R": "wide"}'])
+    def test_malformed_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "p.csv"
+        path.write_text("x,y\n0.5,0.25\n")
+        (tmp_path / "p.csv.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=r"p\.csv\.json: expected a JSON object with a numeric"):
+            load_point_set(path)
+
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("x,y\n0.5,zebra\n")
