@@ -7,7 +7,8 @@ Each layer is a fixed, seeded workload run ``REPEATS`` times (once with
 ``--quick``) after one untimed warm-up call; the JSON holds the median,
 minimum and maximum seconds per workload.  The layers are the ones the
 roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, exact and float
-``grid_distance_set``, the ``distance_set`` pair loop (also over the 2,000
+``grid_distance_set`` (exact also on the 801 x 801 disc grid, with 195,114
+distinct roots to round), the ``distance_set`` pair loop (also over the 2,000
 random points of ``erdos-bound``), the float lattice ``run_sweep`` and
 ``moser_count_check`` of the README commands, exact ``boundary_intersection``
 (under random translates, and under edge-aligned translates with the polygon
@@ -68,6 +69,10 @@ def _layers(gd):
             "exact grid_distance_set of the 81 x 81 grid",
             lambda name=name: gd.grid_distance_set(bodies[name], 81, 81, exact=True),
         )
+    layers["grid_distance_set.exact.disc801"] = (
+        "exact grid_distance_set of the 801 x 801 grid (195,114 distinct distances)",
+        lambda: gd.grid_distance_set(bodies["disc"], 801, 801, exact=True),
+    )
     for name in ("disc", "pball1.5"):
         layers[f"grid_distance_set.float.{name}"] = (
             "float grid_distance_set of the 81 x 81 grid",

@@ -8,10 +8,13 @@ set and distance list.  Floating mode groups gauge values greedily into
 clusters of spread <= tol (distinctness at double precision needs a tolerance);
 exact mode takes integer vectors and a rational scale, and groups them at tol 0
 by an integer key, q * gauge in the polygon's integer form or the disc's
-squared length, so lattice counts are tolerance-free.  Keys are int64 when a
-bound rules out overflow and Python ints otherwise.  A :class:`DistanceSet` holds
-numpy arrays (float clusters, polygon keys or rounded disc roots, with counts)
-and builds Python values only when a caller reads them.
+squared length, so lattice counts are tolerance-free.  Integers are int64 when
+a bound rules out overflow and Python ints otherwise (:func:`_int_dtype`).  A
+:class:`DistanceSet` holds numpy arrays (float clusters, polygon keys or
+rounded disc roots, with counts) and builds Python values only when a caller
+reads them.  Every request is checked by :func:`_check_request` before any
+work: an exact set needs a polygon or disc body and takes no tolerance, and a
+float tolerance must be finite and >= 0.
 
 The annulus/cone counts of :func:`moser_count_check` take one pass over the
 point set: the gauges and the inner-cone mask are computed once, and every
@@ -59,10 +62,10 @@ class DistanceSet:
     ``keys`` never decrease: float64 distances, or an exact polygon set's integer
     keys of the distances ``key * unit``.  Consecutive floats differ by more than
     tol, except that distinct exact disc distances rounding to one double stay
-    separate equal values; the zero distance is always present (pairs x == y
-    count), with multiplicity n.  ``values`` (``Fraction``s for a polygon) and
-    ``multiplicities`` are tuples built on first access, and equality compares
-    them and tol.
+    separate equal values; an exact set has tol 0.0.  The zero distance is
+    always present (pairs x == y count), with multiplicity n.  ``values``
+    (``Fraction``s for a polygon) and ``multiplicities`` are tuples built on
+    first access, and equality compares them and tol.
     """
 
     keys: np.ndarray
@@ -101,11 +104,12 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
     order: (firsts, sizes, the tol used).
 
     Unweighted values are sorted in place; weights (pair counts) are summed per
-    cluster.  tol None means 1e-9 times the largest value; a tol that is not
-    finite and >= 0 raises ``ValueError``.  At tol 0 the clusters are the
-    distinct values, int64 or Python ints.  Rounded subtraction is monotone, so
-    a gap > tol always starts a cluster and a run of smaller gaps spanning <= tol
-    is one; only wider runs are walked.
+    cluster.  tol is finite and >= 0 (:func:`_check_request`), or None for 1e-9
+    times the largest value, which must then be finite: an overflowed distance
+    raises ``ValueError`` rather than widen tol to inf.  At tol 0 the clusters
+    are the distinct values, int64 or Python ints.  Rounded subtraction is
+    monotone, so a gap > tol always starts a cluster and a run of smaller gaps
+    spanning <= tol is one; only wider runs are walked.
     """
     if weights is None:
         vals.sort()
@@ -114,8 +118,8 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
         vals, weights = vals[order], np.asarray(weights)[order]
     if tol is None:
         tol = 1e-9 * float(vals[-1])
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"clustering tolerance {tol} must be finite and >= 0")
+        if not math.isfinite(tol):
+            raise ValueError(f"largest distance {float(vals[-1])} is not finite")
     n = len(vals)
     runs = np.concatenate(([0], np.flatnonzero(np.diff(vals) > tol) + 1, [n]))
     starts = runs[:-1]
@@ -136,6 +140,26 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
     return vals[starts], counts, float(tol)
 
 
+def _check_request(body: ConvexBody, tol: Optional[float], exact: bool) -> None:
+    """Raise ``ValueError`` unless the request can be served: an exact set needs
+    a polygon or disc body and takes no tol, and a float tol is None or finite
+    and >= 0.  Every distance set and list checks this before any work."""
+    if exact:
+        if not isinstance(body, (SymmetricPolygon, Disc)):
+            raise ValueError("exact distance sets need a polygon or disc body")
+        if tol is not None:
+            raise ValueError(f"exact distance sets take no clustering tolerance, got {tol}")
+    elif tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"clustering tolerance {tol} must be finite and >= 0")
+
+
+def _int_dtype(bound: int):
+    """np.int64 if ``bound``, a bound on the absolute value of every integer the
+    caller forms, is below 2**63; object (Python ints, the same arithmetic)
+    otherwise."""
+    return np.int64 if bound < 2**63 else object
+
+
 def _as_points(source) -> np.ndarray:
     if isinstance(source, PointSet):
         return source.points
@@ -152,7 +176,7 @@ def _exact_keys(body: ConvexBody, V: np.ndarray) -> np.ndarray:
     the polygon's integer form, or the squared length for the disc.
 
     The keys are int64 when a bound rules out overflow and Python ints (object
-    dtype) otherwise; the arithmetic is the same either way.
+    dtype) otherwise (:func:`_int_dtype`).
     """
     vmax = int(np.abs(V).max()) if len(V) else 0
     if isinstance(body, SymmetricPolygon):
@@ -161,7 +185,7 @@ def _exact_keys(body: ConvexBody, V: np.ndarray) -> np.ndarray:
         bound = max(vmax, 1) * max(abs(a) + abs(b) for a, b in coef)
     else:
         coef, bound = None, 2 * vmax * vmax
-    dtype = np.int64 if bound < 2**63 else object
+    dtype = _int_dtype(bound)
     x, y = V.astype(dtype).T
     if coef is None:
         return x * x + y * y
@@ -170,34 +194,35 @@ def _exact_keys(body: ConvexBody, V: np.ndarray) -> np.ndarray:
     return np.max(x[:, None] * cx + y[:, None] * cy, axis=1)
 
 
+def _disc_roots(keys: np.ndarray, c: Fraction) -> np.ndarray:
+    """sqrt(k * c) of nonnegative integer keys k, each rounded once as
+    sqrt(numerator) / sqrt(denominator) of k * c in lowest terms."""
+    num, den = c.numerator, c.denominator
+    # max(..., 1): num itself must fit as well
+    k = keys.astype(_int_dtype(max(max(int(keys.max()), 1) * num, den)))
+    g = np.gcd(k, den)
+    return np.sqrt((k // g * num).astype(float)) / np.sqrt((den // g).astype(float))
+
+
 def _exact_distance_set(
     body: ConvexBody, n: int, V: np.ndarray, mult: np.ndarray, scale: Fraction
 ) -> DistanceSet:
-    """Distance set of n points from integer vectors V, shape (m, 2), with
-    pair counts ``mult``.
+    """Distance set of n points under a polygon or disc body (checked by the
+    caller) from integer vectors V, shape (m, 2), with pair counts ``mult``.
 
     The vectors cover the pairs of distinct points, whose differences are
     ``scale`` times V.  Vectors are grouped by their exact integer key, which
     fixes the distance: ``key * scale / q`` for a polygon, or the disc's root
-    ``sqrt(key) * scale / radius``, rounded once per distinct key.
+    ``sqrt(key) * scale / radius``, rounded once per distinct key in one numpy
+    step (:func:`_disc_roots`).
     """
-    if not isinstance(body, (SymmetricPolygon, Disc)):
-        raise ValueError("exact distance sets need a polygon or disc body")
     keys = _exact_keys(body, V)
     # the n coincident pairs have key 0, like zero vectors from repeated points
     keys, mult = np.concatenate((np.zeros(1, keys.dtype), keys)), np.concatenate(([n], mult))
     keys, counts, tol = _cluster(keys, 0, mult)
     if isinstance(body, SymmetricPolygon):
         return DistanceSet(keys, counts, tol, scale / body._integer_form[1])
-    c = scale * scale / Fraction(body.radius) ** 2  # the distance is sqrt(k * c)
-    num, den = c.numerator, c.denominator
-
-    def root(k):
-        # sqrt(numerator) / sqrt(denominator) of k * c in lowest terms
-        g = math.gcd(k, den)
-        return math.sqrt(k // g * num) / math.sqrt(den // g)
-
-    values = np.array([root(k) for k in keys.tolist()])
+    values = _disc_roots(keys, scale * scale / Fraction(body.radius) ** 2)
     # rounded roots need not follow their keys; order by (value, key), so
     # distinct keys whose roots round to one double stay separate equal values
     order = np.argsort(values, kind="stable")
@@ -213,20 +238,22 @@ def distance_set(
     """All pairwise gauge distances of the point collection, clustered.
 
     Floating mode defaults tol to 1e-9 times the largest distance, and a tol
-    that is not finite and >= 0 raises ``ValueError``.  Exact mode (tol = 0)
-    supports polygon bodies for any rational points and the disc via exact
-    squared distances; the p-ball has no exact evaluator.  A non-finite
-    coordinate raises ``ValueError`` in either mode.
+    that is not finite and >= 0 raises ``ValueError``.  Exact mode groups by
+    integer key, so it takes no tol (one raises ``ValueError``) and reports tol
+    0.0; it supports polygon bodies for any rational points and the disc via
+    exact squared distances, and the p-ball, which has no exact evaluator,
+    raises ``ValueError``.  Both are checked before any pair is built.  A
+    non-finite coordinate raises ``ValueError`` in either mode.
     """
+    _check_request(body, tol, exact)
     pts = _as_points(points)
     n = len(pts)
     if n == 0:
         raise ValueError("distance set of an empty point collection")
     if exact:
         ints, den = _scale_to_ints(pts)
-        # int64 while differences of the scaled points cannot overflow
-        big = max(max(abs(x), abs(y)) for x, y in ints) >= 2**62
-        P = np.array(ints, dtype=object if big else np.int64)
+        # differences of the scaled points reach twice their largest coordinate
+        P = np.array(ints, dtype=_int_dtype(2 * max(max(abs(x), abs(y)) for x, y in ints)))
         i, j = np.triu_indices(n, 1)
         mult = np.ones(len(i), dtype=np.int64)
         return _exact_distance_set(body, n, P[j] - P[i], mult, Fraction(1, den))
@@ -253,11 +280,13 @@ def grid_distance_set(
     Uses the difference multiset: the grid has only O(n_cols * n_rows)
     distinct difference vectors, each with a closed-form pair count, so this
     avoids the quadratic pair loop entirely.  Semantics match
-    :func:`distance_set` on the same grid; in floating mode each difference is
-    rounded once, as (k1 - k2) * spacing, so at a spacing that is not dyadic the
-    values can differ in their last bits from the pair loop's, which rounds
-    k1 * spacing - k2 * spacing.
+    :func:`distance_set` on the same grid, the request rules included: exact
+    mode (the default) needs a polygon or disc body and takes no tol.  In
+    floating mode each difference is rounded once, as (k1 - k2) * spacing, so
+    at a spacing that is not dyadic the values can differ in their last bits
+    from the pair loop's, which rounds k1 * spacing - k2 * spacing.
     """
+    _check_request(body, tol, exact)
     if n_cols < 1 or n_rows < 1:
         raise ValueError("grid must have at least one point per side")
     if not (math.isfinite(spacing) and spacing > 0):
@@ -352,6 +381,7 @@ def distance_lists_from_two_points(
     tol: Optional[float] = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Distinct (tol-clustered) gauge distances from P and from Q to every subset point."""
+    _check_request(body, tol, exact=False)
     out = []
     for base in (P, Q):
         if len(subset) == 0:

@@ -144,10 +144,9 @@ def erdos_bound(body: ConvexBody, N: int, seed: int = 0) -> dict:
     rng = Xorshift64Star(seed)
     pts = np.array([[rng.uniform(0.0, n), rng.uniform(0.0, n)] for _ in range(N)])
     random_ds = distance_set(body, pts, tol=1e-12 * n)
-    # exact mode ignores tol
-    lattice_ds = grid_distance_set(
-        body, n, n, 1.0, tol=1e-12 * n, exact=isinstance(body, (SymmetricPolygon, Disc))
-    )
+    # exact where the body allows it; only a float set takes a tolerance
+    exact = isinstance(body, (SymmetricPolygon, Disc))
+    lattice_ds = grid_distance_set(body, n, n, 1.0, tol=None if exact else 1e-12 * n, exact=exact)
     out = {"N": N, "seed": seed, "witnesses": {}}
     flagged = False
     for name, ds, count in (

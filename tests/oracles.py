@@ -117,6 +117,14 @@ def exact_polygon_gauge(vertices, x) -> Fraction:
     return best
 
 
+def disc_root(k: int, num: int, den: int) -> float:
+    """sqrt(k * num / den) for an integer k >= 0 and num / den in lowest terms,
+    one key at a time: sqrt(numerator) / sqrt(denominator) of the product in
+    lowest terms, each a correctly rounded root of a rounded integer."""
+    g = math.gcd(k, den)
+    return math.sqrt(k // g * num) / math.sqrt(den // g)
+
+
 def greedy_cluster(sorted_vals, tol, weights=None):
     """Reference clustering, one value at a time: a value more than tol above
     its cluster's first value starts the next cluster.  Returns the firsts and

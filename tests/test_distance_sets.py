@@ -28,11 +28,13 @@ from gaugedist import (
     random_symmetric_polygon,
     square,
 )
-from gaugedist.distance_sets import _cluster, _exact_keys
+from gaugedist import distance_sets
+from gaugedist.distance_sets import _cluster, _disc_roots, _exact_keys
 
 from oracles import (
     brute_exact_counts,
     brute_pairwise_values,
+    disc_root,
     exact_polygon_gauge,
     greedy_cluster,
     moser_counts,
@@ -474,6 +476,91 @@ def test_invalid_tol_raises(tol):
     for call in calls:
         with pytest.raises(ValueError, match=f"clustering tolerance {tol} must be finite and >= 0"):
             call()
+
+
+PTS = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.5]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: distance_set(PBall(1.5, 1.0), PTS, exact=True), "need a polygon or disc"),
+    (lambda: grid_distance_set(PBall(3.0, 1.0), 40, 40), "need a polygon or disc"),
+    (lambda: distance_set(square(), PTS, tol=0.0, exact=True), "take no clustering tolerance"),
+    (lambda: distance_set(Disc(1.0), PTS, tol=math.nan, exact=True), "take no clustering"),
+    (lambda: grid_distance_set(Disc(1.0), 40, 40, tol=1e-9), "take no clustering tolerance"),
+    (lambda: grid_distance_set(diamond(), 40, 40, 0.5, tol=0.0, exact=True), "take no clustering"),
+    (lambda: distance_set(Disc(1.0), PTS, tol=math.nan), "must be finite"),
+    (lambda: grid_distance_set(Disc(1.0), 40, 40, tol=-1.0, exact=False), "must be finite"),
+    (lambda: distance_lists_from_two_points(
+        (0.0, 1.0), (1.0, 1.0), PointSet(np.array(PTS), 3.0), square(), tol=math.inf),
+     "must be finite"),
+])
+def test_invalid_requests_fail_before_any_work(monkeypatch, call, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work began before the request was checked")
+
+    for name in ("gauge_many", "_exact_keys", "_scale_to_ints"):
+        monkeypatch.setattr(distance_sets, name, forbidden)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_overflowed_distance_is_not_clustered_at_an_infinite_tol():
+    # the default tol is 1e-9 times the largest distance, here inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="largest distance inf is not finite"):
+            distance_set(Disc(1.0), [[1e308, 0.0], [-1e308, 0.0]])
+
+
+# c = (spacing / radius)**2: small dyadic, wide dyadic (0.3 as a double has a
+# 54-bit denominator) and non-dyadic (radius 3 or 0.7)
+root_scales = st.builds(
+    lambda s, r: Fraction(s) ** 2 / Fraction(r) ** 2,
+    st.one_of(dyadic_spacing, st.sampled_from([0.3, 0.1, 1 / 3])),
+    st.sampled_from([1.0, 0.75, 3.0, 0.7]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=root_scales,
+    keys=st.lists(st.one_of(st.integers(0, 2**40), st.integers(0, 2**80)), min_size=1, max_size=20),
+    dtype=st.sampled_from([np.int64, object]),
+    edge=st.integers(-2, 2),
+)
+# num = 1 and den = 1: the int64 branch up to the key 2**63 - 1
+@example(c=Fraction(1), keys=[0, 1, 2**62, 2**63 - 1], dtype=np.int64, edge=0)
+# spacing 0.3: den = 2**108 takes the object branch whatever the keys
+@example(c=Fraction(0.3) ** 2, keys=[0, 1, 9040], dtype=np.int64, edge=0)
+def test_disc_roots_match_the_per_key_formula(c, keys, dtype, edge):
+    """Bit for bit, in int64 and in object dtype, with keys just below, at and
+    above the largest k for which k * numerator fits int64."""
+    num, den = c.numerator, c.denominator
+    keys = keys + [max((2**63 - 1) // num + edge, 0)]
+    if dtype is np.int64:
+        keys = [k for k in keys if k < 2**63]
+    got = _disc_roots(np.array(keys, dtype=dtype), c)
+    want = np.array([disc_root(k, num, den) for k in keys])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    spacing=st.one_of(dyadic_spacing, st.sampled_from([0.3, 0.1])),
+    radius=st.sampled_from([1.0, 0.75, 3.0, 0.7]),
+)
+def test_exact_disc_grid_matches_the_per_key_formula(n, spacing, radius):
+    """One entry per distinct squared length k (in spacings) of the n x n grid,
+    valued by the per-key formula, counting its pairs, ordered by (value, k)."""
+    c = Fraction(spacing) ** 2 / Fraction(radius) ** 2
+    pts = [(i, j) for i in range(n) for j in range(n)]
+    pairs = Counter(
+        (qx - px) ** 2 + (qy - py) ** 2 for a, (px, py) in enumerate(pts) for qx, qy in pts[a:]
+    )
+    want = sorted((disc_root(k, c.numerator, c.denominator), k, m) for k, m in pairs.items())
+    ds = grid_distance_set(Disc(radius), n, n, spacing, exact=True)
+    assert ds.keys.tolist() == [v for v, _, _ in want]
+    assert ds.counts.tolist() == [m for _, _, m in want]
 
 
 def polygon_oracle(body, pts):

@@ -349,6 +349,26 @@ class TestCli:
         assert capsys.readouterr().out == summary + "\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # recorded before the exact disc roots were taken in one numpy step; the
+    # spacing 0.3 sweep takes its object-dtype branch
+    @pytest.mark.parametrize("argv, digest", [
+        (["sweep", "--exact", "--body", "disc", "--set", "lattice", "--R", "5,10,20,40"],
+         "102e7a60de258c17bedadb693a7aa1652e375116e43791f0e7599a4474a1e904"),
+        (["sweep", "--exact", "--body", "disc", "--set", "lattice", "--R", "3,6",
+          "--spacing", "0.3"],
+         "a7384236f0f46fbab2664e3780ff077df25f767c4905fe2098227e6ca0fba163"),
+        (["taxicab-count", "--n", "100", "--body", "disc"],
+         "90f0d226cc3f6ac504c94153881affbb9c04d5918c12a73505b9f5ec222e1d01"),
+        (["erdos-bound", "--N", "400", "--body", "disc", "--seed", "7"],
+         "e2ef2c819c3e66feab99e4c236260a9f950ebde45d99585dcefd25509ed2a1f1"),
+    ], ids=["sweep-disc", "sweep-disc-0.3", "taxicab-disc", "erdos-disc"])
+    def test_exact_disc_output_is_pinned(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "report"
+        stamp = ["--no-timestamp"] if argv[0] == "sweep" else []
+        assert main([*argv, "--out", str(out), *stamp]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_moser_exit_code(self, tmp_path, capsys):
         rc = main([
             "moser", "--body", "square",
@@ -429,6 +449,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: clustering tolerance {float(tol)} must be finite and >= 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["0", "1e-9", "nan"])
+    @pytest.mark.parametrize("points", [
+        ["--set", "lattice"], ["--set", "perturbed", "--jitter", "0.2"],
+    ], ids=["lattice", "perturbed"])
+    def test_exact_sweep_with_tol_is_exit_2(self, tmp_path, capsys, tol, points):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--body", "square", *points, "--R", "2", "--exact", "--tol", tol]
+        assert main([*argv, "--out", str(out), "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: exact distance sets take no clustering tolerance, got {float(tol)}\n"
+        assert not out.exists()
+
+    def test_exact_p_ball_sweep_fails_before_the_pair_loop(self, tmp_path, capsys):
+        # 3,721 perturbed points: their 6.9 million exact pairs took about 900 MB
+        # before the body was rejected
+        body = tmp_path / "p3.json"
+        body.write_text(json.dumps({"type": "pball", "p": 3, "radius": 1}))
+        argv = ["sweep", "--exact", "--body", str(body), "--set", "perturbed",
+                "--jitter", "0.2", "--R", "30"]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and peak < 10 * 2**20
+        assert capsys.readouterr().err == "error: exact distance sets need a polygon or disc body\n"
 
     def test_large_p_sweep_counts_every_distance(self, tmp_path):
         # the 11 x 11 lattice has 0, then 1 to 10, then k * 2^(1/400) for k = 1 to 10
