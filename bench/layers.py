@@ -8,8 +8,9 @@ Each layer is a fixed, seeded workload run ``REPEATS`` times (once with
 minimum and maximum seconds per workload.  The layers are the ones the
 roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, exact and float
 ``grid_distance_set`` (exact also on the 801 x 801 disc grid, with 195,114
-distinct roots to round), the ``distance_set`` pair loop (also over the 2,000
-random points of ``erdos-bound``), the float lattice ``run_sweep`` and
+distinct roots to round), the ``distance_set`` pair loop (exact under the
+square, and under the disc on object keys; float also over the 2,000 random
+points of ``erdos-bound``), the float lattice ``run_sweep`` and
 ``moser_count_check`` of the README commands, exact ``boundary_intersection``
 (under random translates, and under edge-aligned translates with the polygon
 body passed in), ``concurrence_check`` and ``direction_line_classes`` (on the
@@ -84,6 +85,13 @@ def _layers(gd):
     layers["distance_set.exact.square"] = (
         f"exact pair loop over {len(jitter)} perturbed dyadic points",
         lambda: gd.distance_set(bodies["square"], jitter, exact=True),
+    )
+    # scaled by 0.3, whose double has a 54-bit denominator: the squared
+    # lengths pass 2**63, so the disc's keys are Python ints (object dtype)
+    wide = [(0.3 * x, 0.3 * y) for x, y in jitter]
+    layers["distance_set.exact.disc"] = (
+        f"exact pair loop over the same {len(wide)} points scaled by 0.3 (object keys)",
+        lambda: gd.distance_set(bodies["disc"], wide, exact=True),
     )
     cloud = rng.uniform(-20.0, 20.0, size=(800, 2))
     layers["distance_set.float.disc"] = (

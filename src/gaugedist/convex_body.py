@@ -102,17 +102,15 @@ class SymmetricPolygon:
     @cached_property
     def _integer_form(self) -> tuple[np.ndarray, int]:
         # gauge(x) = max_i <x, n_i> / h_i over the edges v_i -> w_i, with
-        # n_i = (ey, -ex) and h_i = <v_i, n_i> > 0 on a valid body.  With q the
-        # lcm of the denominators of n_i / h_i, the rows coef_i = q * n_i / h_i
-        # are integers (Python ints in an (m, 2) object array).
-        verts = [(Fraction(x), Fraction(y)) for x, y in self.vertices]
-        ratios = []
-        for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1]):
-            ex, ey = wx - vx, wy - vy
-            h = vx * ey - vy * ex
-            ratios.append((ey / h, -ex / h))
-        q = math.lcm(*(r.denominator for row in ratios for r in row))
-        coef = np.array([(int(a * q), int(b * q)) for a, b in ratios], dtype=object)
+        # n_i = (ey, -ex) and h_i = <v_i, n_i> > 0.  In validate's integer frame
+        # V = den * v, n_i / h_i = den * (Ey, -Ex) / cross(V_i, V_i+1) = (a, b) / H;
+        # q, the lcm of H / gcd(a, b, H), makes the rows q * (a, b) / H integers
+        # (Python ints in an (m, 2) object array).
+        V, den = _scale_to_ints(self.vertices)
+        rows = [(den * (y1 - y0), den * (x0 - x1), x0 * y1 - y0 * x1)
+                for (x0, y0), (x1, y1) in zip(V, V[1:] + V[:1])]
+        q = math.lcm(*(h // math.gcd(a, b, h) for a, b, h in rows))
+        coef = np.array([(a * q // h, b * q // h) for a, b, h in rows], dtype=object)
         coef.setflags(write=False)
         return coef, q
 

@@ -1,20 +1,20 @@
 """Gauge distance sets and the annulus/cone counting apparatus.
 
 The distance set of A under a body K collects every pairwise gauge distance,
-including the zero from coincident pairs.  One kernel builds it from difference
-vectors with pair counts, every pair once or a grid's closed-form multiset, and
-one routine, :func:`_cluster`, sorts and groups the values of every distance
-set and distance list.  Floating mode groups gauge values greedily into
-clusters of spread <= tol (distinctness at double precision needs a tolerance);
-exact mode takes integer vectors and a rational scale, and groups them at tol 0
-by an integer key, q * gauge in the polygon's integer form or the disc's
-squared length, so lattice counts are tolerance-free.  Integers are int64 when
-a bound rules out overflow and Python ints otherwise (:func:`_int_dtype`).  A
-:class:`DistanceSet` holds numpy arrays (float clusters, polygon keys or
-rounded disc roots, with counts) and builds Python values only when a caller
-reads them.  Every request is checked by :func:`_check_request` before any
-work: an exact set needs a polygon or disc body and takes no tolerance, and a
-float tolerance must be finite and >= 0.
+including the zero from coincident pairs.  One builder, :func:`_distance_set`,
+makes it from the values of difference vectors, every pair once or a grid's
+closed-form multiset with pair counts, and one routine, :func:`_cluster`, sorts
+and groups the values of every distance set and distance list.  Floating mode
+groups gauge values greedily into clusters of spread <= tol (distinctness at
+double precision needs a tolerance); exact mode takes integer vectors and a
+rational scale, and groups them at tol 0 by an integer key, q * gauge in the
+polygon's integer form or the disc's squared length, so lattice counts are
+tolerance-free.  Integers are int64 when a bound rules out overflow and Python
+ints otherwise (:func:`_int_dtype`).  A :class:`DistanceSet` holds numpy arrays
+(float clusters, polygon keys or rounded disc roots, with counts) and builds
+Python values only when a caller reads them.  Every request is checked by
+:func:`_check_request` before any work: an exact set needs a polygon or disc
+body and takes no tolerance, and a float tolerance must be finite and >= 0.
 
 The annulus/cone counts of :func:`moser_count_check` take one pass over the
 point set: the gauges and the inner-cone mask are computed once, and every
@@ -105,21 +105,23 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
 
     Unweighted values are sorted in place; weights (pair counts) are summed per
     cluster.  tol is finite and >= 0 (:func:`_check_request`), or None for 1e-9
-    times the largest value, which must then be finite: an overflowed distance
-    raises ``ValueError`` rather than widen tol to inf.  At tol 0 the clusters
-    are the distinct values, int64 or Python ints.  Rounded subtraction is
-    monotone, so a gap > tol always starts a cluster and a run of smaller gaps
-    spanning <= tol is one; only wider runs are walked.
+    times the largest value.  At every tol the largest float must be finite: an
+    overflowed distance raises ``ValueError`` rather than widen tol to inf or
+    be counted as a distance.  At tol 0 the clusters are the distinct values,
+    int64 or Python ints.  Rounded subtraction is monotone, so a gap > tol
+    always starts a cluster and a run of smaller gaps spanning <= tol is one;
+    only wider runs are walked.
     """
     if weights is None:
         vals.sort()
     else:
         order = np.argsort(vals)
         vals, weights = vals[order], np.asarray(weights)[order]
+    # nan sorts last and inf is largest, so the last value shows both
+    if vals.dtype.kind == "f" and not math.isfinite(vals[-1]):
+        raise ValueError(f"largest distance {vals[-1]} is not finite")
     if tol is None:
         tol = 1e-9 * float(vals[-1])
-        if not math.isfinite(tol):
-            raise ValueError(f"largest distance {float(vals[-1])} is not finite")
     n = len(vals)
     runs = np.concatenate(([0], np.flatnonzero(np.diff(vals) > tol) + 1, [n]))
     starts = runs[:-1]
@@ -140,12 +142,17 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
     return vals[starts], counts, float(tol)
 
 
+def _has_exact_keys(body: ConvexBody) -> bool:
+    """Whether exact distance sets serve the body: a polygon or a disc."""
+    return isinstance(body, (SymmetricPolygon, Disc))
+
+
 def _check_request(body: ConvexBody, tol: Optional[float], exact: bool) -> None:
     """Raise ``ValueError`` unless the request can be served: an exact set needs
     a polygon or disc body and takes no tol, and a float tol is None or finite
     and >= 0.  Every distance set and list checks this before any work."""
     if exact:
-        if not isinstance(body, (SymmetricPolygon, Disc)):
+        if not _has_exact_keys(body):
             raise ValueError("exact distance sets need a polygon or disc body")
         if tol is not None:
             raise ValueError(f"exact distance sets take no clustering tolerance, got {tol}")
@@ -196,33 +203,35 @@ def _exact_keys(body: ConvexBody, V: np.ndarray) -> np.ndarray:
 
 def _disc_roots(keys: np.ndarray, c: Fraction) -> np.ndarray:
     """sqrt(k * c) of nonnegative integer keys k, each rounded once as
-    sqrt(numerator) / sqrt(denominator) of k * c in lowest terms."""
+    sqrt(numerator) / sqrt(denominator) of k * c in lowest terms.  A term
+    beyond the double range raises ``ValueError``."""
     num, den = c.numerator, c.denominator
     # max(..., 1): num itself must fit as well
     k = keys.astype(_int_dtype(max(max(int(keys.max()), 1) * num, den)))
     g = np.gcd(k, den)
-    return np.sqrt((k // g * num).astype(float)) / np.sqrt((den // g).astype(float))
+    try:
+        return np.sqrt((k // g * num).astype(float)) / np.sqrt((den // g).astype(float))
+    except OverflowError:
+        raise ValueError("exact disc distance overflows a double") from None
 
 
-def _exact_distance_set(
-    body: ConvexBody, n: int, V: np.ndarray, mult: np.ndarray, scale: Fraction
-) -> DistanceSet:
-    """Distance set of n points under a polygon or disc body (checked by the
-    caller) from integer vectors V, shape (m, 2), with pair counts ``mult``.
-
-    The vectors cover the pairs of distinct points, whose differences are
-    ``scale`` times V.  Vectors are grouped by their exact integer key, which
-    fixes the distance: ``key * scale / q`` for a polygon, or the disc's root
-    ``sqrt(key) * scale / radius``, rounded once per distinct key in one numpy
-    step (:func:`_disc_roots`).
-    """
-    keys = _exact_keys(body, V)
-    # the n coincident pairs have key 0, like zero vectors from repeated points
-    keys, mult = np.concatenate((np.zeros(1, keys.dtype), keys)), np.concatenate(([n], mult))
-    keys, counts, tol = _cluster(keys, 0, mult)
+def _distance_set(body, n: int, vals, weights, tol, scale=None) -> DistanceSet:
+    """Distance set of n points from the values of their difference vectors,
+    ``vals[0] = 0`` standing for the coincident pairs.  Without weights each
+    value is one pair, and the other n - 1 coincident pairs join the zero
+    cluster; weights (pair counts) start with n.  Values are clustered within
+    tol.  With a scale, vals are exact keys (:func:`_exact_keys`), at tol 0, of
+    vectors ``scale`` times the differences, and each distinct key is valued
+    once: ``key * scale / q`` for a polygon, or the disc's root
+    ``sqrt(key) * scale / radius`` (:func:`_disc_roots`)."""
+    reps, counts, tol = _cluster(vals, tol, weights)
+    if weights is None:
+        counts[0] += n - 1
+    if scale is None:
+        return DistanceSet(reps, counts, tol)
     if isinstance(body, SymmetricPolygon):
-        return DistanceSet(keys, counts, tol, scale / body._integer_form[1])
-    values = _disc_roots(keys, scale * scale / Fraction(body.radius) ** 2)
+        return DistanceSet(reps, counts, tol, scale / body._integer_form[1])
+    values = _disc_roots(reps, scale * scale / Fraction(body.radius) ** 2)
     # rounded roots need not follow their keys; order by (value, key), so
     # distinct keys whose roots round to one double stay separate equal values
     order = np.argsort(values, kind="stable")
@@ -255,16 +264,14 @@ def distance_set(
         # differences of the scaled points reach twice their largest coordinate
         P = np.array(ints, dtype=_int_dtype(2 * max(max(abs(x), abs(y)) for x, y in ints)))
         i, j = np.triu_indices(n, 1)
-        mult = np.ones(len(i), dtype=np.int64)
-        return _exact_distance_set(body, n, P[j] - P[i], mult, Fraction(1, den))
+        keys = np.concatenate(([0], _exact_keys(body, P[j] - P[i])))
+        return _distance_set(body, n, keys, None, 0, Fraction(1, den))
     vals = np.zeros(1 + n * (n - 1) // 2)
     pos = 1
     for i in range(n - 1):
         vals[pos : pos + n - 1 - i] = gauge_many(body, pts[i + 1 :] - pts[i])
         pos += n - 1 - i
-    reps, counts, tol = _cluster(vals, tol)
-    counts[0] += n - 1  # vals[0] = 0.0 is one coincident pair; the others join it
-    return DistanceSet(reps, counts, tol)
+    return _distance_set(body, n, vals, None, tol)
 
 
 def grid_distance_set(
@@ -292,17 +299,16 @@ def grid_distance_set(
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"grid spacing {spacing} must be positive and finite")
     total = n_cols * n_rows
-    # representatives of +-(dx, dy): dx == 0 with dy > 0, then dx > 0 with any dy
+    # representatives of +-(dx, dy): dx == 0 with dy >= 0 (zero first), then dx > 0
     dys = np.arange(-(n_rows - 1), n_rows, dtype=np.int64)
     dxs = np.arange(1, n_cols, dtype=np.int64)
-    dx = np.concatenate((np.zeros(n_rows - 1, np.int64), np.repeat(dxs, len(dys))))
-    dy = np.concatenate((dys[n_rows:], np.tile(dys, n_cols - 1)))
+    dx = np.concatenate((np.zeros(n_rows, np.int64), np.repeat(dxs, len(dys))))
+    dy = np.concatenate((dys[n_rows - 1 :], np.tile(dys, n_cols - 1)))
     mult = (n_cols - dx) * (n_rows - np.abs(dy))
     reps = np.stack((dx, dy), axis=1)
     if exact:
-        return _exact_distance_set(body, total, reps, mult, Fraction(spacing))
-    vals = np.concatenate(([0.0], gauge_many(body, reps * spacing)))  # 0.0: coincident pairs
-    return DistanceSet(*_cluster(vals, tol, np.concatenate(([total], mult))))
+        return _distance_set(body, total, _exact_keys(body, reps), mult, 0, Fraction(spacing))
+    return _distance_set(body, total, gauge_many(body, reps * spacing), mult, tol)
 
 
 def min_gap(ds: DistanceSet):

@@ -38,6 +38,7 @@ from .convex_body import (
 from .distance_sets import (
     Annulus,
     Cone,
+    _has_exact_keys,
     distance_set,
     grid_distance_set,
     min_gap,
@@ -145,7 +146,7 @@ def erdos_bound(body: ConvexBody, N: int, seed: int = 0) -> dict:
     pts = np.array([[rng.uniform(0.0, n), rng.uniform(0.0, n)] for _ in range(N)])
     random_ds = distance_set(body, pts, tol=1e-12 * n)
     # exact where the body allows it; only a float set takes a tolerance
-    exact = isinstance(body, (SymmetricPolygon, Disc))
+    exact = _has_exact_keys(body)
     lattice_ds = grid_distance_set(body, n, n, 1.0, tol=None if exact else 1e-12 * n, exact=exact)
     out = {"N": N, "seed": seed, "witnesses": {}}
     flagged = False

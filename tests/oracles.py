@@ -117,6 +117,20 @@ def exact_polygon_gauge(vertices, x) -> Fraction:
     return best
 
 
+def fraction_integer_form(vertices) -> tuple[list[tuple[int, int]], int]:
+    """(coef rows, q) of a polygon's integer form, derived in Fractions: each
+    edge (v, w) has normal (ey, -ex) over h = cross(v, w), q is the lcm of the
+    denominators of these ratios and the rows are q times them."""
+    verts = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    ratios = []
+    for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = wx - vx, wy - vy
+        h = vx * ey - vy * ex
+        ratios.append((ey / h, -ex / h))
+    q = math.lcm(*(r.denominator for row in ratios for r in row))
+    return [(int(a * q), int(b * q)) for a, b in ratios], q
+
+
 def disc_root(k: int, num: int, den: int) -> float:
     """sqrt(k * num / den) for an integer k >= 0 and num / den in lowest terms,
     one key at a time: sqrt(numerator) / sqrt(denominator) of the product in

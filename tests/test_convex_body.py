@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaugedist import (
@@ -27,7 +27,7 @@ from gaugedist import (
     validate,
 )
 
-from oracles import exact_polygon_gauge, raycast_gauge
+from oracles import exact_polygon_gauge, fraction_integer_form, raycast_gauge
 
 
 class TestValidate:
@@ -207,6 +207,31 @@ def test_exact_gauge_matches_fraction_oracle(x, body):
     g = gauge_exact(body, x)
     assert type(g) is Fraction
     assert g == exact_polygon_gauge(body.vertices, x)
+
+
+def stretched_polygon(k, seed, ex, ey):
+    """A random polygon with x scaled by 2**ex and y by 2**ey: exact, and still a body."""
+    verts = random_symmetric_polygon(k, seed).vertices
+    return SymmetricPolygon([(x * 2.0**ex, y * 2.0**ey) for x, y in verts])
+
+
+# m * 2**e from the smallest subnormal's scale to near the largest double
+extreme = st.builds(lambda m, e: m * 2.0**e, st.integers(1, 2**20), st.integers(-1074, 1000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    body=st.one_of(
+        st.sampled_from([square(), diamond(), square(0.3)]),
+        st.builds(stretched_polygon, st.integers(2, 9), st.integers(0, 10**6),
+                  st.integers(-1040, 1000), st.integers(-1040, 1000)),
+        st.builds(lambda a, b: SymmetricPolygon.from_half([(a, 0.0), (0.0, b)]), extreme, extreme),
+    )
+)
+@example(body=SymmetricPolygon.from_half([(1e200, 1e-300), (1e-300, 1e200)]))
+def test_integer_form_matches_fraction_derivation(body):
+    coef, q = body._integer_form
+    assert ([tuple(row) for row in coef.tolist()], q) == fraction_integer_form(body.vertices)
 
 
 @settings(max_examples=60, deadline=None)

@@ -426,15 +426,18 @@ def test_cluster_matches_greedy_loop(vals, tol, weighted, data):
     data=st.data(),
 )
 def test_cluster_at_tol_0_sums_the_weights_of_each_distinct_key(keys, big, data):
-    """Unsorted int64 keys, or Python ints beyond int64 (object dtype), with weights."""
+    """Unsorted int64 keys, or Python ints beyond int64 (object dtype), with
+    weights or, as exact pairs have none, each key counting once."""
     if big:
         keys = [k * 2**70 + 1 for k in keys]
-    weights = data.draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
+    weights = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys))
+    ))
     want = Counter()
-    for k, w in zip(keys, weights):
+    for k, w in zip(keys, weights or [1] * len(keys)):
         want[k] += w
     arr = np.array(keys, dtype=object if big else np.int64)
-    firsts, counts, used = _cluster(arr, 0, np.array(weights, dtype=np.int64))
+    firsts, counts, used = _cluster(arr, 0, None if weights is None else np.array(weights))
     assert firsts.tolist() == sorted(want) and all(type(k) is int for k in firsts.tolist())
     assert counts.tolist() == [want[k] for k in sorted(want)] and used == 0.0
 
@@ -509,6 +512,35 @@ def test_overflowed_distance_is_not_clustered_at_an_infinite_tol():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="largest distance inf is not finite"):
             distance_set(Disc(1.0), [[1e308, 0.0], [-1e308, 0.0]])
+
+
+HUGE = PointSet(np.array([[1e308, 0.0]]), 1e308)
+
+
+@pytest.mark.parametrize("call, value", [
+    # inf - inf in the square's gauge gives nan, which sorts last
+    (lambda: distance_set(square(), [[1e308, 0.0], [-1e308, 0.0]], tol=1.0), "nan"),
+    (lambda: distance_set(Disc(1.0), [[1e308, 0.0], [-1e308, 0.0]], tol=1.0), "inf"),
+    (lambda: distance_set(Disc(1.0), [[1e308, 0.0], [-1e308, 0.0]], tol=0.0), "inf"),
+    (lambda: grid_distance_set(square(), 3, 3, 1e308, tol=1.0, exact=False), "nan"),
+    (lambda: grid_distance_set(Disc(1.0), 3, 1, 1e308, tol=1.0, exact=False), "inf"),
+    (lambda: distance_lists_from_two_points((-1e308, 0.0), (0.0, 0.0), HUGE, square(), tol=1.0),
+     "nan"),
+], ids=["pairs-square", "pairs-disc", "pairs-disc-tol-0", "grid-square", "grid-disc", "lists"])
+def test_overflowed_distance_is_an_error_at_an_explicit_tol(call, value):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"largest distance {value} is not finite"):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: distance_set(Disc(1.0), [[1e200, 0.0], [0.0, 0.0]], exact=True),
+    lambda: grid_distance_set(Disc(1.0), 2, 1, 1e200),
+], ids=["pairs", "grid"])
+def test_exact_disc_distance_beyond_the_double_range_is_an_error(call):
+    # the key 1e400 exceeds the largest double, though its root does not
+    with pytest.raises(ValueError, match="exact disc distance overflows a double"):
+        call()
 
 
 # c = (spacing / radius)**2: small dyadic, wide dyadic (0.3 as a double has a

@@ -369,6 +369,37 @@ class TestCli:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # the README's commands, recorded before every distance set was built by
+    # one routine; the perturbed sweeps take the exact and float pair paths
+    MOSER = ["moser", "--body", "square", "--cone", "0,1.5707963267948966",
+             "--cone-inner", "0.39269908169872414,1.1780972450961724", "--N-range", "1..20"]
+    PERTURBED = ["--set", "perturbed", "--jitter", "0.25", "--seed", "3", "--R", "3,4,5"]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["sweep", "--exact", "--body", "square", "--set", "lattice", "--R", "5,10,20,40"],
+         "6a578a1aa560397a665462a568a1cf5a98bf7c7dabcda506466578fb377babd9"),
+        (["sweep", "--body", "disc", "--set", "lattice", "--R", "10,20,40,80"],
+         "0c50b16611bbe797e5cad9f6ebfc3843f7dbc8c9a36745af9e57487343f12b55"),
+        (["taxicab-count", "--n", "50", "--body", "diamond"],
+         "f614d97ad3ad2b15abc9c7e880ac1315f616f392b557dd01421b19fdc9cdc2c4"),
+        (MOSER, "7d7f5b197c476983f9f41445b2d65c509478cbba20aa71604c809da38bbccdee"),
+        (["sweep", "--exact", "--body", "square", *PERTURBED],
+         "d69f82daa55ba0cbb275b3fdc8a7061ee211bfdd4cc61ce60116c27cb55b9480"),
+        (["sweep", "--exact", "--body", "disc", *PERTURBED],
+         "587754bb8c42b6c8fc1af8634825ef3eb618f0cfbaef43093d0c6a4ce36ce76c"),
+        (["sweep", "--body", "diamond", *PERTURBED],
+         "48d1798b3c84e31be1e86cebb7401a6d90d17c0e886f7d6d3048155dd8edc0db"),
+        (["lemma-checks", "--which", "strict", "--trials", "500", "--seed", "7"],
+         "e25adcb9010ce00b65c721935ef668c4295e79e2ecb390b6c09ec61cbd54c705"),
+    ], ids=["sweep-square", "sweep-disc-float", "taxicab-diamond", "moser",
+            "perturbed-square", "perturbed-disc", "perturbed-diamond-float", "lemma-strict"])
+    def test_readme_output_is_pinned(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "report"
+        stamp = [] if argv[0] == "taxicab-count" else ["--no-timestamp"]
+        assert main([*argv, "--out", str(out), *stamp]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_moser_exit_code(self, tmp_path, capsys):
         rc = main([
             "moser", "--body", "square",
@@ -495,6 +526,20 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--R", radii, "--out", str(out), "--no-timestamp"]) == 2
         assert capsys.readouterr().err == "error: window radius 5.0 is given twice\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, argv, message", [
+        ("1e308,0.0\n-1e308,0.0\n", ["--body", "square", "--R", "1e308", "--tol", "1"],
+         "largest distance nan is not finite"),
+        ("1e200,0\n0,0\n", ["--body", "disc", "--R", "1e201", "--exact"],
+         "exact disc distance overflows a double"),
+    ], ids=["float-tol", "exact-disc"])
+    def test_overflowed_distance_is_exit_2(self, tmp_path, capsys, rows, argv, message):
+        path, out = tmp_path / "p.csv", tmp_path / "sweep.csv"
+        path.write_text("x,y\n" + rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["sweep", "--set", f"file:{path}", *argv, "--out", str(out)])
+        assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_missing_file_is_exit_2(self, capsys):
