@@ -9,7 +9,9 @@ minimum and maximum seconds per workload.  The layers are the ones the
 roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, exact and float
 ``grid_distance_set`` (exact also on the 801 x 801 disc grid, with 195,114
 distinct roots to round), the ``distance_set`` pair loop (exact under the
-square, and under the disc on object keys; float also over the 2,000 random
+square, and under the disc on object keys; float under the disc, under the
+diamond over the 1,521 perturbed lattice points of ``sweep --body diamond
+--set perturbed --R 20 --jitter 0.2 --seed 7``, and over the 2,000 random
 points of ``erdos-bound``), the float lattice ``run_sweep`` and
 ``moser_count_check`` of the README commands, exact ``boundary_intersection``
 (under random translates, and under edge-aligned translates with the polygon
@@ -97,6 +99,12 @@ def _layers(gd):
     layers["distance_set.float.disc"] = (
         f"float pair loop over {len(cloud)} uniform points",
         lambda: gd.distance_set(bodies["disc"], cloud),
+    )
+    # the window of sweep --body diamond --set perturbed --R 20 --jitter 0.2 --seed 7
+    perturbed = gd.generate(gd.GeneratorSpec(kind="perturbed_lattice", R=20.0, jitter=0.2, seed=7))
+    layers["distance_set.float.diamond"] = (
+        f"float pair loop over the {len(perturbed)} perturbed lattice points of a diamond sweep",
+        lambda: gd.distance_set(gd.diamond(), perturbed),
     )
     # erdos-bound --N 2000: points in [0, 45)^2 and tol 1e-12 * 45, about 2e6 distinct
     # distances; its own generator, so the later layers keep their inputs

@@ -100,6 +100,18 @@ class SymmetricPolygon:
         return normals, offsets
 
     @cached_property
+    def _half_rows(self) -> tuple[tuple[float, float, float], ...]:
+        # (nx, ny, h) of the first n of the 2n edges, as Python floats.  Edge
+        # i + n is edge i negated, so its normal is exactly minus normal i and
+        # its offset is offset i (floats negate exactly and hypot is even); its
+        # value <x, -n_i> / h_i is exactly minus that of edge i, and the max of
+        # the two is |<x, n_i> / h_i|.  The gauge is the max of that over this
+        # half, bit for bit, and never -0.0.
+        normals, offsets = self._normal_form
+        half = len(offsets) // 2
+        return tuple(zip(*normals[:half].T.tolist(), offsets[:half].tolist()))
+
+    @cached_property
     def _integer_form(self) -> tuple[np.ndarray, int]:
         # gauge(x) = max_i <x, n_i> / h_i over the edges v_i -> w_i, with
         # n_i = (ey, -ex) and h_i = <v_i, n_i> > 0.  In validate's integer frame
@@ -272,14 +284,20 @@ def gauge(body: ConvexBody, x) -> float:
 def _scalar_gauge(body: ConvexBody):
     """``(px, py) -> gauge`` for finite floats, without :func:`gauge`'s
     conversion, check and type dispatch; the one scalar formula per body.
-    :func:`gauge_many` keeps numpy's: its hypot and pow can differ in the last bit.
+    A polygon's is :func:`gauge_many`'s rule in the same operation order, so
+    the two agree bit for bit; for the disc and p-ball :func:`gauge_many`
+    keeps numpy's hypot and pow, which can differ in the last bit.
 
     A p-ball gauge is (|x|^p + |y|^p)^(1/p) / r, except where that sum is not a
     normal double (large p over- or underflows it): there it is
     m ((|x|/m)^p + (|y|/m)^p)^(1/p) / r with m = max(|x|, |y|)."""
     if isinstance(body, SymmetricPolygon):
-        normals, offsets = body._normal_form
-        return lambda px, py: float(np.max((normals[:, 0] * px + normals[:, 1] * py) / offsets))
+        rows = body._half_rows
+        if any(h == 0 for _, _, h in rows):
+            # a zero offset (vertices deep in the subnormal range): Python's
+            # division raises where numpy's gives inf or nan
+            return lambda px, py: float(gauge_many(body, [(px, py)])[0])
+        return lambda px, py: max(abs((px * nx + py * ny) / h) for nx, ny, h in rows)
     r = body.radius
     if isinstance(body, Disc):
         return lambda px, py: math.hypot(px, py) / r
@@ -302,17 +320,26 @@ def _scalar_gauge(body: ConvexBody):
 
 
 def gauge_many(body: ConvexBody, points) -> np.ndarray:
-    """Vectorized gauge over an (n, 2) array of points."""
+    """Vectorized gauge over an (n, 2) array of points.
+
+    Columns are read one at a time, so a column-major (Fortran-order) array
+    is read contiguously; the values do not depend on the layout."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
     if isinstance(body, SymmetricPolygon):
-        normals, offsets = body._normal_form
-        # elementwise, not matmul: bit-identical to the scalar path and
-        # independent of BLAS threading
-        vals = pts[:, 0, None] * normals[None, :, 0] + pts[:, 1, None] * normals[None, :, 1]
-        vals /= offsets
-        return np.max(vals, axis=1)
+        # one column at a time over half the edges (_half_rows), elementwise
+        # rather than matmul: no (n, edges) temporaries, independent of BLAS
+        # threading, and bit-identical to the scalar path
+        x, y = pts[:, 0], pts[:, 1]
+        out = None
+        for nx, ny, h in body._half_rows:
+            v = x * nx
+            v += y * ny
+            v /= h
+            np.abs(v, out=v)
+            out = v if out is None else np.maximum(out, v, out=out)
+        return out
     # in place from here on: the same operations in the same order, so the
     # same floats, with one temporary array fewer per step; this lowers the
     # peak memory of the root scan, which calls this on every trial

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convex_body import (
+    _MIN_NORMAL,
     ConvexBody,
     Disc,
     SymmetricPolygon,
@@ -126,7 +127,10 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
     runs = np.concatenate(([0], np.flatnonzero(np.diff(vals) > tol) + 1, [n]))
     starts = runs[:-1]
     split = []
-    for r in np.flatnonzero(vals[runs[1:] - 1] - vals[starts] > tol).tolist():
+    # a run of one value spans 0 and a run of two its one gap, <= tol, so
+    # only longer runs can be wider than tol
+    longer = np.flatnonzero(np.diff(runs) > 2)
+    for r in longer[vals[runs[longer + 1] - 1] - vals[starts[longer]] > tol].tolist():
         lo, hi = runs[r], runs[r + 1]
         first = vals[lo]
         for j, v in enumerate(vals[lo + 1 : hi].tolist(), lo + 1):
@@ -203,16 +207,38 @@ def _exact_keys(body: ConvexBody, V: np.ndarray) -> np.ndarray:
 
 def _disc_roots(keys: np.ndarray, c: Fraction) -> np.ndarray:
     """sqrt(k * c) of nonnegative integer keys k, each rounded once as
-    sqrt(numerator) / sqrt(denominator) of k * c in lowest terms.  A term
-    beyond the double range raises ``ValueError``."""
+    sqrt(numerator) / sqrt(denominator) of k * c in lowest terms.
+
+    A denominator beyond the double range (a tiny c) is met by dividing every
+    numerator and denominator by one power of four, 4**s: their roots shrink
+    by exactly 2**s, so each quotient is the double the formula gives with
+    unbounded exponents.  A numerator beyond the double range raises
+    ``ValueError``, and so does a scaled term or a nonzero root below the
+    normal range, where that would no longer hold."""
     num, den = c.numerator, c.denominator
     # max(..., 1): num itself must fit as well
     k = keys.astype(_int_dtype(max(max(int(keys.max()), 1) * num, den)))
     g = np.gcd(k, den)
+    a, b = k // g * num, den // g
+    # s is the least power that brings the largest denominator below 2**1023,
+    # 0 when it fits; Python's int / int rounds once, as int-to-float does
+    s = max(0, (int(b.max()).bit_length() - 1022) // 2)
     try:
-        return np.sqrt((k // g * num).astype(float)) / np.sqrt((den // g).astype(float))
+        if s:
+            a, b = a / 4**s, b / 4**s
+        a, b = a.astype(float), b.astype(float)
     except OverflowError:
         raise ValueError("exact disc distance overflows a double") from None
+    if s:
+        nonzero = k != 0
+        b[~nonzero] = 1.0  # a zero key's root is 0 whatever its denominator
+    roots = np.sqrt(a) / np.sqrt(b)
+    # below the normal range a scaled term, or the quotient, rounds differently
+    # (never at s = 0, where the terms are integers below 2**1023)
+    if s and min(a[nonzero].min(initial=math.inf), b.min(),
+                 roots[nonzero].min(initial=math.inf)) < _MIN_NORMAL:
+        raise ValueError("exact disc distance is below the normal double range")
+    return roots
 
 
 def _distance_set(body, n: int, vals, weights, tol, scale=None) -> DistanceSet:
@@ -268,9 +294,14 @@ def distance_set(
         return _distance_set(body, n, keys, None, 0, Fraction(1, den))
     vals = np.zeros(1 + n * (n - 1) // 2)
     pos = 1
-    for i in range(n - 1):
-        vals[pos : pos + n - 1 - i] = gauge_many(body, pts[i + 1 :] - pts[i])
-        pos += n - 1 - i
+    # column-major, so each difference block is too and gauge_many reads its
+    # columns contiguously; an overflowed difference is left to _cluster,
+    # which raises on it, so numpy's warnings are silenced
+    cols = np.asfortranarray(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            vals[pos : pos + n - 1 - i] = gauge_many(body, cols[i + 1 :] - cols[i])
+            pos += n - 1 - i
     return _distance_set(body, n, vals, None, tol)
 
 
@@ -308,7 +339,9 @@ def grid_distance_set(
     reps = np.stack((dx, dy), axis=1)
     if exact:
         return _distance_set(body, total, _exact_keys(body, reps), mult, 0, Fraction(spacing))
-    return _distance_set(body, total, gauge_many(body, reps * spacing), mult, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # _cluster raises on overflow
+        vals = gauge_many(body, reps * spacing)
+    return _distance_set(body, total, vals, mult, tol)
 
 
 def min_gap(ds: DistanceSet):
@@ -393,7 +426,9 @@ def distance_lists_from_two_points(
         if len(subset) == 0:
             out.append(())
             continue
-        reps, _, _ = _cluster(gauge_many(body, subset.points - np.asarray(base, dtype=float)), tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # _cluster raises on overflow
+            vals = gauge_many(body, subset.points - np.asarray(base, dtype=float))
+        reps, _, _ = _cluster(vals, tol)
         out.append(tuple(reps.tolist()))
     return out[0], out[1]
 

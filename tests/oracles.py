@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's evaluation paths: the gauge oracle is a
 ray cast (binary search on the scale with a cross-product point-in-polygon
-test, no half-plane normal form), distance oracles are brute-force pair loops,
+test, no half-plane normal form), ``full_normal_gauge_many`` takes the max
+over all 2n rows of the polygon's float normal form where the library uses
+half of them, distance oracles are brute-force pair loops,
 orientation checks use exact rational cross products, the annulus/cone
 counts test one point at a time, and the concurrence reference keys each
 segment's supporting line on its own.  The root-scan references are the
@@ -24,6 +26,17 @@ from gaugedist import (
     boundary_points,
     gauge,
 )
+
+
+def full_normal_gauge_many(poly, points) -> np.ndarray:
+    """Polygon gauge over every edge: max_i <x, n_i> / h_i on the polygon's
+    float normal form, all 2n rows at once, reduced with ``np.max``.  The max
+    over {0.0, -0.0} may be either zero."""
+    normals, offsets = poly._normal_form
+    pts = np.asarray(points, dtype=float)
+    vals = pts[:, 0, None] * normals[None, :, 0] + pts[:, 1, None] * normals[None, :, 1]
+    vals /= offsets
+    return np.max(vals, axis=1)
 
 
 def point_in_polygon(vertices, p) -> bool:

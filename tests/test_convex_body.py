@@ -27,7 +27,12 @@ from gaugedist import (
     validate,
 )
 
-from oracles import exact_polygon_gauge, fraction_integer_form, raycast_gauge
+from oracles import (
+    exact_polygon_gauge,
+    fraction_integer_form,
+    full_normal_gauge_many,
+    raycast_gauge,
+)
 
 
 class TestValidate:
@@ -219,19 +224,82 @@ def stretched_polygon(k, seed, ex, ey):
 extreme = st.builds(lambda m, e: m * 2.0**e, st.integers(1, 2**20), st.integers(-1074, 1000))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    body=st.one_of(
-        st.sampled_from([square(), diamond(), square(0.3)]),
-        st.builds(stretched_polygon, st.integers(2, 9), st.integers(0, 10**6),
-                  st.integers(-1040, 1000), st.integers(-1040, 1000)),
-        st.builds(lambda a, b: SymmetricPolygon.from_half([(a, 0.0), (0.0, b)]), extreme, extreme),
-    )
+# dyadic polygons: fixed, random (2**-16 grid), and stretched toward both ends
+# of the double range
+dyadic_polygons = st.one_of(
+    st.sampled_from([square(), diamond(), square(0.3)]),
+    st.builds(stretched_polygon, st.integers(2, 9), st.integers(0, 10**6),
+              st.integers(-1040, 1000), st.integers(-1040, 1000)),
+    st.builds(lambda a, b: SymmetricPolygon.from_half([(a, 0.0), (0.0, b)]), extreme, extreme),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=dyadic_polygons)
 @example(body=SymmetricPolygon.from_half([(1e200, 1e-300), (1e-300, 1e200)]))
 def test_integer_form_matches_fraction_derivation(body):
     coef, q = body._integer_form
     assert ([tuple(row) for row in coef.tolist()], q) == fraction_integer_form(body.vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=dyadic_polygons)
+def test_opposite_edges_have_negated_normals_and_equal_offsets(body):
+    """Row i + n of the float normal form is exactly minus row i (as numbers:
+    a zero component may keep its sign) with the same offset, which is what
+    lets the gauge read half the rows."""
+    normals, offsets = body._normal_form
+    n = len(offsets) // 2
+    assert np.array_equal(normals[n:], -normals[:n])
+    assert offsets[n:].tobytes() == offsets[:n].tobytes()
+    assert body._half_rows == tuple(zip(*normals[:n].T.tolist(), offsets[:n].tolist()))
+
+
+# a coordinate: dyadic, a signed zero, near the largest double, or infinite
+wide_coord = st.one_of(
+    dyadic,
+    st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308, 1e308, math.inf, -math.inf]),
+    st.builds(lambda m, e: m * 2.0**e, st.integers(-(2**20), 2**20), st.integers(-1074, 1000)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    body=dyadic_polygons,
+    pts=st.lists(st.tuples(wide_coord, wide_coord), min_size=1, max_size=12),
+)
+@example(body=square(), pts=[(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)])
+@example(body=diamond(), pts=[(1.7e308, 1.7e308), (math.inf, 0.0), (math.inf, -math.inf)])
+def test_half_normal_gauge_matches_full_normal_oracle(body, pts):
+    """gauge_many equals the max over all 2n rows, nan where it is nan (an
+    infinite coordinate times a zero normal component, or inf - inf) and inf
+    where a row overflows; it never sets the sign bit, not even at a zero
+    point, where the oracle's max may pick -0.0.  At finite points the scalar
+    gauge gives the same doubles, bit for bit."""
+    finite = [i for i, (x, y) in enumerate(pts) if math.isfinite(x) and math.isfinite(y)]
+    # a body with vertices near the subnormal floor can have a zero offset
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = gauge_many(body, pts)
+        want = full_normal_gauge_many(body, pts)
+        one = np.array([gauge(body, pts[i]) for i in finite])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.signbit(got).any()
+    assert one.tobytes() == got[finite].tobytes()
+
+
+def test_signed_zero_point_has_gauge_plus_zero():
+    for body in (square(), diamond(), random_symmetric_polygon(5, 2)):
+        for x in [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]:
+            assert math.copysign(1.0, gauge(body, x)) == 1.0
+            assert not np.signbit(gauge_many(body, [x])).any()
+
+
+def test_gauge_many_reads_column_major_points_alike():
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-4.0, 4.0, (500, 2))
+    for body in (square(), random_symmetric_polygon(6, 8), Disc(0.7), PBall(1.5, 1.0)):
+        got = gauge_many(body, np.asfortranarray(pts))
+        assert got.tobytes() == gauge_many(body, pts).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

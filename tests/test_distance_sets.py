@@ -467,6 +467,45 @@ def test_cluster_of_shuffled_values_matches_greedy_loop(vals, tol, weighted, dat
         assert arr.tolist() == vals
 
 
+@pytest.mark.parametrize("vals, tol", [
+    # one run of gaps below tol, four times as wide as tol, between singletons
+    ([-5.0] + [0.3 * k for k in range(14)] + [10.0, 20.0], 1.0),
+    # several wide runs, three values and longer, with equal values inside
+    ([0.0, 0.6, 1.2, 1.2, 5.0, 5.9, 6.8, 30.0, 30.0, 30.99, 31.98], 1.0),
+    ([k * 4e-10 for k in range(30)] + [1.0, 1.0 + 9e-10, 1.0 + 1.8e-9], 1e-9),
+])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cluster_splits_runs_wider_than_tol_as_the_greedy_loop(vals, tol, weighted):
+    gaps = np.diff(vals)
+    # each case has a run whose gaps are all <= tol but whose span is not
+    assert any(vals[j] - vals[i] > tol and np.all(gaps[i:j] <= tol)
+               for i in range(len(vals)) for j in range(i + 1, len(vals)))
+    weights = [1 + k % 3 for k in range(len(vals))] if weighted else None
+    arr_weights = None if weights is None else np.array(weights)
+    firsts, counts, _ = _cluster(np.array(vals), tol, arr_weights)
+    assert (firsts.tolist(), counts.tolist()) == greedy_cluster(vals, tol, weights)
+
+
+@pytest.mark.parametrize(
+    "body", [square(), random_symmetric_polygon(6, 8), Disc(1.0), PBall(1.5, 1.0)],
+    ids=["square", "polygon12", "disc", "pball1.5"],
+)
+def test_float_pair_loop_matches_a_row_at_a_time_loop_bit_for_bit(body):
+    """The pair loop's column-major differences give the doubles of a C-order
+    loop that evaluates one row's differences per call, every pair included."""
+    rng = np.random.default_rng(20)
+    pts = rng.uniform(-7.0, 7.0, (300, 2))
+    pts[1] = pts[0]  # a coincident pair
+    n = len(pts)
+    vals = [np.zeros(n)]
+    for i in range(n - 1):
+        vals.append(gauge_many(body, np.ascontiguousarray(pts[i + 1 :] - pts[i])))
+    keys, counts = np.unique(np.concatenate(vals), return_counts=True)
+    ds = distance_set(body, pts, tol=0.0)
+    assert ds.keys.tobytes() == keys.tobytes() and ds.counts.tolist() == counts.tolist()
+    assert ds.counts[0] == n + 1
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
 def test_invalid_tol_raises(tol):
     pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
@@ -507,11 +546,12 @@ def test_invalid_requests_fail_before_any_work(monkeypatch, call, message):
         call()
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowed_distance_is_not_clustered_at_an_infinite_tol():
-    # the default tol is 1e-9 times the largest distance, here inf
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="largest distance inf is not finite"):
-            distance_set(Disc(1.0), [[1e308, 0.0], [-1e308, 0.0]])
+    # the default tol is 1e-9 times the largest distance, here inf; numpy's
+    # overflow warning must not escape ahead of the error
+    with pytest.raises(ValueError, match="largest distance inf is not finite"):
+        distance_set(Disc(1.0), [[1e308, 0.0], [-1e308, 0.0]])
 
 
 HUGE = PointSet(np.array([[1e308, 0.0]]), 1e308)
@@ -527,10 +567,11 @@ HUGE = PointSet(np.array([[1e308, 0.0]]), 1e308)
     (lambda: distance_lists_from_two_points((-1e308, 0.0), (0.0, 0.0), HUGE, square(), tol=1.0),
      "nan"),
 ], ids=["pairs-square", "pairs-disc", "pairs-disc-tol-0", "grid-square", "grid-disc", "lists"])
+@pytest.mark.filterwarnings("error")
 def test_overflowed_distance_is_an_error_at_an_explicit_tol(call, value):
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=f"largest distance {value} is not finite"):
-            call()
+    """The error alone: no numpy overflow or invalid-value warning escapes."""
+    with pytest.raises(ValueError, match=f"largest distance {value} is not finite"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
@@ -541,6 +582,57 @@ def test_exact_disc_distance_beyond_the_double_range_is_an_error(call):
     # the key 1e400 exceeds the largest double, though its root does not
     with pytest.raises(ValueError, match="exact disc distance overflows a double"):
         call()
+
+
+@pytest.mark.parametrize("spacing", [2.0**-520, 2.0**-1000, 1e-300, 2.0**-1022])
+def test_exact_disc_set_at_a_tiny_spacing_is_the_per_key_formula(spacing):
+    """The reduced denominator d of spacing**2 = m / d passes the double range,
+    but the distances do not: each is the per-key formula's root at
+    m / (d / 4**t), where d / 4**t fits, times exactly 2**-t."""
+    c = Fraction(spacing) ** 2
+    t = (c.denominator.bit_length() - 400) // 2
+    want = [disc_root(k, c.numerator, c.denominator >> 2 * t) * 2.0**-t for k in (0, 1, 2)]
+    ds = grid_distance_set(Disc(1.0), 2, 2, spacing)
+    assert ds.keys.tolist() == want and ds.counts.tolist() == [4, 4, 2]
+
+
+def test_exact_disc_set_at_spacing_2_pow_minus_1000():
+    """sqrt(1) / sqrt(2**1999) for the diagonal, as the formula reduces the key
+    2 at every power-of-two spacing below 1; the same doubles as at 2**-500,
+    where the denominator fits, scaled exactly."""
+    ds = grid_distance_set(Disc(1.0), 2, 2, 2.0**-1000)
+    assert ds.keys.tolist() == [0.0, 2.0**-1000, 2.0**-999 / math.sqrt(2)]
+    half = grid_distance_set(Disc(1.0), 2, 2, 2.0**-500)
+    assert ds.keys.tolist() == [v * 2.0**-500 for v in half.keys.tolist()]
+
+
+def test_exact_disc_distance_below_the_normal_range_is_an_error():
+    with pytest.raises(ValueError, match="below the normal double range"):
+        grid_distance_set(Disc(1.0), 2, 2, 2.0**-1040)
+    # s = 511: the terms 2**-1022 and 1.5 * 2**1022 are normal, their roots'
+    # quotient 2**-1022 / sqrt(1.5) is not
+    with pytest.raises(ValueError, match="below the normal double range"):
+        _disc_roots(np.array([0, 1], dtype=object), Fraction(1, 3 * 2**2043))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.integers(0, 2**60).map(lambda m: 2 * m + 1),
+    e=st.integers(120, 900),
+    t=st.integers(1, 560),
+    keys=st.lists(st.one_of(st.integers(0, 2**40), st.integers(0, 2**100)),
+                  min_size=1, max_size=20),
+)
+# s = 519: the zero key's denominator 1 scales below the smallest double
+@example(num=1, e=900, t=580, keys=[0, 2**100 + 1])
+def test_disc_roots_beyond_the_double_range_are_the_per_key_formula_scaled(num, e, t, keys):
+    """c = num / 2**e with e >= 120, so dividing c by 4**t reduces no key
+    further: the roots at c / 4**t, whose denominator passes the double range
+    once e + 2t > 1023, are the per-key formula's roots at c times exactly
+    2**-t."""
+    want = [disc_root(k, num, 2**e) * 2.0**-t for k in keys]
+    got = _disc_roots(np.array(keys, dtype=object), Fraction(num, 2 ** (e + 2 * t)))
+    assert got.tolist() == want
 
 
 # c = (spacing / radius)**2: small dyadic, wide dyadic (0.3 as a double has a

@@ -534,11 +534,12 @@ class TestCli:
         ("1e200,0\n0,0\n", ["--body", "disc", "--R", "1e201", "--exact"],
          "exact disc distance overflows a double"),
     ], ids=["float-tol", "exact-disc"])
+    @pytest.mark.filterwarnings("error")
     def test_overflowed_distance_is_exit_2(self, tmp_path, capsys, rows, argv, message):
+        # the error line is all of stderr: no numpy warning comes first
         path, out = tmp_path / "p.csv", tmp_path / "sweep.csv"
         path.write_text("x,y\n" + rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["sweep", "--set", f"file:{path}", *argv, "--out", str(out)])
+        rc = main(["sweep", "--set", f"file:{path}", *argv, "--out", str(out)])
         assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
