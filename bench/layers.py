@@ -6,7 +6,10 @@
 Each layer is a fixed, seeded workload run ``REPEATS`` times (once with
 ``--quick``) after one untimed warm-up call; the JSON holds the median,
 minimum and maximum seconds per workload.  The layers are the ones the
-roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, exact and float
+roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, the exact polygon
+keys of ``_exact_keys`` on the 321,201 difference vectors (dx, dy) of a
+401 x 401 grid with 0 <= dx <= 400 (int64 keys for the square and the
+diamond, Python ints for a random 12-gon), exact and float
 ``grid_distance_set`` (exact also on the 801 x 801 disc grid, with 195,114
 distinct roots to round), the ``distance_set`` pair loop (exact under the
 square, and under the disc on object keys; float under the disc, under the
@@ -67,6 +70,14 @@ def _layers(gd):
         f"gauge_exact on {len(dyadic)} dyadic points (denominator 64)",
         lambda: [gd.gauge_exact(poly, p) for p in dyadic],
     )
+    dx, dy = np.meshgrid(np.arange(0, 401), np.arange(-400, 401), indexing="ij")
+    diffs = np.stack((dx.ravel(), dy.ravel()), axis=1)
+    for name, body in (("square", bodies["square"]), ("diamond", gd.diamond()),
+                       ("random12", gd.random_symmetric_polygon(6, seed=1))):
+        layers[f"exact_keys.{name}"] = (
+            f"_exact_keys of the {len(diffs)} difference vectors of a 401 x 401 grid",
+            lambda body=body: gd.distance_sets._exact_keys(body, diffs),
+        )
     for name in ("square", "disc"):
         layers[f"grid_distance_set.exact.{name}"] = (
             "exact grid_distance_set of the 81 x 81 grid",

@@ -6,10 +6,11 @@ polygon gauge is evaluated through the half-plane normal form (a max of linear
 functionals, O(edges) per point); a ray-casting evaluator lives in the test
 suite as an independent oracle.  Polygon vertices are doubles, hence dyadic
 rationals, so each polygon also has an integer form: integer rows coef_i and an
-integer q with q * gauge(x) = max_i <coef_i, x>.  At integer points the gauge
+integer q with q * gauge(x) = max_i |<coef_i, x>|.  At integer points the gauge
 is therefore an integer over q, which lets lattice experiments count distinct
 distances by integer equality, without any clustering tolerance; the exact
-evaluator returns the same value as a ``Fraction``.
+evaluator returns the same value as a ``Fraction``.  Both forms keep n rows:
+edge i + n of a polygon with 2n vertices is edge i negated.
 
 Bodies are valid by construction: each constructor runs :func:`validate` once
 and raises :class:`InvalidBodyError` listing every violated invariant, so the
@@ -88,39 +89,36 @@ class SymmetricPolygon:
         return len(self.vertices)
 
     @cached_property
-    def _normal_form(self) -> tuple[np.ndarray, np.ndarray]:
-        verts = np.asarray(self.vertices, dtype=float)
-        edges = np.roll(verts, -1, axis=0) - verts
-        raw = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-        length = np.hypot(raw[:, 0], raw[:, 1])
-        normals = raw / length[:, None]
-        offsets = verts[:, 0] * normals[:, 0] + verts[:, 1] * normals[:, 1]
-        normals.setflags(write=False)
-        offsets.setflags(write=False)
-        return normals, offsets
-
-    @cached_property
     def _half_rows(self) -> tuple[tuple[float, float, float], ...]:
-        # (nx, ny, h) of the first n of the 2n edges, as Python floats.  Edge
-        # i + n is edge i negated, so its normal is exactly minus normal i and
-        # its offset is offset i (floats negate exactly and hypot is even); its
-        # value <x, -n_i> / h_i is exactly minus that of edge i, and the max of
-        # the two is |<x, n_i> / h_i|.  The gauge is the max of that over this
-        # half, bit for bit, and never -0.0.
-        normals, offsets = self._normal_form
-        half = len(offsets) // 2
-        return tuple(zip(*normals[:half].T.tolist(), offsets[:half].tolist()))
+        # unit normal and offset <v_i, n_i> of the first n of the 2n edges; edge
+        # i + n is edge i negated, so its normal is exactly minus normal i with
+        # offset h_i, and the max of the two values is |<x, n_i> / h_i|
+        n = len(self.vertices) // 2
+        verts = np.asarray(self.vertices[: n + 1], dtype=float)
+        ex, ey = np.diff(verts, axis=0).T
+        length = np.hypot(ey, ex)
+        nx, ny = ey / length, -ex / length
+        h = verts[:n, 0] * nx + verts[:n, 1] * ny
+        # near the ends of the double range a normal component can underflow
+        # (its edge component is not 0), or an offset round to <= 0 or overflow
+        good = ((abs(nx) >= _MIN_NORMAL) | (ey == 0)) & ((abs(ny) >= _MIN_NORMAL) | (ex == 0))
+        good &= (h >= _MIN_NORMAL) & (h < math.inf)
+        if not good.all():
+            i = int(np.argmin(good))
+            raise ValueError(f"polygon edge {i} has normal ({nx[i]}, {ny[i]}) and offset {h[i]}, "
+                             "not normal doubles; only exact evaluation serves this body")
+        return tuple(zip(nx.tolist(), ny.tolist(), h.tolist()))
 
     @cached_property
     def _integer_form(self) -> tuple[np.ndarray, int]:
-        # gauge(x) = max_i <x, n_i> / h_i over the edges v_i -> w_i, with
+        # gauge(x) = max_i |<x, n_i>| / h_i over the first n edges v_i -> w_i,
         # n_i = (ey, -ex) and h_i = <v_i, n_i> > 0.  In validate's integer frame
         # V = den * v, n_i / h_i = den * (Ey, -Ex) / cross(V_i, V_i+1) = (a, b) / H;
         # q, the lcm of H / gcd(a, b, H), makes the rows q * (a, b) / H integers
-        # (Python ints in an (m, 2) object array).
-        V, den = _scale_to_ints(self.vertices)
+        # (Python ints in an (n, 2) object array); edge i + n has the same H.
+        V, den = _scale_to_ints(self.vertices[: len(self.vertices) // 2 + 1])
         rows = [(den * (y1 - y0), den * (x0 - x1), x0 * y1 - y0 * x1)
-                for (x0, y0), (x1, y1) in zip(V, V[1:] + V[:1])]
+                for (x0, y0), (x1, y1) in zip(V, V[1:])]
         q = math.lcm(*(h // math.gcd(a, b, h) for a, b, h in rows))
         coef = np.array([(a * q // h, b * q // h) for a, b, h in rows], dtype=object)
         coef.setflags(write=False)
@@ -266,15 +264,18 @@ def validate(body: ConvexBody) -> None:
 
 
 def edge_normal_form(poly: SymmetricPolygon) -> EdgeNormalForm:
-    """Outward unit normals and offsets of a valid polygon (normals in angular order)."""
+    """Outward unit normals and offsets of all 2n edges of a polygon, in angular
+    order (row i + n is row i, normal negated); ``ValueError`` as :func:`gauge`."""
     if not isinstance(poly, SymmetricPolygon):
         raise InvalidBodyError("edge_normal_form needs a polygon body")
-    normals, offsets = poly._normal_form
-    return EdgeNormalForm(normals, offsets)
+    half = np.array(poly._half_rows)
+    return EdgeNormalForm(np.concatenate((half[:, :2], -half[:, :2])), np.tile(half[:, 2], 2))
 
 
 def gauge(body: ConvexBody, x) -> float:
-    """Minkowski gauge of x with respect to the body; 0 iff x == 0."""
+    """Minkowski gauge of x with respect to the body; 0 iff x == 0.  ``ValueError``
+    for a non-finite point, or a polygon whose float normals or offsets leave
+    the normal doubles (:func:`gauge_exact` serves it)."""
     px, py = float(x[0]), float(x[1])
     if not (math.isfinite(px) and math.isfinite(py)):
         raise ValueError("gauge of a non-finite point")
@@ -293,10 +294,6 @@ def _scalar_gauge(body: ConvexBody):
     m ((|x|/m)^p + (|y|/m)^p)^(1/p) / r with m = max(|x|, |y|)."""
     if isinstance(body, SymmetricPolygon):
         rows = body._half_rows
-        if any(h == 0 for _, _, h in rows):
-            # a zero offset (vertices deep in the subnormal range): Python's
-            # division raises where numpy's gives inf or nan
-            return lambda px, py: float(gauge_many(body, [(px, py)])[0])
         return lambda px, py: max(abs((px * nx + py * ny) / h) for nx, ny, h in rows)
     r = body.radius
     if isinstance(body, Disc):
@@ -323,7 +320,8 @@ def gauge_many(body: ConvexBody, points) -> np.ndarray:
     """Vectorized gauge over an (n, 2) array of points.
 
     Columns are read one at a time, so a column-major (Fortran-order) array
-    is read contiguously; the values do not depend on the layout."""
+    is read contiguously; the values do not depend on the layout.  A polygon
+    without a float gauge raises ``ValueError``, as in :func:`gauge`."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
@@ -376,13 +374,14 @@ def gauge_exact(poly: SymmetricPolygon, x) -> Fraction:
 
     Doubles are dyadic rationals, so any float input is converted losslessly.
     The point is scaled by the lcm d of its denominators to integers X, and
-    the gauge is max_i <coef_i, X> / (q * d) in the polygon's integer form.
+    the gauge is max_i |<coef_i, X>| / (q * d) over the n rows of the
+    polygon's integer form.
     """
     if not isinstance(poly, SymmetricPolygon):
         raise InvalidBodyError("gauge_exact is defined for polygon bodies")
     [(X, Y)], d = _scale_to_ints([x])
     coef, q = poly._integer_form
-    return Fraction(max(a * X + b * Y for a, b in coef), q * d)
+    return Fraction(max(abs(a * X + b * Y) for a, b in coef), q * d)
 
 
 def boundary_point(body: ConvexBody, theta: float) -> tuple[float, float]:

@@ -183,26 +183,27 @@ def _as_points(source) -> np.ndarray:
 
 
 def _exact_keys(body: ConvexBody, V: np.ndarray) -> np.ndarray:
-    """Exact integer keys of the integer vectors V, shape (m, 2): q * gauge in
-    the polygon's integer form, or the squared length for the disc.
+    """Exact integer keys of the integer vectors V, shape (m, 2): q * gauge =
+    max_i |<coef_i, v>| over a polygon's n integer rows, or a disc's squared length.
 
     The keys are int64 when a bound rules out overflow and Python ints (object
     dtype) otherwise (:func:`_int_dtype`).
     """
     vmax = int(np.abs(V).max()) if len(V) else 0
-    if isinstance(body, SymmetricPolygon):
-        coef, _ = body._integer_form
-        # max(vmax, 1): the coefficients themselves must fit as well
-        bound = max(vmax, 1) * max(abs(a) + abs(b) for a, b in coef)
-    else:
-        coef, bound = None, 2 * vmax * vmax
-    dtype = _int_dtype(bound)
-    x, y = V.astype(dtype).T
-    if coef is None:
+    if not isinstance(body, SymmetricPolygon):
+        x, y = V.astype(_int_dtype(2 * vmax * vmax)).T
         return x * x + y * y
-    cx, cy = coef.astype(dtype).T
-    # elementwise rather than matmul, which has no object-dtype path
-    return np.max(x[:, None] * cx + y[:, None] * cy, axis=1)
+    coef, _ = body._integer_form
+    # max(vmax, 1): the coefficients themselves must fit as well
+    x, y = V.astype(_int_dtype(max(vmax, 1) * max(abs(a) + abs(b) for a, b in coef))).T
+    # one row at a time, as gauge_many; elementwise, as matmul has no object path
+    out = None
+    for a, b in coef.tolist():
+        v = x * a
+        v += y * b
+        np.abs(v, out=v)
+        out = v if out is None else np.maximum(out, v, out=out)
+    return out
 
 
 def _disc_roots(keys: np.ndarray, c: Fraction) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's evaluation paths: the gauge oracle is a
 ray cast (binary search on the scale with a cross-product point-in-polygon
-test, no half-plane normal form), ``full_normal_gauge_many`` takes the max
-over all 2n rows of the polygon's float normal form where the library uses
-half of them, distance oracles are brute-force pair loops,
+test, no half-plane normal form), ``full_normal_gauge_many`` and
+``full_integer_keys`` take the max over all 2n edges of a polygon's float and
+integer normal forms, derived here from the vertices, where the library uses
+half of them and an absolute value, distance oracles are brute-force pair loops,
 orientation checks use exact rational cross products, the annulus/cone
 counts test one point at a time, and the concurrence reference keys each
 segment's supporting line on its own.  The root-scan references are the
@@ -28,11 +29,21 @@ from gaugedist import (
 )
 
 
+def full_normal_form(vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Unit outward normals n_i and offsets h_i = <v_i, n_i> of every edge
+    v_i -> v_i+1 of a polygon, as (2n, 2) and (2n,) float arrays."""
+    verts = np.asarray(vertices, dtype=float)
+    edges = np.roll(verts, -1, axis=0) - verts
+    raw = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+    normals = raw / np.hypot(raw[:, 0], raw[:, 1])[:, None]
+    return normals, verts[:, 0] * normals[:, 0] + verts[:, 1] * normals[:, 1]
+
+
 def full_normal_gauge_many(poly, points) -> np.ndarray:
-    """Polygon gauge over every edge: max_i <x, n_i> / h_i on the polygon's
-    float normal form, all 2n rows at once, reduced with ``np.max``.  The max
-    over {0.0, -0.0} may be either zero."""
-    normals, offsets = poly._normal_form
+    """Polygon gauge over every edge: max_i <x, n_i> / h_i on
+    :func:`full_normal_form`, all 2n rows at once, reduced with ``np.max``.
+    The max over {0.0, -0.0} may be either zero."""
+    normals, offsets = full_normal_form(poly.vertices)
     pts = np.asarray(points, dtype=float)
     vals = pts[:, 0, None] * normals[None, :, 0] + pts[:, 1, None] * normals[None, :, 1]
     vals /= offsets
@@ -142,6 +153,13 @@ def fraction_integer_form(vertices) -> tuple[list[tuple[int, int]], int]:
         ratios.append((ey / h, -ex / h))
     q = math.lcm(*(r.denominator for row in ratios for r in row))
     return [(int(a * q), int(b * q)) for a, b in ratios], q
+
+
+def full_integer_keys(vertices, V) -> list[int]:
+    """q * gauge of each integer vector (X, Y) in V: max_i <coef_i, (X, Y)>
+    over all 2n rows of :func:`fraction_integer_form`."""
+    coef, _ = fraction_integer_form(vertices)
+    return [max(a * x + b * y for a, b in coef) for x, y in V]
 
 
 def disc_root(k: int, num: int, den: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from gaugedist import (
     boundary_point,
     boundary_points,
     diamond,
+    distance_set,
     edge_normal_form,
     gauge,
     gauge_exact,
@@ -26,10 +28,13 @@ from gaugedist import (
     square,
     validate,
 )
+from gaugedist.distance_sets import _exact_keys
 
 from oracles import (
     exact_polygon_gauge,
     fraction_integer_form,
+    full_integer_keys,
+    full_normal_form,
     full_normal_gauge_many,
     raycast_gauge,
 )
@@ -234,25 +239,84 @@ dyadic_polygons = st.one_of(
 )
 
 
+# vertices at the subnormal floor: the float offsets of edges 0 and 2 round to 0
+SUBNORMAL_POLYGON = SymmetricPolygon(((2.0, 0.0), (0.0, 5e-324), (-2.0, -0.0), (-0.0, -5e-324)))
+NO_FLOAT_FORM = r"^polygon edge 0 has normal \(0.0, 1.0\) and offset 0.0, not normal doubles"
+
+
+def has_float_form(body) -> bool:
+    """Whether the oracle's float normal form is exact enough to evaluate: every
+    offset is a positive normal double, and every normal component is a normal
+    double, or zero where its edge is parallel to an axis."""
+    normals, offsets = full_normal_form(body.vertices)
+    v = body.vertices
+    axis = [(y1 == y0, x1 == x0) for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1])]
+    normal = [(abs(nx) >= sys.float_info.min or zx) and (abs(ny) >= sys.float_info.min or zy)
+              for (nx, ny), (zx, zy) in zip(normals.tolist(), axis)]
+    return all(normal) and all(sys.float_info.min <= h < math.inf for h in offsets.tolist())
+
+
+def test_polygon_without_float_form_is_served_only_exactly():
+    with pytest.raises(ValueError, match=NO_FLOAT_FORM):
+        gauge(SUBNORMAL_POLYGON, (1.0, 0.0))
+    with pytest.raises(ValueError, match=NO_FLOAT_FORM):
+        gauge_many(SUBNORMAL_POLYGON, [(1.0, 0.0)])
+    assert gauge_exact(SUBNORMAL_POLYGON, (1.0, 0.0)) == Fraction(1, 2)
+    ds = distance_set(SUBNORMAL_POLYGON, [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)], exact=True)
+    assert ds.values == (0, Fraction(1, 2), 1, Fraction(3, 2))
+    assert ds.multiplicities == (3, 1, 1, 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(body=dyadic_polygons)
 @example(body=SymmetricPolygon.from_half([(1e200, 1e-300), (1e-300, 1e200)]))
 def test_integer_form_matches_fraction_derivation(body):
-    coef, q = body._integer_form
-    assert ([tuple(row) for row in coef.tolist()], q) == fraction_integer_form(body.vertices)
+    """The oracle's row i + n is its row i negated, and the body keeps rows 0 to n - 1."""
+    rows, q = fraction_integer_form(body.vertices)
+    n = len(rows) // 2
+    assert rows[n:] == [(-a, -b) for a, b in rows[:n]]
+    coef, body_q = body._integer_form
+    assert ([tuple(row) for row in coef.tolist()], body_q) == (rows[:n], q)
+
+
+# integer vectors: small, and up to 2**62, so that the keys of the same body
+# are int64 for some draws and Python ints for others
+int_vectors = st.lists(
+    st.tuples(*2 * [st.one_of(st.integers(-9, 9), st.integers(-(2**62), 2**62))]),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=dyadic_polygons, vecs=int_vectors)
+@example(body=square(), vecs=[(3, -4), (0, 0), (-5, 2)])  # int64 keys
+@example(body=random_symmetric_polygon(3, 0), vecs=[(3, -4), (0, 0), (-5, 2)])  # object keys
+def test_exact_keys_match_full_row_oracle(body, vecs):
+    keys = _exact_keys(body, np.array(vecs, dtype=np.int64))
+    assert keys.tolist() == full_integer_keys(body.vertices, vecs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(body=dyadic_polygons)
-def test_opposite_edges_have_negated_normals_and_equal_offsets(body):
-    """Row i + n of the float normal form is exactly minus row i (as numbers:
-    a zero component may keep its sign) with the same offset, which is what
-    lets the gauge read half the rows."""
-    normals, offsets = body._normal_form
+@example(body=SUBNORMAL_POLYGON)
+@example(body=stretched_polygon(2, 0, 39, -1040))  # an offset of -1.01e-313
+def test_float_form_is_the_first_half_of_the_full_normal_form(body):
+    """Row i + n of the oracle's float normal form is exactly minus row i (as
+    numbers: a zero component may keep its sign) with the same offset, which
+    is what lets the gauge read half the rows.  The body's float rows are the
+    oracle's first half and edge_normal_form's are all of them, or, without a
+    float form (:func:`has_float_form`), both raise."""
+    normals, offsets = full_normal_form(body.vertices)
     n = len(offsets) // 2
     assert np.array_equal(normals[n:], -normals[:n])
     assert offsets[n:].tobytes() == offsets[:n].tobytes()
+    if not has_float_form(body):
+        with pytest.raises(ValueError, match="not normal doubles"):
+            edge_normal_form(body)
+        return
     assert body._half_rows == tuple(zip(*normals[:n].T.tolist(), offsets[:n].tolist()))
+    nf = edge_normal_form(body)
+    assert np.array_equal(nf.normals, normals) and nf.offsets.tobytes() == offsets.tobytes()
 
 
 # a coordinate: dyadic, a signed zero, near the largest double, or infinite
@@ -270,21 +334,46 @@ wide_coord = st.one_of(
 )
 @example(body=square(), pts=[(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)])
 @example(body=diamond(), pts=[(1.7e308, 1.7e308), (math.inf, 0.0), (math.inf, -math.inf)])
+@example(body=stretched_polygon(2, 0, 39, -1040), pts=[(1.0, 0.0)])
+@example(body=stretched_polygon(7, 152257, 815, -777), pts=[(1.0, 0.0)])
 def test_half_normal_gauge_matches_full_normal_oracle(body, pts):
     """gauge_many equals the max over all 2n rows, nan where it is nan (an
     infinite coordinate times a zero normal component, or inf - inf) and inf
     where a row overflows; it never sets the sign bit, not even at a zero
     point, where the oracle's max may pick -0.0.  At finite points the scalar
-    gauge gives the same doubles, bit for bit."""
+    gauge gives the same doubles, bit for bit.  Both raise exactly when the
+    body has no float form (:func:`has_float_form`)."""
     finite = [i for i, (x, y) in enumerate(pts) if math.isfinite(x) and math.isfinite(y)]
-    # a body with vertices near the subnormal floor can have a zero offset
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    if not has_float_form(body):
+        with pytest.raises(ValueError, match="not normal doubles"):
+            gauge_many(body, pts)
+        for i in finite:
+            with pytest.raises(ValueError, match="not normal doubles"):
+                gauge(body, pts[i])
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
         got = gauge_many(body, pts)
         want = full_normal_gauge_many(body, pts)
         one = np.array([gauge(body, pts[i]) for i in finite])
     assert np.array_equal(got, want, equal_nan=True)
     assert not np.signbit(got).any()
     assert one.tobytes() == got[finite].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=dyadic_polygons)
+# every offset is a positive normal double, but the x components of the normals
+# underflow to 0: without the check, the gauge of a vertex reached 628.4
+@example(body=stretched_polygon(7, 152257, 815, -777))
+def test_float_gauge_of_every_vertex_is_one(body):
+    """To within a few roundings of the largest ratio (|v_x n_x| + |v_y n_y|) / h
+    over the vertices v and the oracle's rows (n, h)."""
+    if not has_float_form(body):
+        return
+    normals, offsets = full_normal_form(body.vertices)
+    cond = np.max(np.abs(np.asarray(body.vertices)) @ np.abs(normals).T / offsets)
+    err = np.max(np.abs(gauge_many(body, body.vertices) - 1.0))
+    assert err <= 16 * np.finfo(float).eps * cond
 
 
 def test_signed_zero_point_has_gauge_plus_zero():

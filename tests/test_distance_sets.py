@@ -36,6 +36,7 @@ from oracles import (
     brute_pairwise_values,
     disc_root,
     exact_polygon_gauge,
+    full_integer_keys,
     greedy_cluster,
     moser_counts,
 )
@@ -803,8 +804,7 @@ class TestIntegerKeys:
             if isinstance(body, Disc):
                 expected = [x * x + y * y for x, y in V.tolist()]
             else:
-                coef, _ = body._integer_form
-                expected = [max(a * x + b * y for a, b in coef) for x, y in V.tolist()]
+                expected = full_integer_keys(body.vertices, V.tolist())
             assert keys.tolist() == expected
             assert max(expected) >= 2**63 - 2**33  # the keys do reach the bound
 

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from gaugedist import (
     write_moser_csv,
     write_sweep_csv,
 )
+import gaugedist
 from gaugedist.cli import main
 
 
@@ -542,6 +547,27 @@ class TestCli:
         rc = main(["sweep", "--set", f"file:{path}", *argv, "--out", str(out)])
         assert rc == 2 and capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_polygon_without_float_form_is_exit_2_in_float_mode(self, tmp_path, capsys):
+        # vertices at the subnormal floor round two float offsets to 0; the
+        # float sweep names the offset, with no numpy warning first, also under
+        # python -W error, and the exact sweep serves the body
+        body, out = tmp_path / "body.json", tmp_path / "sweep.csv"
+        body.write_text(json.dumps({"type": "polygon", "vertices": [
+            [2.0, 0.0], [0.0, 5e-324], [-2.0, -0.0], [-0.0, -5e-324]]}))
+        argv = ["sweep", "--body", str(body), "--set", "lattice", "--R", "3",
+                "--out", str(out), "--no-timestamp"]
+        err = ("error: polygon edge 0 has normal (0.0, 1.0) and offset 0.0, not normal doubles; "
+               "only exact evaluation serves this body\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err and not out.exists()
+        env = {**os.environ, "PYTHONPATH": str(Path(gaugedist.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "gaugedist", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, err) and not out.exists()
+        assert main([*argv, "--exact"]) == 0
+        assert out.read_text().splitlines()[1] == "3.0,49,49,0.5,"
 
     def test_missing_file_is_exit_2(self, capsys):
         rc = main(["sweep", "--body", "missing.json", "--set", "lattice", "--R", "5"])
