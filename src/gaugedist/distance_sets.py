@@ -457,8 +457,9 @@ def moser_count_check(
     gauges inside the cone are sorted, and each count #(inner < g < outer) is
     #(g < outer) - #(g <= inner) by binary search, the same float comparisons
     as :func:`annulus_cone_points`.  Rows whose annulus is not fully contained
-    in the window are flagged truncated and should be excluded from pass/fail
-    judgments.  The caller is responsible for S actually being well-distributed.
+    in the window (width * (N + 1) * reach > R, compared as rationals) are
+    flagged truncated and should be excluded from pass/fail judgments.  The
+    caller is responsible for S actually being well-distributed.
     """
     if not (
         cone.theta1 < inner_cone.theta1
@@ -474,6 +475,6 @@ def moser_count_check(
         ann = Annulus(N, width)
         count = int(np.searchsorted(g, ann.outer, "left") - np.searchsorted(g, ann.inner, "right"))
         bound = N * span
-        truncated = width * (N + 1) * reach > ps.R + 1e-9
+        truncated = Fraction(width) * (int(N) + 1) * Fraction(reach) > Fraction(ps.R)
         rows.append(MoserRow(int(N), count, bound, count >= bound, truncated))
     return rows

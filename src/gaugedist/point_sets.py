@@ -93,7 +93,13 @@ class GeneratorSpec:
 
 
 def _lattice_indices(extent: float, spacing: float) -> np.ndarray:
-    kmax = int(math.floor(extent / spacing + 1e-12))
+    """-k..k for the largest k with k * spacing <= extent as computed (none for
+    extent < 0), so no lattice coordinate rounds past the extent."""
+    kmax = math.floor(extent / spacing)
+    while kmax * spacing > extent:
+        kmax -= 1
+    while (kmax + 1) * spacing <= extent:
+        kmax += 1
     return np.arange(-kmax, kmax + 1)
 
 

@@ -7,11 +7,10 @@ test, no half-plane normal form), ``full_normal_gauge_many`` and
 integer normal forms, derived here from the vertices, where the library uses
 half of them and an absolute value, distance oracles are brute-force pair loops,
 orientation checks use exact rational cross products, the annulus/cone
-counts test one point at a time, and the concurrence reference keys each
-segment's supporting line on its own.  The root-scan references are the
-exception: ``reference_root_scan`` is the uncertified full-grid
-strictly-convex scan written directly on the public gauge API, and
-``disc_pair_count`` is the closed-form count for two circles.
+counts test one point at a time, the concurrence reference keys each
+segment's supporting line on its own, and the strictly convex count is a
+closed form in the body's norm, with each scanned root certified by an exact
+sign change of the gap in mpmath.
 """
 
 import math
@@ -19,14 +18,9 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mp
 
-from gaugedist import (
-    Disc,
-    PBall,
-    boundary_point,
-    boundary_points,
-    gauge,
-)
+from gaugedist import Disc
 
 
 def full_normal_form(vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -352,141 +346,55 @@ def _on_opposite_edges(a, b, u, vertices) -> bool:
     return False
 
 
-def disc_pair_count(r, alpha, x) -> int:
-    """Points of C intersect (alpha*C + x) for the circle C of radius r, in
-    closed form: two exactly when |1-alpha| r < |x| < (1+alpha) r, else none
-    (the tangent radii themselves, where the count is one, are the caller's
-    to avoid)."""
-    d = math.hypot(x[0], x[1])
-    return 2 if abs(1 - alpha) * r < d < (1 + alpha) * r else 0
-
-
-# a sampled |g| at or below this, at a local minimum, is a tangential touch
-REFERENCE_TANGENT_TOL = 1e-9
-
-
-def reference_root_scan(
-    body,
-    alpha: float,
-    x,
-    resolution: float = 1e-4,
-):
-    """The strictly-convex root scan on the full grid, without certainty
-    bounds, kept as a differential oracle where the library's certified scan
-    is resolved: it samples the boundary through the public
-    ``boundary_points``, writes out the gauge of the samples, evaluates the
-    bisection through the public ``boundary_point`` and ``gauge``, and builds
-    its crossing and tangency masks over the whole sample array with
-    ``np.roll``.  Below about 1e-9 it counts float noise as roots.  Returns
-    ``(count, thetas, tangent)``, one angle and one tangency flag per root."""
-    if not isinstance(body, (Disc, PBall)):
-        raise ValueError("strict-convexity scan needs a disc or p-ball body")
-    if not (alpha > 0):
-        raise ValueError("scale factor must be positive")
-    x0, x1 = float(x[0]), float(x[1])
-    if x0 == 0 and x1 == 0:
-        raise ValueError("translation must be nonzero")
-    if not (0 < resolution <= 1e-2):
-        raise ValueError("angular resolution must be in (0, 1e-2]")
-
-    n = int(math.ceil(2 * math.pi / resolution))
-    step = 2 * math.pi / n
-    th = np.arange(n) * step
-    bp = boundary_points(body, th)
-    d = (bp - np.array([x0, x1])) / alpha
-    # the gauge of every sample, written out rather than through gauge_many
+def _norm(body, a, b):
+    """||(a, b)||_K for a disc or p-ball K, in mpmath's current precision."""
     if isinstance(body, Disc):
-        g = np.hypot(d[:, 0], d[:, 1]) / body.radius - 1.0
-    else:
-        p = body.p
-        g = (np.abs(d[:, 0]) ** p + np.abs(d[:, 1]) ** p) ** (1.0 / p) / body.radius - 1.0
-    sign = np.sign(g)
+        return mp.sqrt(a * a + b * b) / body.radius
+    p = mp.mpf(body.p)
+    return (abs(a) ** p + abs(b) ** p) ** (1 / p) / body.radius
 
-    def g_scalar(theta: float) -> float:
-        px, py = boundary_point(body, theta)
-        return gauge(body, ((px - x0) / alpha, (py - x1) / alpha)) - 1.0
 
-    roots: list[tuple[float, bool]] = []
-    zero_idx = np.flatnonzero(sign == 0)
-    if len(zero_idx) == n:
-        raise ValueError("degenerate scan: the curves coincide at every sample")
-    used = np.zeros(n, dtype=bool)
-    if len(zero_idx):
-        runs = []
-        run = [int(zero_idx[0])]
-        for idx in zero_idx[1:]:
-            if idx == run[-1] + 1:
-                run.append(int(idx))
+def exact_gap(body, alpha, x, theta):
+    """g(theta) = ||(b(theta) - x)/alpha||_K - 1, b(theta) the boundary point in
+    direction theta, in mpmath's current precision at theta as given (a double
+    or an mpf)."""
+    c, s = mp.cos_sin(mp.mpf(theta))
+    gb = _norm(body, c, s)
+    return _norm(body, (c / gb - x[0]) / alpha, (s / gb - x[1]) / alpha) - 1
+
+
+def homothet_pair_count(body, alpha, x):
+    """Points of G intersect (alpha*G + x), G the boundary of a disc or p-ball K,
+    in closed form: two when |1 - alpha| < ||x||_K < 1 + alpha, none outside
+    [|1 - alpha|, 1 + alpha], one (a tangency) at either end.  K meets
+    alpha*K + x iff ||x||_K <= 1 + alpha, one contains the other iff ||x||_K <=
+    |1 - alpha|, and strictly convex boundaries cross in at most two points,
+    an even number unless they touch.  ||x||_K is taken at 60 digits from the
+    doubles as given; ``None`` within 1e-40 of an end."""
+    with mp.workdps(60):
+        n = _norm(body, mp.mpf(x[0]), mp.mpf(x[1]))
+        lo, hi = abs(1 - mp.mpf(alpha)), 1 + mp.mpf(alpha)
+        if min(abs(n - lo), abs(n - hi)) < mp.mpf("1e-40"):
+            return None
+        return 2 if lo < n < hi else 0
+
+
+def uncertified_roots(body, alpha, x, thetas) -> list:
+    """The angles of ``thetas`` (sorted, in [0, 2 pi)) that no exact sign change
+    certifies.  An angle t is certified when :func:`exact_gap` has opposite
+    nonzero signs at t - w and t + w, taken in mpmath at 60 digits, for one of
+    w = d/2^k, k = 2, ..., 151, with d the distance to the nearest other angle
+    round the turn (2 pi if none).  These windows are disjoint, and each holds
+    an odd number of roots."""
+    bad = []
+    with mp.workdps(60):
+        for i, t in enumerate(thetas):
+            gaps = (abs(mp.mpf(t) - u) for u in thetas[:i] + thetas[i + 1 :])
+            w = min((min(e, 2 * mp.pi - e) for e in gaps), default=2 * mp.pi) / 2
+            for _ in range(150):
+                w /= 2
+                if exact_gap(body, alpha, x, t - w) * exact_gap(body, alpha, x, t + w) < 0:
+                    break
             else:
-                runs.append(run)
-                run = [int(idx)]
-        runs.append(run)
-        # a run wrapping the 0 index joins the last run
-        if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == n - 1:
-            runs[0] = runs.pop() + runs[0]
-        for run in runs:
-            before = sign[(run[0] - 1) % n]
-            after = sign[(run[-1] + 1) % n]
-            theta = th[run[len(run) // 2]]
-            roots.append((theta, before == after))
-            for idx in run:
-                used[idx] = True
-
-    sign_next = np.roll(sign, -1)
-    crossing = (sign != 0) & (sign_next != 0) & (sign != sign_next)
-    for i in np.flatnonzero(crossing):
-        j = (i + 1) % n
-        lo, hi = th[i], th[i] + step
-        flo = g[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = g_scalar(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append((0.5 * (lo + hi), False))
-        used[i] = used[j] = True
-
-    absg = np.abs(g)
-    sign_prev = np.roll(sign, 1)
-    near = (
-        ~used
-        & ~np.roll(used, 1)
-        & ~np.roll(used, -1)
-        & (sign != 0)
-        & (absg <= REFERENCE_TANGENT_TOL)
-        & (absg <= np.roll(absg, 1))
-        & (absg <= np.roll(absg, -1))
-        & (sign_prev == sign)
-        & (sign_next == sign)
-    )
-    for i in np.flatnonzero(near):
-        roots.append((th[i], True))
-        used[i] = True
-
-    roots.sort()
-    clusters = merge_close_roots([t for t, _ in roots], step)
-    thetas = tuple(roots[c[0]][0] for c in clusters)
-    tangent = tuple(any(roots[i][1] for i in c) for c in clusters)
-    return len(clusters), thetas, tangent
-
-
-def merge_close_roots(thetas, step: float) -> list[list[int]]:
-    """The reference scan's merge: indices of the sorted angles ``thetas`` in
-    clusters whose neighbours lie at most 1.5 ``step`` apart, cyclically.  A
-    cluster through angle 0 comes first and starts with its angles near 2 pi."""
-    if not len(thetas):
-        return []
-    clusters = [[0]]
-    for i in range(1, len(thetas)):
-        if thetas[i] - thetas[clusters[-1][-1]] <= 1.5 * step:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    if len(clusters) > 1 and thetas[0] + 2 * math.pi - thetas[clusters[-1][-1]] <= 1.5 * step:
-        clusters[0] = clusters.pop() + clusters[0]
-    return clusters
+                bad.append(t)
+    return bad

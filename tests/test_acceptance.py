@@ -27,9 +27,10 @@ from gaugedist import (
     taxicab_count,
     write_jsonl,
 )
+from gaugedist.experiments import _STRICT_BODIES
 from gaugedist.prng import Xorshift64Star, derive_seed
 
-from oracles import raycast_gauge_many
+from oracles import homothet_pair_count, raycast_gauge_many
 
 
 def _report(name: str, elapsed: float, limit: float) -> None:
@@ -121,6 +122,10 @@ def test_criterion_6_strictly_convex_bound():
     assert counts.count(2) > 100  # crossings actually happen
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
+    for r in batch.rows:  # every row resolved, with the two-point closed form's count
+        body = _STRICT_BODIES[r["trial"] % 3]
+        assert r["count"] == homothet_pair_count(body, r["alpha"], r["u"]), r
+        assert "unresolved" not in r["flags"], r
     _report(
         f"criterion 6: 500 strictly-convex trials at resolution 1e-4, counts <= 2 "
         f"(max {batch.max_count})",

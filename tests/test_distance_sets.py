@@ -312,6 +312,15 @@ class TestMoser:
         assert not rows[0].truncated
         assert rows[1].truncated  # annulus (30, 40) cannot fit in R = 12
 
+    def test_truncation_is_decided_exactly(self):
+        # width * (N + 1) * reach is 30: an annulus reaching exactly R fits, one
+        # reaching a double past R does not
+        cone, inner = Cone(0.0, math.pi / 2), Cone(math.pi / 8, 3 * math.pi / 8)
+        for R, truncated in ((30.0, False), (math.nextafter(30.0, 0.0), True)):
+            ps = PointSet(np.zeros((1, 2)), R)
+            [row] = moser_count_check(ps, square(), cone, inner, [2])
+            assert row.truncated is truncated, R
+
     def test_empty_set_fails_bounds(self):
         ps = PointSet(np.empty((0, 2)), 1000.0)
         cone = Cone(0.0, math.pi / 2)

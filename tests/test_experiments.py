@@ -126,6 +126,15 @@ class TestFloatLatticeSweep:
         grid = grid_distance_set(body, side, side, 0.3, exact=False)
         assert grid.multiplicities == ds.multiplicities
 
+    @pytest.mark.parametrize("R, spacing", [(0.3, 0.1), (0.7, 0.1), (0.6, 0.2), (2.3, 0.1)])
+    def test_window_holds_every_lattice_point(self, R, spacing):
+        # k * spacing rounds above R for k = R / spacing here (7 * 0.1 > 0.7): no such row
+        spec = GeneratorSpec(kind="lattice", R=R, spacing=spacing)
+        ps = generate(spec)
+        assert np.max(np.abs(ps.points)) <= R
+        [row] = run_sweep(square(), spec, [R])
+        assert row.n_points == len(ps)
+
     def test_large_disc_windows_skip_the_pair_loop(self, monkeypatch):
         import gaugedist.experiments as experiments
 
@@ -244,6 +253,14 @@ class TestLemmaBatches:
 
 
 class TestRunMoser:
+    def test_window_one_spacing_past_a_non_integer_annulus(self, tmp_path, capsys):
+        # the window 0.6 + 0.1 is 7 steps of 0.1, but 7 * 0.1 rounds above 0.7
+        rc = main(["moser", "--body", "square", "--cone", "0,1.5707963267948966",
+                   "--cone-inner", "0.4,1.1", "--N-range", "1..1", "--spacing", "0.1",
+                   "--width", "0.3", "--out", str(tmp_path / "m.csv"), "--no-timestamp"])
+        assert rc == 0
+        capsys.readouterr()
+
     def test_empty_range_gives_no_rows(self):
         assert run_moser(square(), Cone(0, math.pi / 2), Cone(0.3, 1.2), range(5, 3)) == []
 

@@ -32,15 +32,15 @@ from gaugedist.prng import Xorshift64Star
 
 from oracles import (
     _line_key,
-    disc_pair_count,
     exact_edge_pieces,
+    exact_gap,
     exact_turn,
-    merge_close_roots,
+    homothet_pair_count,
     on_closed_polyline,
     on_closed_segment,
     point_in_polygon,
     reference_concurrence,
-    reference_root_scan,
+    uncertified_roots,
 )
 
 
@@ -628,8 +628,19 @@ def scan_case(draw):
     return body, alpha, x
 
 
+def _check_closed_form(body, alpha, x):
+    """The scan's count against :func:`homothet_pair_count`: at most it, equal when
+    resolved, at most 1 at an undecided tangency; and every angle certified."""
+    scan = strictly_convex_intersection_count(body, alpha, x)
+    want = homothet_pair_count(body, alpha, x)
+    assert scan.count <= (1 if want is None else want)
+    assert scan.unresolved or want is None or scan.count == want
+    assert uncertified_roots(body, alpha, x, scan.thetas) == []
+    return scan
+
+
 class TestRootScanOracles:
-    """The scan against the uncertified reference scan and against circle geometry."""
+    """The scan against the two-point closed form, with an exact certificate for every root."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=scan_case())
@@ -641,75 +652,27 @@ class TestRootScanOracles:
     @example(case=(Disc(1.0), 1.0, (1.8218282497603827e-17, 2.1933282903958047e-16)))
     # a crossing at grid sample n-1 itself: a run of one uncertain sample
     @example(case=(Disc(1.0), 1.296875, (-0.25655830190596896, -0.3209520094241996)))
-    # a crossing at angle 0, which the reference bisects up to 2 pi
+    # a crossing at angle 0
     @example(case=(Disc(3.0), 2.75, (11.167438096953676, -1.1642400664939052)))
     @example(case=(Disc(1.0), 1.0, (0.45969769413186023, -0.8414709848078967)))
-    # two crossings 1.2 grid steps apart, which the reference merges into one
+    # two crossings 1.2 grid steps apart
     @example(case=(Disc(1.0), 0.375, (0.6249999950000233, -9.999976599017931e-05)))
-    # alpha = 1 at the rounding floor: resolved, and the reference counts 1,958 noise roots
+    # alpha = 1 at the rounding floor, where |g| is about 1e-11
     @example(case=(Disc(1.0), 1.0, (1e-11, 0.0)))
     # just past internal tangency: two crossings 0.6 grid steps apart, between two samples
     @example(case=(PBall(1.5, 1.0), 0.5, (0.49999991666696764, -2.4999939461282262e-05)))
-    def test_matches_reference_scan(self, case):
-        body, alpha, x = case
-        scan = strictly_convex_intersection_count(*case)
-        assert scan.count <= 2
-        if scan.unresolved:
-            return
-        # closed forms: two circles, and a translate (alpha = 1) meets G twice when x is inside 2G
-        if isinstance(body, Disc):
-            assert scan.count == disc_pair_count(body.radius, alpha, x)
-        if alpha == 1:
-            assert scan.count == (2 if gauge(body, x) < 2 else 0)
-        if gauge(body, x) < 1e-9:  # the reference's noise floor: it counts noise as roots
-            return
-        count, thetas, _ = reference_root_scan(*case)
-        _, eps = _scan_bounds(body, alpha, math.hypot(*x))
+    def test_matches_closed_form(self, case):
+        _check_closed_form(*case)
 
-        def gaps(t):  # g by the numpy and by the scalar evaluation
-            fast = gauge_many(body, (boundary_points(body, np.array([t])) - x) / alpha)[0] - 1
-            px, py = boundary_point(body, t)
-            return fast, gauge(body, ((px - x[0]) / alpha, (py - x[1]) / alpha)) - 1
-
-        def uncertain(t):
-            return min(map(abs, gaps(t))) <= eps
-
-        cells = {math.floor(t / _STEP) for t in scan.thetas}
-        if scan.count == 2 and len(cells) == 1:
-            # two roots inside one grid cell: no sign change at the reference's samples, so
-            # it sees none; check the certain dip between them against the cell's ends
-            (i,) = cells
-            dip = gaps(0.5 * sum(scan.thetas))[1]
-            assert abs(dip) > eps and all((dip > 0) != (e > 0) for t in (i, i + 1)
-                                          for e in gaps(t * _STEP))
-            assert count == 0
-            return
-        # the reference merges roots at most 1.5 grid steps apart: merge the scan's alike
-        merged = [scan.thetas[c[0]] for c in merge_close_roots(scan.thetas, _STEP)]
-        assert len(merged) == count
-
-        def off(a, b):
-            return abs((a - b + math.pi) % (2 * math.pi) - math.pi)
-
-        # each root equals the reference's nearest one, or, at the middle grid angle of a
-        # run of uncertain samples, lies within a step of the float noise it bisects
-        want = [min(thetas, key=lambda t: off(t, got)) for got in merged]
-        assert len(set(want)) == count
-        for got, w in zip(merged, want):
-            on_grid = got == round(got / _STEP) * _STEP
-            assert got == w or (on_grid and off(got, w) <= _STEP and uncertain(got)), (got, w)
-
-    def test_fixed_calls_match_reference(self):
+    def test_fixed_calls_match_closed_form(self):
         three = [Disc(1.0), PBall(1.5, 1.0), PBall(3.0, 1.0)]
         five = three + [Disc(0.5), PBall(3.0, 2.0)]
         calls = [(three[k % 3], 0.6 + 0.1 * k, (0.9 * math.cos(k), 0.9 * math.sin(k)))
                  for k in range(9)]
         calls += [(five[k % 5], 0.7 + 0.1 * k, (1.1 * math.cos(k), 1.1 * math.sin(k)))
                   for k in range(10)]
-        got = [strictly_convex_intersection_count(*call) for call in calls]
-        assert [(r.count, r.thetas, r.unresolved) for r in got] == [
-            (*reference_root_scan(*call)[:2], False) for call in calls
-        ]
+        for call in calls:
+            assert not _check_closed_form(*call).unresolved, call
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -722,23 +685,8 @@ class TestRootScanOracles:
         d = t * 2 * (1 + alpha) * r
         assume(all(abs(d - rt) > 1e-6 * rt for rt in ((1 + alpha) * r, abs(1 - alpha) * r)))
         x = (d * math.cos(phi), d * math.sin(phi))
-        assert strictly_convex_intersection_count(Disc(r), alpha, x).count == disc_pair_count(r, alpha, x)
-
-
-def _exact_gap(body, alpha, x, theta, mp):
-    """g(theta) in mpmath's current precision, at the double theta as given."""
-    r = mp.mpf(body.radius)
-    if isinstance(body, Disc):
-        def phi(a, b):
-            return mp.sqrt(a * a + b * b) / r
-    else:
-        p = mp.mpf(body.p)
-
-        def phi(a, b):
-            return (abs(a) ** p + abs(b) ** p) ** (1 / p) / r
-    c, s = mp.cos_sin(mp.mpf(theta))
-    gb = phi(c, s)
-    return phi((c / gb - x[0]) / alpha, (s / gb - x[1]) / alpha) - 1
+        want = homothet_pair_count(Disc(r), alpha, x)
+        assert strictly_convex_intersection_count(Disc(r), alpha, x).count == want
 
 
 class TestScanCertificates:
@@ -769,11 +717,7 @@ class TestScanCertificates:
 
     @pytest.mark.parametrize("e", range(2, 14))
     def test_disc_near_internal_tangency_matches_closed_form(self, e):
-        x = (10.0 ** -e * math.cos(e), 10.0 ** -e * math.sin(e))
-        want = disc_pair_count(1.0, 1.0, x)
-        scan = strictly_convex_intersection_count(Disc(1.0), 1.0, x)
-        assert scan.count <= want
-        assert scan.unresolved or scan.count == want
+        _check_closed_form(Disc(1.0), 1.0, (10.0 ** -e * math.cos(e), 10.0 ** -e * math.sin(e)))
 
     @pytest.mark.parametrize(
         "body", [Disc(1.0), PBall(1.1, 1.0), PBall(1.5, 1.0), PBall(3.0, 1.0), PBall(8.0, 1.0)]
@@ -816,7 +760,7 @@ class TestScanCertificates:
                 px, py = boundary_point(body, t)
                 slow = gauge(body, ((px - x[0]) / alpha, (py - x[1]) / alpha)) - 1.0
                 with mp.workdps(50):
-                    exact = _exact_gap(body, alpha, x, t, mp)
+                    exact = exact_gap(body, alpha, x, t)
                     worst = max(worst, float(max(abs(f - exact), abs(slow - exact))) / eps)
         print(f"largest |computed g - g| / eps for {body}: {worst:.3g}")
         assert worst <= 1.0
