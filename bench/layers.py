@@ -22,10 +22,14 @@ body passed in), ``concurrence_check`` and ``direction_line_classes`` (on the
 edge-aligned intersections, computed outside the timed call) and
 ``strictly_convex_intersection_count``.  The root scan is timed twice: on
 12 translates in the two-crossing range, as the lemma batches call it
-(``.warm``, the name kept from when the scan cached a boundary grid), and on
-12 translates of size 1e-12 at alpha = 1 (``.floor``), where float error
-hides the sign of g over wide arcs: the disc's scans resolve, the p = 1.5
-ball's spend the whole halving budget.
+(``.warm``: the warm-up call fills the scan's per-body tables of first-pass
+boundary points), and on 12 translates of size 1e-12 at alpha = 1
+(``.floor``), where float error hides the sign of g over wide arcs: the
+disc's scans resolve, the p = 1.5 ball's spend the whole halving budget.
+Last come whole lemma batches: ``random_symmetric_polygon`` on the 200
+polygons a batch draws, and ``lemma.polygon`` (``--which 14``, whose alpha
+== 1 trials flag opposite-edge coincidences) and ``lemma.strict``, each 200
+trials of ``run_lemma_checks`` at seed 7.
 
 ``--src`` names the ``src`` directory to import ``gaugedist`` from, so one
 script can time two checkouts on the same machine.  Only numpy and the
@@ -192,6 +196,20 @@ def _layers(gd):
         f"{len(floor)} root scans over three bodies at alpha = 1 and |x| = 1e-12",
         lambda: [scan(b, a, x) for b, a, x in floor],
     )
+    # the polygons of 200 lemma trials at seed 7, drawn as the batches draw them
+    draws = []
+    for k in range(200):
+        trial_rng = gd.prng.Xorshift64Star(gd.prng.derive_seed(7, k))
+        draws.append((2 + trial_rng.below(7), trial_rng.next_u64()))
+    layers["random_symmetric_polygon"] = (
+        f"random_symmetric_polygon for the {len(draws)} polygons of a lemma batch at seed 7",
+        lambda: [gd.random_symmetric_polygon(n, s) for n, s in draws],
+    )
+    for name, which in (("polygon", "14"), ("strict", "strict")):
+        layers[f"lemma.{name}"] = (
+            f"run_lemma_checks({which!r}, 200, seed=7)",
+            lambda which=which: gd.run_lemma_checks(which, 200, 7),
+        )
     return layers
 
 

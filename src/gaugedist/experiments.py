@@ -47,12 +47,9 @@ from .distance_sets import (
 )
 from .geometry_kernel import (
     ConcurrenceReport,
-    boundary_intersection,
-    concurrence_check,
-    direction_line_classes,
+    _homothet_check,
     random_symmetric_polygon,
     strictly_convex_intersection_count,
-    transform_polygon,
 )
 from .point_sets import GeneratorSpec, _lattice_indices, alpha_dimension_estimate, generate
 from .prng import Xorshift64Star, derive_seed, quantize
@@ -217,13 +214,12 @@ def _polygon_trial(k: int, seed: int, alpha: float) -> tuple[dict, ConcurrenceRe
     rng = Xorshift64Star(derive_seed(seed, k))
     poly = random_symmetric_polygon(2 + rng.below(7), rng.next_u64())
     u = _choose_u(rng, poly, alpha)
-    res = boundary_intersection(poly, transform_polygon(poly, alpha, u))
-    rep = concurrence_check(res, alpha, u, polygon=poly)
+    classes, rep = _homothet_check(poly, alpha, u)
     row = {
         "trial": k,
         "alpha": alpha,
         "u": [u[0], u[1]],
-        "classes": direction_line_classes(res),
+        "classes": classes,
         "max_concurrence_error": float(max(rep.max_point_error, rep.max_angle_error)),
         "flags": sorted(rep.flags),
     }

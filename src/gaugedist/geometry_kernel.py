@@ -17,14 +17,20 @@ two anti-parallel edges onto the other (an "opposite-edge coincidence").
 Overlap-versus-crossing classification is discontinuous, so the polygon code
 is exact: coordinates convert to rationals (doubles convert losslessly) and
 are scaled to integers, points stay integer triples until the result is
-built, and no tolerance enters the polygon checks.  Only the root scan for
-strictly convex bodies works in floating point.
+built, and no tolerance enters the polygon checks.  A lemma trial checks a
+polygon against its dyadic homothet in one integer frame per trial
+(``_homothet_check``): the homothet is built there in integers, the segments
+come from the same edge-pair loop as ``boundary_intersection``, and only a
+segment that fails the concurrence predicate becomes ``Fraction``s.  Only the
+root scan for strictly convex bodies works in floating point; it reads its
+first pass from a per-body table of boundary points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -91,6 +97,14 @@ def _checked_scale_shift(alpha, u) -> tuple[float, float]:
     return ux, uy
 
 
+def _checked_homothety(alpha, u) -> tuple[float, float]:
+    """As ``_checked_scale_shift``; besides, u must be nonzero when alpha is 1."""
+    ux, uy = _checked_scale_shift(alpha, u)
+    if alpha == 1 and ux == 0 and uy == 0:
+        raise ValueError("alpha == 1 requires a nonzero translation")
+    return ux, uy
+
+
 def transform_polygon(boundary, alpha: float, u) -> tuple:
     """Vertices of alpha * boundary + u (orientation preserved; alpha > 0, finite),
     in floats from alpha and u as given (the double 0.3 is not 3/10): exact
@@ -106,34 +120,11 @@ def _point(x: int, y: int, d: int) -> tuple:
     return (x // g, y // g, d // g)
 
 
-def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
-    """Decompose the intersection of two convex closed polylines, exactly.
-
-    Each boundary is a polygon body or a vertex list.  A polygon body is
-    trusted: its constructor already checked that it is simple, strictly
-    convex and counterclockwise.  A vertex list, in either orientation, must
-    be a simple strictly convex polygon; anything else, a star polygon or a
-    boundary listed twice included, raises ``ValueError``.  A convex
-    boundary has at most one edge on any line, so every collinear edge pair
-    overlaps in a whole maximal segment and no segments are merged.  The
-    other edge pairs give crossing and touching points; one inside a segment
-    would lie inside an edge of each boundary and on no other edge, so only
-    the segment's own pair could make it.  The isolated points are therefore
-    the points found minus the segment ends.  The arithmetic is integer; the
-    result holds ``Fraction`` coordinates.
-    """
-    A, B, den = _scale_to_ints(
-        *(b.vertices if isinstance(b, SymmetricPolygon) else b for b in (boundary1, boundary2))
-    )
-    # the set difference below relies on both boundaries being simple
-    for V, boundary in ((A, boundary1), (B, boundary2)):
-        if isinstance(boundary, SymmetricPolygon):
-            continue
-        orient, viol = _convexity(V)
-        if viol:
-            raise ValueError("boundary is not a simple convex polygon: " + "; ".join(viol))
-        if orient < 0:
-            V.reverse()
+def _intersect_ints(A, B) -> tuple[set, list]:
+    """The intersection of the closed polylines A and B, simple strictly convex
+    integer vertex lists in one frame: ``(isolated, overlaps)``, the isolated
+    points as reduced triples (x, y, d) for (x/d, y/d) and the maximal
+    segments as triples (i, p, q), edge i = A[i] -> A[i + 1] carrying pq."""
     m1, m2 = len(A), len(B)
     point_pool: set = set()
     overlaps: list = []
@@ -162,7 +153,7 @@ def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
                 if lo == hi:
                     point_pool.add(p_lo)
                     continue
-                overlaps.append((p_lo, _point(ax * rr + hi * rx, ay * rr + hi * ry, rr)))
+                overlaps.append((i, p_lo, _point(ax * rr + hi * rx, ay * rr + hi * ry, rr)))
             else:
                 qxs = qx * sy - qy * sx
                 if rxs < 0:
@@ -174,13 +165,46 @@ def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
     # A pool point on a segment is one of its ends: a point inside the segment
     # of the pair (i, j) is inside edges i and j and on no other edge of the
     # simple boundaries, so only (i, j), which made the segment, could make it.
-    isolated = point_pool.difference(p for ends in overlaps for p in ends)
+    return point_pool.difference(p for _, *ends in overlaps for p in ends), overlaps
 
-    def frac(p):
-        return (Fraction(p[0], p[2] * den), Fraction(p[1], p[2] * den))
 
-    points = sorted(map(frac, isolated))
-    segments = [Segment(*sorted((frac(p), frac(q)))) for p, q in overlaps]
+def _fraction_point(p, den: int) -> tuple:
+    """The triple p of a frame scaled by den as a pair of ``Fraction``s."""
+    return (Fraction(p[0], p[2] * den), Fraction(p[1], p[2] * den))
+
+
+def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
+    """Decompose the intersection of two convex closed polylines, exactly.
+
+    Each boundary is a polygon body or a vertex list.  A polygon body is
+    trusted: its constructor already checked that it is simple, strictly
+    convex and counterclockwise.  A vertex list, in either orientation, must
+    be a simple strictly convex polygon; anything else, a star polygon or a
+    boundary listed twice included, raises ``ValueError``.  A convex
+    boundary has at most one edge on any line, so every collinear edge pair
+    overlaps in a whole maximal segment and no segments are merged.  The
+    other edge pairs give crossing and touching points; one inside a segment
+    would lie inside an edge of each boundary and on no other edge, so only
+    the segment's own pair could make it.  The isolated points are therefore
+    the points found minus the segment ends.  The arithmetic is integer; the
+    result holds ``Fraction`` coordinates.
+    """
+    A, B, den = _scale_to_ints(
+        *(b.vertices if isinstance(b, SymmetricPolygon) else b for b in (boundary1, boundary2))
+    )
+    # the set difference in _intersect_ints relies on both boundaries being simple
+    for V, boundary in ((A, boundary1), (B, boundary2)):
+        if isinstance(boundary, SymmetricPolygon):
+            continue
+        orient, viol = _convexity(V)
+        if viol:
+            raise ValueError("boundary is not a simple convex polygon: " + "; ".join(viol))
+        if orient < 0:
+            V.reverse()
+    isolated, overlaps = _intersect_ints(A, B)
+    points = sorted(_fraction_point(p, den) for p in isolated)
+    segments = [Segment(*sorted((_fraction_point(p, den), _fraction_point(q, den))))
+                for _, p, q in overlaps]
     segments.sort(key=lambda s: (s.a, s.b))
     return IntersectionResult(tuple(points), tuple(segments))
 
@@ -251,9 +275,7 @@ def concurrence_check(
     ``max_angle_error``.  alpha and u are read exactly as given, so the
     double 0.3 is not 3/10: state a non-dyadic homothety in ``Fraction``s.
     """
-    ux, uy = _checked_scale_shift(alpha, u)
-    if alpha == 1 and ux == 0 and uy == 0:
-        raise ValueError("alpha == 1 requires a nonzero translation")
+    ux, uy = _checked_homothety(alpha, u)
     if alpha == 1:
         target, ref, miss = u, math.hypot(ux, uy), "direction off u by sin angle {:.3e}"
     else:
@@ -298,6 +320,49 @@ def concurrence_check(
         violations=tuple(violations),
         flags=tuple(flags),
     )
+
+
+def _homothet_frame(poly: SymmetricPolygon, alpha: float, u) -> tuple[list, list, int]:
+    """``(A, B, D)``: poly and alpha * poly + u in one integer frame, each point p
+    as D * p, where D = ad * den for alpha = an/ad and den the lcm of the
+    denominators of poly and u, so that B = (an * A + ad * U) / ad is exact."""
+    an, ad = float(alpha).as_integer_ratio()
+    V, [(ux, uy)], den = _scale_to_ints(poly.vertices, [u])
+    A = [(ad * x, ad * y) for x, y in V]
+    B = [(an * x + ad * ux, an * y + ad * uy) for x, y in V]
+    return A, B, ad * den
+
+
+def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, ConcurrenceReport]:
+    """``(classes, report)`` for G = poly and alpha * G + u, equal to
+    ``direction_line_classes`` and ``concurrence_check(..., polygon=poly)`` of
+    ``boundary_intersection(poly, transform_polygon(poly, alpha, u))`` whenever
+    every alpha * v + u is a double, as on the dyadic grids of the lemma trials.
+
+    One integer frame (``_homothet_frame``) serves the whole check, and
+    alpha * G + u is convex because G is, so neither boundary is checked.  A
+    maximal segment lies on one edge i of G, and a strictly convex G has one
+    edge per line, so the segments' lines are their distinct edges.  A segment
+    on edge i passes when B_i, the image of its start A_i, lies on its line.
+    B_i - A_i is (1 - alpha)(u/(1 - alpha) - A_i): for alpha != 1 the line
+    then meets u/(1 - alpha), and for alpha == 1, where B_i - A_i = u, the
+    segment is parallel to u.  Only the others go, as ``Fraction``s, to ``concurrence_check``, which sizes a
+    violation (numbered among them) or flags an opposite-edge coincidence.
+    """
+    _checked_homothety(alpha, u)
+    A, B, D = _homothet_frame(poly, alpha, u)
+    _, overlaps = _intersect_ints(A, B)
+    m = len(A)
+    failed = []
+    for i, p, q in overlaps:
+        (ax, ay), (bx, by), (cx, cy) = A[i], A[(i + 1) % m], B[i]
+        if (bx - ax) * (cy - ay) != (by - ay) * (cx - ax):
+            failed.append(Segment(_fraction_point(p, D), _fraction_point(q, D)))
+    classes = len({i for i, _, _ in overlaps})
+    if not failed:
+        return classes, ConcurrenceReport(True, len(overlaps), 0, 0.0, 0.0)
+    rep = concurrence_check(IntersectionResult((), tuple(failed)), alpha, u, polygon=poly)
+    return classes, replace(rep, checked=rep.checked + len(overlaps) - len(failed))
 
 
 _SAMPLES = math.ceil(2 * math.pi / 1e-4)  # the scan's grid: a full turn at the angles i * _STEP
@@ -350,15 +415,26 @@ def _scan_bounds(body, alpha: float, x_norm: float) -> tuple[float, float]:
     return R * R / (alpha * r * r) * min(1.0, 3 * (p - 1) * x_norm / r if p >= 2 else 1.0), eps
 
 
+@functools.lru_cache(maxsize=8)
+def _first_pass_points(body) -> np.ndarray:
+    """The body's boundary points at the first-pass angles, read-only: one
+    table per body (equal bodies share it) for the few bodies kept."""
+    pts = boundary_points(body, np.arange(0, _SAMPLES, _STRIDE) * _STEP)
+    pts.setflags(write=False)
+    return pts
+
+
 def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
     """G intersect (alpha*G + x), G strictly convex: the roots of g = gauge((b - x)/alpha) - 1.
 
     A sample is certain when |g| > eps (``_scan_bounds``); the first pass takes every 16th grid
-    angle i * ``_STEP``.  A bracket [a, b] of certain ends is a root if their signs differ (cut
-    to one grid step, then bisected) and root-free if |g(a)| + |g(b)| - 2 eps > L (b - a).  Any
-    other is halved: at grid angles while an end is certain, then at midpoints while both are.
-    The uncertain grid samples between two certain ones are one root, at their middle, if those
-    differ in sign; else, or when the budget or doubles run out, the scan is unresolved.
+    angle i * ``_STEP``, whose boundary points depend only on the body: they come from a table
+    kept for the last few bodies scanned (``_first_pass_points``).  A bracket [a, b] of certain
+    ends is a root if their signs differ (cut to one grid step, then bisected) and root-free if
+    |g(a)| + |g(b)| - 2 eps > L (b - a).  Any other is halved: at grid angles while an end is
+    certain, then at midpoints while both are.  The uncertain grid samples between two certain
+    ones are one root, at their middle, if those differ in sign; else, or when the budget or
+    doubles run out, the scan is unresolved.
     """
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
@@ -367,10 +443,14 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
         raise ValueError("translation must be nonzero")
     lip, eps = _scan_bounds(body, alpha, math.hypot(x0, x1))
     n, step, k = _SAMPLES, _STEP, _STRIDE
-    g = gauge_many(body, (boundary_points(body, np.arange(0, n, k) * step) - (x0, x1)) / alpha) - 1
+    pts = _first_pass_points(body) - (x0, x1)
+    pts /= alpha
+    g = gauge_many(body, pts)
+    g -= 1
     g = np.append(g, g[0])  # grid index n is index 0 again
-    free = (g[:-1] * g[1:] > 0) & (np.minimum(abs(g[:-1]), abs(g[1:])) > eps)
-    free &= abs(g[:-1]) + abs(g[1:]) - 2 * eps > lip * k * step
+    absg = np.abs(g)
+    free = (g[:-1] * g[1:] > 0) & (np.minimum(absg[:-1], absg[1:]) > eps)
+    free &= absg[:-1] + absg[1:] - 2 * eps > lip * k * step
     f = _scalar_gauge(body)
 
     def gap(theta: float) -> float:  # as boundary_point then gauge, without their dispatch

@@ -8,7 +8,10 @@ integer normal forms, derived here from the vertices, where the library uses
 half of them and an absolute value, distance oracles are brute-force pair loops,
 orientation checks use exact rational cross products, the annulus/cone
 counts test one point at a time, the concurrence reference keys each
-segment's supporting line on its own, and the strictly convex count is a
+segment's supporting line on its own, the polygon lemma trial is the
+composition of the library's public polygon functions that the trials ran
+before they checked each homothet in one integer frame, and the strictly
+convex count is a
 closed form in the body's norm, with each scanned root certified by an exact
 sign change of the gap in mpmath.
 """
@@ -20,7 +23,16 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from gaugedist import Disc
+from gaugedist import (
+    Disc,
+    boundary_intersection,
+    concurrence_check,
+    direction_line_classes,
+    random_symmetric_polygon,
+    transform_polygon,
+)
+from gaugedist.experiments import _choose_u
+from gaugedist.prng import Xorshift64Star, derive_seed
 
 
 def full_normal_form(vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -331,6 +343,32 @@ def reference_concurrence(segments, alpha, u, polygon_vertices=None) -> dict:
         "violations": violations,
         "sizes": sizes,
     }
+
+
+def reference_homothet_check(poly, alpha, u):
+    """``(classes, report)`` for the polygon and alpha * poly + u, through the
+    public functions: ``transform_polygon``, ``boundary_intersection``,
+    ``concurrence_check`` and ``direction_line_classes``."""
+    res = boundary_intersection(poly, transform_polygon(poly, alpha, u))
+    return direction_line_classes(res), concurrence_check(res, alpha, u, polygon=poly)
+
+
+def reference_polygon_trial(k, seed, alpha):
+    """``(row, report)`` of polygon lemma trial k, drawn as the experiments
+    module draws it and checked by :func:`reference_homothet_check`."""
+    rng = Xorshift64Star(derive_seed(seed, k))
+    poly = random_symmetric_polygon(2 + rng.below(7), rng.next_u64())
+    u = _choose_u(rng, poly, alpha)
+    classes, rep = reference_homothet_check(poly, alpha, u)
+    row = {
+        "trial": k,
+        "alpha": alpha,
+        "u": [u[0], u[1]],
+        "classes": classes,
+        "max_concurrence_error": float(max(rep.max_point_error, rep.max_angle_error)),
+        "flags": sorted(rep.flags),
+    }
+    return row, rep
 
 
 def _on_opposite_edges(a, b, u, vertices) -> bool:

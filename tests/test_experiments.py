@@ -36,6 +36,8 @@ from gaugedist import (
 import gaugedist
 from gaugedist.cli import main
 
+from oracles import reference_polygon_trial
+
 
 LATTICE = GeneratorSpec(kind="lattice", R=5.0)
 
@@ -251,6 +253,21 @@ class TestLemmaBatches:
         assert abs(row["alpha"] - 1) < 0.02
         assert (row["count"], row["flags"]) == (2, [])
 
+    @pytest.mark.parametrize("seed", [1, 5, 99])
+    @pytest.mark.parametrize("which", ["13", "14"])
+    def test_polygon_trials_match_reference(self, which, seed):
+        # the trial's one integer frame against the public functions it replaces,
+        # alpha == 1 trials with opposite-edge flags included
+        from gaugedist.experiments import _ALPHAS_13, _ALPHAS_14, _polygon_trial
+
+        alphas = _ALPHAS_13 if which == "13" else _ALPHAS_14
+        flagged = 0
+        for k in range(150):
+            got = _polygon_trial(k, seed, alphas[k % 4])
+            assert got == reference_polygon_trial(k, seed, alphas[k % 4])
+            flagged += got[1].flagged
+        assert flagged > 0
+
 
 class TestRunMoser:
     def test_window_one_spacing_past_a_non_integer_annulus(self, tmp_path, capsys):
@@ -360,6 +377,13 @@ class TestCli:
         ("14", 99, '{"which": "14", "trials": 200, "violations": 0, "segments_checked": 184, '
          '"segments_flagged": 20, "max_classes": 2, "max_count": 0}',
          "f4127cb7d47e2785bfa65c42213a1e958311344d290ba5a523607d25f1ce3706"),
+        # recorded before the scan read its first pass from a per-body table
+        ("strict", 1, '{"which": "strict", "trials": 200, "violations": 0, "segments_checked": 0, '
+         '"segments_flagged": 0, "max_classes": 0, "max_count": 2}',
+         "e2f7ca216259bde83afb3bd1e975d29ae105e1e401f9a3b002497c738e2aa81e"),
+        ("strict", 99, '{"which": "strict", "trials": 200, "violations": 0, "segments_checked": 0, '
+         '"segments_flagged": 0, "max_classes": 0, "max_count": 2}',
+         "f13813672ba275b2a445b0f20e57425dd610e60fe81ed6097240664d2c321db1"),
     ])
     def test_lemma_checks_output_is_pinned(self, tmp_path, capsys, which, seed, summary, digest):
         out = tmp_path / "lemma.jsonl"

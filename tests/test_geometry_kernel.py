@@ -27,7 +27,15 @@ from gaugedist import (
     transform_polygon,
     validate,
 )
-from gaugedist.geometry_kernel import _SAMPLES, _STEP, _scan_bounds
+from gaugedist.geometry_kernel import (
+    _SAMPLES,
+    _STEP,
+    _STRIDE,
+    _first_pass_points,
+    _homothet_check,
+    _homothet_frame,
+    _scan_bounds,
+)
 from gaugedist.prng import Xorshift64Star
 
 from oracles import (
@@ -40,6 +48,7 @@ from oracles import (
     on_closed_segment,
     point_in_polygon,
     reference_concurrence,
+    reference_homothet_check,
     uncertified_roots,
 )
 
@@ -216,12 +225,12 @@ def _dyadic(lo, hi, bits):
 
 
 @st.composite
-def polygon_and_translate(draw):
-    """Vertices of a random polygon G and of alpha*G + u.  The translate u comes
-    from the four trial constructions of the experiments module docstring, or
-    places one moved vertex on an edge of G."""
+def homothety(draw, alphas=(0.5, 1.0, 2.0, 3.0)):
+    """A random polygon G, a scale alpha from ``alphas`` and a translate u, all
+    dyadic.  u comes from the four trial constructions of the experiments
+    module docstring, or places one vertex of alpha*G + u on an edge of G."""
     poly = random_symmetric_polygon(draw(st.integers(2, 8)), draw(st.integers(0, 2**32 - 1)))
-    alpha = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    alpha = draw(st.sampled_from(alphas))
     verts = poly.vertices
     i = draw(st.integers(0, len(verts) - 1))
     (vx, vy), (wx, wy) = verts[i], verts[(i + 1) % len(verts)]
@@ -243,7 +252,12 @@ def polygon_and_translate(draw):
         px, py = verts[draw(st.integers(0, len(verts) - 1))]
         s = draw(_dyadic(0.0, 1.0, 12))
         u = (vx + s * ex - alpha * px, vy + s * ey - alpha * py)
-    return poly.vertices, transform_polygon(poly, alpha, u)
+    return poly, alpha, u
+
+
+def polygon_and_translate():
+    """Vertices of G and of alpha*G + u, from :func:`homothety`."""
+    return homothety().map(lambda case: (case[0].vertices, transform_polygon(*case)))
 
 
 class TestIntersectionOracle:
@@ -286,6 +300,34 @@ class TestIntersectionOracle:
         res = boundary_intersection(body, V2)
         assert res == boundary_intersection(V1, V2) == boundary_intersection(V1[::-1], V2)
         assert boundary_intersection(V2, body) == boundary_intersection(V2, V1[::-1])
+
+
+class TestHomothetCheck:
+    """The lemma trials' one-frame check against the public functions it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=homothety(alphas=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)))
+    @example(case=(square(), 1.0, (0.25, 2.0)))  # an opposite-edge coincidence
+    @example(case=(square(), 2.0, (1.0, 1.0)))  # two segments through u/(1 - alpha)
+    def test_matches_public_composition(self, case):
+        poly, alpha, u = case
+        assume(alpha != 1 or u != (0.0, 0.0))
+        A, B, D = _homothet_frame(poly, alpha, u)
+
+        def fractions(V, d):
+            return [(Fraction(x) / d, Fraction(y) / d) for x, y in V]
+
+        assert fractions(A, D) == fractions(poly.vertices, 1)
+        assert fractions(B, D) == fractions(transform_polygon(poly, alpha, u), 1)
+        classes, rep = _homothet_check(poly, alpha, u)
+        assert (classes, rep) == reference_homothet_check(poly, alpha, u)
+
+    @pytest.mark.parametrize("alpha, u", [(1.0, (0.0, 0.0)), (0.0, (1.0, 0.0)), (2.0, (math.nan, 0.0))])
+    def test_rejects_what_the_public_functions_reject(self, alpha, u):
+        with pytest.raises(ValueError):
+            reference_homothet_check(square(), alpha, u)
+        with pytest.raises(ValueError):
+            _homothet_check(square(), alpha, u)
 
 
 @st.composite
@@ -637,6 +679,34 @@ def _check_closed_form(body, alpha, x):
     assert scan.unresolved or want is None or scan.count == want
     assert uncertified_roots(body, alpha, x, scan.thetas) == []
     return scan
+
+
+class TestFirstPassTable:
+    """The scan's per-body table of first-pass boundary points."""
+
+    @pytest.mark.parametrize("body", [Disc(1.0), PBall(1.5, 1.0), PBall(3.0, 2.0)])
+    def test_read_only_boundary_points(self, body):
+        table = _first_pass_points(body)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        expected = boundary_points(body, np.arange(0, _SAMPLES, _STRIDE) * _STEP)
+        assert np.array_equal(table, expected)
+
+    def test_scan_is_the_same_cold_warm_anew_and_after_eviction(self):
+        args = (1.3, (0.9, -0.4))
+        _first_pass_points.cache_clear()
+        cold = strictly_convex_intersection_count(PBall(3, 1), *args)
+        warm = strictly_convex_intersection_count(PBall(3, 1), *args)
+        anew = strictly_convex_intersection_count(PBall(3.0, 1.0), *args)
+        assert _first_pass_points(PBall(3, 1)) is _first_pass_points(PBall(3.0, 1.0))
+        for r in range(_first_pass_points.cache_info().maxsize):
+            _first_pass_points(Disc(1.0 + r))
+        misses = _first_pass_points.cache_info().misses
+        evicted = strictly_convex_intersection_count(PBall(3.0, 1.0), *args)
+        assert _first_pass_points.cache_info().misses == misses + 1
+        assert cold == warm == anew == evicted
+        assert cold.count == 2 and not cold.unresolved
 
 
 class TestRootScanOracles:
