@@ -5,7 +5,10 @@ alpha*G + u splits into isolated points and maximal segments, and the
 segments are rigidly constrained:
 
 * their supporting lines form at most 2 distinct classes;
-* for alpha != 1 every supporting line passes through u / (1 - alpha);
+* for alpha != 1 every supporting line passes through u / (1 - alpha), except
+  where the boundaries touch from outside along two anti-parallel edges: the
+  square and 2 * square + (3, 0) share x = 1, |y| <= 1, whose line misses
+  u / (1 - alpha) = (-3, 0), and the checks report that as a violation;
 * for alpha == 1 every segment is parallel to u, except when u carries one of
   two anti-parallel edges exactly onto the other.
 

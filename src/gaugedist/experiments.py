@@ -113,12 +113,10 @@ def run_sweep(
 
 
 def taxicab_count(n: int, body_name: str = "square") -> dict:
-    """Distinct gauge distances of the (n+1) x (n+1) corner lattice, exactly."""
+    """Distinct gauge distances of the (n+1) x (n+1) corner lattice, exactly, for a
+    polygon or disc body given as :func:`load_body` takes it."""
     if n < 1:
         raise ValueError("lattice size must be >= 1")
-    names = ["diamond", "disc", "square"]
-    if body_name not in names:
-        raise ValueError(f"taxicab count supports {names}, not {body_name!r}")
     ds = grid_distance_set(load_body(body_name), n + 1, n + 1, 1.0, exact=True)
     n_points = (n + 1) ** 2
     return {

@@ -196,11 +196,9 @@ def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
     for V, boundary in ((A, boundary1), (B, boundary2)):
         if isinstance(boundary, SymmetricPolygon):
             continue
-        orient, viol = _convexity(V)
+        _, viol = _convexity(V)
         if viol:
             raise ValueError("boundary is not a simple convex polygon: " + "; ".join(viol))
-        if orient < 0:
-            V.reverse()
     isolated, overlaps = _intersect_ints(A, B)
     points = sorted(_fraction_point(p, den) for p in isolated)
     segments = [Segment(*sorted((_fraction_point(p, den), _fraction_point(q, den))))
@@ -373,11 +371,12 @@ _BUDGET = 15_000  # halving evaluations per scan; 6,000 strict trials needed at 
 
 @dataclass(frozen=True)
 class RootScan:
-    """One angle per stretch shown to hold an odd number of roots, so ``count``
-    is a lower bound.  Resolved: all else was shown root-free (a tangency never is)."""
+    """One bracket (lo, hi) per stretch shown to hold an odd number of roots: g has opposite
+    certain signs at the sampled angles lo and hi (hi < lo across angle 0), so ``count`` is a
+    lower bound.  Resolved: all else was shown root-free (a tangency never is)."""
 
     count: int
-    thetas: tuple[float, ...]
+    brackets: tuple[tuple[float, float], ...]
     unresolved: bool
 
 
@@ -430,11 +429,11 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
     A sample is certain when |g| > eps (``_scan_bounds``); the first pass takes every 16th grid
     angle i * ``_STEP``, whose boundary points depend only on the body: they come from a table
     kept for the last few bodies scanned (``_first_pass_points``).  A bracket [a, b] of certain
-    ends is a root if their signs differ (cut to one grid step, then bisected) and root-free if
-    |g(a)| + |g(b)| - 2 eps > L (b - a).  Any other is halved: at grid angles while an end is
-    certain, then at midpoints while both are.  The uncertain grid samples between two certain
-    ones are one root, at their middle, if those differ in sign; else, or when the budget or
-    doubles run out, the scan is unresolved.
+    ends is a root if their signs differ (cut to one grid step or less, and reported as it is)
+    and root-free if |g(a)| + |g(b)| - 2 eps > L (b - a).  Any other is halved: at grid angles
+    while an end is certain, then at midpoints while both are.  The uncertain grid samples
+    between two certain ones are one root, bracketed by those two, if they differ in sign; else,
+    or when the budget or doubles run out, the scan is unresolved.
     """
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
@@ -458,21 +457,7 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
         gb = f(c, s)
         return f((c / gb - x0) / alpha, (s / gb - x1) / alpha) - 1.0
 
-    def bisect(lo: float, hi: float, flo: float) -> None:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:  # neighbouring doubles: no further halving
-                break
-            fm = gap(mid)
-            if fm == 0.0:
-                lo = hi = mid
-            elif (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-
-    roots, seen = [], []  # root angles; (grid index, g) of samples not cleared, in turn order
+    brackets, seen = [], []  # root brackets; (grid index, g) of samples not cleared, in turn order
     budget, unresolved = _BUDGET, False
     for c in np.flatnonzero(~free).tolist():
         if free[c - 1]:  # else seen as the previous bracket's end (for c = 0, at the end)
@@ -484,7 +469,7 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
             cross = si and sj and (gi > 0) != (gj > 0)
             clear = si and sj and not cross and abs(gi) + abs(gj) - 2 * eps > lip * (j - i) * step
             if cross and not wide:
-                bisect(i * step, i * step + (j - i) * step, gi)
+                brackets.append((i * step, j % n * step))
             elif not clear and (si and sj or wide and (si or sj)):
                 m = (i + j) // 2 if wide else 0.5 * (i + j)
                 if cross or (budget > 0 and i < m < j):  # a sign change is always located
@@ -499,18 +484,18 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
 
     # from the first certain sample round to it again; each run ends at a certain one
     first = next((t for t, (_, v) in enumerate(seen) if abs(v) > eps), 0)
-    run, last = [], 0.0  # the open run's grid indices; g of the last certain sample
+    run, last, glast = False, 0, 0.0  # an open run of uncertain samples; the last certain sample
     for j, v in seen[first:] + seen[: first + 1]:
         if abs(v) <= eps:
-            run.append(j)
+            run = True
             continue
-        if run and (v > 0) != (last > 0):
-            roots.append((run[0] + ((run[-1] - run[0]) % n + 1) // 2) % n * step)
-        unresolved |= bool(run) and (v > 0) == (last > 0)
-        run, last = [], v
-    unresolved |= bool(run)  # no certain sample at all
-    roots.sort()
-    return RootScan(len(roots), tuple(roots), unresolved)
+        if run and (v > 0) != (glast > 0):
+            brackets.append((last * step, j * step))
+        unresolved |= run and (v > 0) == (glast > 0)
+        run, last, glast = False, j, v
+    unresolved |= run  # no certain sample at all
+    brackets.sort()
+    return RootScan(len(brackets), tuple(brackets), unresolved)
 
 
 def convex_hull(points) -> list:

@@ -68,8 +68,8 @@ class PointSet:
 class GeneratorSpec:
     """Recipe for a deterministic point set.
 
-    kind is "lattice", "perturbed_lattice", or "file"; jitter must stay below
-    spacing/2 so separation is preserved.
+    kind is "lattice", "perturbed_lattice", or "file"; jitter applies only to the
+    perturbed lattice, and must stay below spacing/2 so separation is preserved.
     """
 
     kind: str
@@ -82,6 +82,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in ("lattice", "perturbed_lattice", "file"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.jitter != 0 and self.kind != "perturbed_lattice":
+            raise ValueError(f"jitter applies only to the perturbed lattice, not {self.kind!r}")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"spacing {self.spacing} must be positive and finite")
         if not (0 <= self.jitter < self.spacing / 2):
@@ -193,8 +195,8 @@ class AlphaEstimate:
 def alpha_dimension_estimate(samples: Sequence[tuple[float, int]]) -> AlphaEstimate:
     """Fit count ~ R^alpha by least squares on log-log samples.
 
-    samples are (R, count) pairs with R strictly increasing and counts >= 1;
-    residual is the max absolute deviation in log space.
+    samples are (R, count) pairs with R positive, finite and strictly increasing
+    and counts >= 1; residual is the max absolute deviation in log space.
     """
     if len(samples) < 3:
         raise ValueError("alpha fit needs at least 3 samples")
@@ -202,6 +204,8 @@ def alpha_dimension_estimate(samples: Sequence[tuple[float, int]]) -> AlphaEstim
     counts = np.array([int(c) for _, c in samples])
     if np.any(counts < 1):
         raise ValueError("counts must be >= 1")
+    if not np.all(np.isfinite(Rs) & (Rs > 0)):
+        raise ValueError("R values must be positive and finite")
     if np.any(np.diff(Rs) <= 0):
         raise ValueError("R values must be strictly increasing")
     x = np.log(Rs)

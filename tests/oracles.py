@@ -11,9 +11,8 @@ counts test one point at a time, the concurrence reference keys each
 segment's supporting line on its own, the polygon lemma trial is the
 composition of the library's public polygon functions that the trials ran
 before they checked each homothet in one integer frame, and the strictly
-convex count is a
-closed form in the body's norm, with each scanned root certified by an exact
-sign change of the gap in mpmath.
+convex count is a closed form in the body's norm, with each scanned root
+bracket certified by the exact signs of the gap at its ends, in mpmath.
 """
 
 import math
@@ -417,22 +416,18 @@ def homothet_pair_count(body, alpha, x):
         return 2 if lo < n < hi else 0
 
 
-def uncertified_roots(body, alpha, x, thetas) -> list:
-    """The angles of ``thetas`` (sorted, in [0, 2 pi)) that no exact sign change
-    certifies.  An angle t is certified when :func:`exact_gap` has opposite
-    nonzero signs at t - w and t + w, taken in mpmath at 60 digits, for one of
-    w = d/2^k, k = 2, ..., 151, with d the distance to the nearest other angle
-    round the turn (2 pi if none).  These windows are disjoint, and each holds
-    an odd number of roots."""
+def uncertified_brackets(body, alpha, x, brackets) -> list:
+    """The brackets (lo, hi) of ``brackets`` (sorted by lo; hi < lo across angle 0)
+    that the exact signs do not certify: :func:`exact_gap`, taken in mpmath at 60
+    digits, is zero at an end or has one sign at both, or the bracket overlaps
+    the next one round the turn.  The rest are disjoint, and each holds an odd
+    number of roots."""
     bad = []
     with mp.workdps(60):
-        for i, t in enumerate(thetas):
-            gaps = (abs(mp.mpf(t) - u) for u in thetas[:i] + thetas[i + 1 :])
-            w = min((min(e, 2 * mp.pi - e) for e in gaps), default=2 * mp.pi) / 2
-            for _ in range(150):
-                w /= 2
-                if exact_gap(body, alpha, x, t - w) * exact_gap(body, alpha, x, t + w) < 0:
-                    break
-            else:
-                bad.append(t)
+        turn = 2 * mp.pi
+        for k, (lo, hi) in enumerate(brackets):
+            end = hi if hi >= lo else hi + turn
+            nxt = brackets[k + 1][0] if k + 1 < len(brackets) else brackets[0][0] + turn
+            if exact_gap(body, alpha, x, lo) * exact_gap(body, alpha, x, hi) >= 0 or nxt < end:
+                bad.append((lo, hi))
     return bad

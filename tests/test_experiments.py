@@ -167,8 +167,27 @@ class TestTaxicab:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             taxicab_count(0)
-        with pytest.raises(ValueError):
+        # an unknown name is read as a body file path, as for every --body
+        with pytest.raises(FileNotFoundError):
             taxicab_count(5, "pentagon")
+
+    def test_polygon_body_file_matches_brute_count(self, tmp_path, capsys):
+        spec = {"type": "polygon", "vertices": [[2, 1], [-1, 2]], "symmetric_completion": True}
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(spec))
+        body = gaugedist.load_body(str(path))
+        lattice = [(x, y) for x in range(6) for y in range(6)]
+        brute = {gaugedist.gauge_exact(body, (p[0] - q[0], p[1] - q[1]))
+                 for p in lattice for q in lattice}
+        assert taxicab_count(5, str(path))["n_distances"] == len(brute) == 19
+        assert main(["taxicab-count", "--n", "5", "--body", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["n_distances"] == 19
+
+    def test_p_ball_body_file_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps({"type": "pball", "p": 3, "radius": 1}))
+        assert main(["taxicab-count", "--n", "5", "--body", str(path)]) == 2
+        assert capsys.readouterr().err == "error: exact distance sets need a polygon or disc body\n"
 
 
 class TestErdosBound:
@@ -238,7 +257,7 @@ class TestLemmaBatches:
         from gaugedist import RootScan
 
         monkeypatch.setattr(experiments, "strictly_convex_intersection_count",
-                            lambda body, alpha, x: RootScan(1, (0.5,), True))
+                            lambda body, alpha, x: RootScan(1, ((0.5, 0.6),), True))
         batch = run_lemma_checks("strict", 3, seed=2)
         assert [(r["count"], r["flags"]) for r in batch.rows] == [(1, ["unresolved"])] * 3
         assert (batch.violations, batch.max_count) == (0, 1)
@@ -621,3 +640,14 @@ class TestCli:
         rc = main(["sweep", "--body", "square", "--set", f"file:{path}"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", ["lattice", "file"])
+    def test_jitter_outside_the_perturbed_lattice_is_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "p.csv"
+        path.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
+        setting = kind if kind == "lattice" else f"file:{path}"
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--set", setting, "--jitter", "0.3", "--R", "5", "--out", str(out)]
+        assert main(argv) == 2
+        err = f"error: jitter applies only to the perturbed lattice, not {kind!r}\n"
+        assert capsys.readouterr().err == err and not out.exists()

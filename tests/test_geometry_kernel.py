@@ -49,7 +49,7 @@ from oracles import (
     point_in_polygon,
     reference_concurrence,
     reference_homothet_check,
-    uncertified_roots,
+    uncertified_brackets,
 )
 
 
@@ -400,6 +400,26 @@ class TestConcurrence:
         assert rep.flagged == 1
         assert rep.flags == ("opposite-edge coincidence",)
 
+    def test_external_edge_contact_off_alpha_one_is_a_violation(self):
+        # the square and 2 * square + (3, 0) touch from outside along x = 1, |y| <= 1, the
+        # square's right edge and the image's left edge; that line misses u/(1 - alpha) =
+        # (-3, 0) by 4, 4/3 of |u/(1 - alpha)|.  Both checks report it as a violation.
+        u = (3.0, 0.0)
+        res = boundary_intersection(square(), transform_polygon(square(), 2.0, u))
+        assert res.maximal_segments == (Segment((1, -1), (1, 1)),)
+        public = concurrence_check(res, 2.0, u, polygon=square())
+        assert _homothet_check(square(), 2.0, u) == (1, public)
+        assert (public.ok, public.checked, public.flagged) == (False, 1, 0)
+        assert public.max_point_error == 4 / 3
+        assert public.violations == (
+            "segment 0: supporting line misses u/(1-alpha) by 1.333e+00 (rel)",)
+        # at alpha = 1 the analogous contact is an opposite-edge coincidence, flagged
+        u = (2.0, 0.5)
+        res = boundary_intersection(square(), transform_polygon(square(), 1.0, u))
+        public = concurrence_check(res, 1.0, u, polygon=square())
+        assert _homothet_check(square(), 1.0, u) == (1, public)
+        assert (public.ok, public.flags) == (True, ("opposite-edge coincidence",))
+
     def test_opposite_edge_without_polygon_is_violation(self):
         u = (2.0, 0.0)
         res = boundary_intersection(square(), transform_polygon(square(), 1.0, u))
@@ -672,12 +692,15 @@ def scan_case(draw):
 
 def _check_closed_form(body, alpha, x):
     """The scan's count against :func:`homothet_pair_count`: at most it, equal when
-    resolved, at most 1 at an undecided tangency; and every angle certified."""
+    resolved, at most 1 at an undecided tangency; one bracket per root, sorted by lo,
+    and every bracket certified by the exact signs at its ends."""
     scan = strictly_convex_intersection_count(body, alpha, x)
     want = homothet_pair_count(body, alpha, x)
     assert scan.count <= (1 if want is None else want)
     assert scan.unresolved or want is None or scan.count == want
-    assert uncertified_roots(body, alpha, x, scan.thetas) == []
+    assert scan.count == len(scan.brackets)
+    assert list(scan.brackets) == sorted(scan.brackets)
+    assert uncertified_brackets(body, alpha, x, scan.brackets) == []
     return scan
 
 
@@ -733,6 +756,17 @@ class TestRootScanOracles:
     @example(case=(PBall(1.5, 1.0), 0.5, (0.49999991666696764, -2.4999939461282262e-05)))
     def test_matches_closed_form(self, case):
         _check_closed_form(*case)
+
+    def test_certificate_rejects_what_the_signs_do_not_show(self):
+        # unit circles with centres 1 apart cross at pi/3 and 5 pi/3; g < 0 between them
+        case = (Disc(1.0), 1.0, (1.0, 0.0))
+        a, b = _check_closed_form(*case).brackets
+        shifted = [(lo + 8 * _STEP, hi + 8 * _STEP) for lo, hi in (a, b)]
+        assert uncertified_brackets(*case, shifted) == shifted  # one sign at both ends
+        assert uncertified_brackets(*case, [a, a, b]) == [a]  # overlaps its copy
+        assert uncertified_brackets(*case, [(1.0, 1.0)]) == [(1.0, 1.0)]
+        # opposite signs at both ends of each, but the second runs round past the first's lo
+        assert uncertified_brackets(*case, [(0.5, a[1]), (b[0], 1.0)]) == [(b[0], 1.0)]
 
     def test_fixed_calls_match_closed_form(self):
         three = [Disc(1.0), PBall(1.5, 1.0), PBall(3.0, 1.0)]
@@ -822,9 +856,21 @@ class TestScanCertificates:
             _, eps = _scan_bounds(body, alpha, math.hypot(*x))
             scan = strictly_convex_intersection_count(body, alpha, x)
             assert scan.count == 2 and not scan.unresolved
+            roots = []
+            with mp.workdps(50):  # each root, bisected in its bracket on the exact gap
+                for lo, hi in scan.brackets:
+                    lo, hi = mp.mpf(lo), mp.mpf(hi) + (2 * mp.pi if hi < lo else 0)
+                    glo = exact_gap(body, alpha, x, lo)
+                    for _ in range(50):
+                        mid = (lo + hi) / 2
+                        if (exact_gap(body, alpha, x, mid) > 0) == (glo > 0):
+                            lo = mid
+                        else:
+                            hi = mid
+                    roots.append(float(lo))
             # 1,000 angles over the turn and 500 within 1e-12 of each root
             th = np.concatenate([rng.uniform(0, 2 * math.pi, 1000)]
-                                + [t + rng.uniform(-1e-12, 1e-12, 500) for t in scan.thetas])
+                                + [t + rng.uniform(-1e-12, 1e-12, 500) for t in roots])
             fast = gauge_many(body, (boundary_points(body, th) - x) / alpha) - 1
             for t, f in zip(th.tolist(), fast.tolist()):
                 px, py = boundary_point(body, t)

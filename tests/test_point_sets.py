@@ -46,8 +46,11 @@ class TestGenerate:
             assert np.max(np.abs(ps.points)) <= ps.R
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="lattice", R=2.0, jitter=0.6)  # jitter >= spacing/2
+        with pytest.raises(ValueError, match="spacing/2"):
+            GeneratorSpec(kind="perturbed_lattice", R=2.0, jitter=0.6)
+        for kind in ("lattice", "file"):
+            with pytest.raises(ValueError, match="only to the perturbed lattice"):
+                GeneratorSpec(kind=kind, R=2.0, jitter=0.1, path="p.csv")
         with pytest.raises(ValueError):
             GeneratorSpec(kind="hexgrid", R=2.0)
         with pytest.raises(ValueError):
@@ -164,6 +167,11 @@ class TestAlphaEstimate:
             alpha_dimension_estimate([(1, 1), (2, 0), (3, 2)])
         with pytest.raises(ValueError):
             alpha_dimension_estimate([(2, 1), (1, 2), (3, 3)])
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                alpha_dimension_estimate([(bad, 1), (1.0, 2), (2.0, 3)])
+        with pytest.raises(ValueError, match="positive and finite"):
+            alpha_dimension_estimate([(1.0, 1), (2.0, 2), (math.inf, 3)])
 
 
 class TestCsvRoundTrip:
