@@ -55,8 +55,8 @@ def _genspec_from_args(args) -> GeneratorSpec:
         if not args.R:
             raise ValueError("file point sets need --R for the window radius")
         return GeneratorSpec(
-            kind="file", R=args.R[0], path=setting[len("file:") :], jitter=args.jitter,
-            seed=args.seed,
+            kind="file", R=args.R[0], path=setting[len("file:") :], spacing=args.spacing,
+            jitter=args.jitter, seed=args.seed,
         )
     kind = {"lattice": "lattice", "perturbed": "perturbed_lattice"}.get(setting)
     if kind is None:

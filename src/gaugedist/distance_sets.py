@@ -216,6 +216,8 @@ def _disc_roots(keys: np.ndarray, c: Fraction) -> np.ndarray:
     unbounded exponents.  A numerator beyond the double range raises
     ``ValueError``, and so does a scaled term or a nonzero root below the
     normal range, where that would no longer hold."""
+    if not keys.size:
+        return np.zeros(0)
     num, den = c.numerator, c.denominator
     # max(..., 1): num itself must fit as well
     k = keys.astype(_int_dtype(max(max(int(keys.max()), 1) * num, den)))

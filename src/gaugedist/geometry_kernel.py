@@ -19,11 +19,12 @@ is exact: coordinates convert to rationals (doubles convert losslessly) and
 are scaled to integers, points stay integer triples until the result is
 built, and no tolerance enters the polygon checks.  A lemma trial checks a
 polygon against its dyadic homothet in one integer frame per trial
-(``_homothet_check``): the homothet is built there in integers, the segments
-come from the same edge-pair loop as ``boundary_intersection``, and only a
-segment that fails the concurrence predicate becomes ``Fraction``s.  Only the
-root scan for strictly convex bodies works in floating point; it reads its
-first pass from a per-body table of boundary points.
+(``_homothet_check``).  A homothety keeps edge directions, so only edges i
+and i + n of the homothet, the two of that direction, can share a segment
+with edge i; the law holds on (i, i) by construction and never on (i, i + n),
+so only the latter segments become ``Fraction``s.  Only the root scan for
+strictly convex bodies works in floating point; it reads its first pass from
+a per-body table of boundary points.
 """
 
 from __future__ import annotations
@@ -120,11 +121,12 @@ def _point(x: int, y: int, d: int) -> tuple:
     return (x // g, y // g, d // g)
 
 
-def _intersect_ints(A, B) -> tuple[set, list]:
+def _intersect_ints(A, B, partners) -> tuple[set, list]:
     """The intersection of the closed polylines A and B, simple strictly convex
-    integer vertex lists in one frame: ``(isolated, overlaps)``, the isolated
+    integer vertex lists in one frame, over the pairs of edge i of A with each
+    edge j of B in ``partners(i)``: ``(isolated, overlaps)``, the isolated
     points as reduced triples (x, y, d) for (x/d, y/d) and the maximal
-    segments as triples (i, p, q), edge i = A[i] -> A[i + 1] carrying pq."""
+    segments as (i, j, p, q), edges i = A[i] -> A[i + 1] and j of B carrying pq."""
     m1, m2 = len(A), len(B)
     point_pool: set = set()
     overlaps: list = []
@@ -133,7 +135,7 @@ def _intersect_ints(A, B) -> tuple[set, list]:
         ax, ay = A[i]
         bx, by = A[(i + 1) % m1]
         rx, ry = bx - ax, by - ay
-        for j in range(m2):
+        for j in partners(i):
             cx, cy = B[j]
             dx, dy = B[(j + 1) % m2]
             sx, sy = dx - cx, dy - cy
@@ -153,7 +155,7 @@ def _intersect_ints(A, B) -> tuple[set, list]:
                 if lo == hi:
                     point_pool.add(p_lo)
                     continue
-                overlaps.append((i, p_lo, _point(ax * rr + hi * rx, ay * rr + hi * ry, rr)))
+                overlaps.append((i, j, p_lo, _point(ax * rr + hi * rx, ay * rr + hi * ry, rr)))
             else:
                 qxs = qx * sy - qy * sx
                 if rxs < 0:
@@ -165,7 +167,7 @@ def _intersect_ints(A, B) -> tuple[set, list]:
     # A pool point on a segment is one of its ends: a point inside the segment
     # of the pair (i, j) is inside edges i and j and on no other edge of the
     # simple boundaries, so only (i, j), which made the segment, could make it.
-    return point_pool.difference(p for _, *ends in overlaps for p in ends), overlaps
+    return point_pool.difference(e for *_, p, q in overlaps for e in (p, q)), overlaps
 
 
 def _fraction_point(p, den: int) -> tuple:
@@ -199,10 +201,11 @@ def boundary_intersection(boundary1, boundary2) -> IntersectionResult:
         _, viol = _convexity(V)
         if viol:
             raise ValueError("boundary is not a simple convex polygon: " + "; ".join(viol))
-    isolated, overlaps = _intersect_ints(A, B)
+    every_edge = range(len(B))
+    isolated, overlaps = _intersect_ints(A, B, lambda i: every_edge)
     points = sorted(_fraction_point(p, den) for p in isolated)
     segments = [Segment(*sorted((_fraction_point(p, den), _fraction_point(q, den))))
-                for _, p, q in overlaps]
+                for *_, p, q in overlaps]
     segments.sort(key=lambda s: (s.a, s.b))
     return IntersectionResult(tuple(points), tuple(segments))
 
@@ -339,28 +342,28 @@ def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, Concu
 
     One integer frame (``_homothet_frame``) serves the whole check, and
     alpha * G + u is convex because G is, so neither boundary is checked.  A
-    maximal segment lies on one edge i of G, and a strictly convex G has one
-    edge per line, so the segments' lines are their distinct edges.  A segment
-    on edge i passes when B_i, the image of its start A_i, lies on its line.
-    B_i - A_i is (1 - alpha)(u/(1 - alpha) - A_i): for alpha != 1 the line
-    then meets u/(1 - alpha), and for alpha == 1, where B_i - A_i = u, the
-    segment is parallel to u.  Only the others go, as ``Fraction``s, to ``concurrence_check``, which sizes a
+    homothety with alpha > 0 keeps edge directions, so a segment on edge i of
+    G lies on edge i or i + n of alpha * G + u, the two of that direction;
+    only those pairs are searched.  Each segment has its own line (``classes``
+    counts them), as each boundary has one edge per line.  On (i, i), the
+    image B_i of A_i is on the line and B_i - A_i = (1 - alpha)(u/(1 - alpha)
+    - A_i): the line meets u/(1 - alpha), or for alpha == 1 is parallel to u.
+    On (i, i + n), with edge i on <v, x> = h > 0, edge i + n of alpha * G + u
+    is on <v, x> = <v, u> - alpha h, so <v, u> = (1 + alpha) h: u/(1 - alpha)
+    is on the line only if alpha = 0, and u is never parallel to it.  These
+    segments go, as ``Fraction``s, to ``concurrence_check``, which sizes a
     violation (numbered among them) or flags an opposite-edge coincidence.
     """
     _checked_homothety(alpha, u)
     A, B, D = _homothet_frame(poly, alpha, u)
-    _, overlaps = _intersect_ints(A, B)
-    m = len(A)
-    failed = []
-    for i, p, q in overlaps:
-        (ax, ay), (bx, by), (cx, cy) = A[i], A[(i + 1) % m], B[i]
-        if (bx - ax) * (cy - ay) != (by - ay) * (cx - ax):
-            failed.append(Segment(_fraction_point(p, D), _fraction_point(q, D)))
-    classes = len({i for i, _, _ in overlaps})
+    n = len(A) // 2
+    _, overlaps = _intersect_ints(A, B, lambda i: (i, (i + n) % (2 * n)))
+    failed = [Segment(_fraction_point(p, D), _fraction_point(q, D))
+              for i, j, p, q in overlaps if j != i]
     if not failed:
-        return classes, ConcurrenceReport(True, len(overlaps), 0, 0.0, 0.0)
+        return len(overlaps), ConcurrenceReport(True, len(overlaps), 0, 0.0, 0.0)
     rep = concurrence_check(IntersectionResult((), tuple(failed)), alpha, u, polygon=poly)
-    return classes, replace(rep, checked=rep.checked + len(overlaps) - len(failed))
+    return len(overlaps), replace(rep, checked=rep.checked + len(overlaps) - len(failed))
 
 
 _SAMPLES = math.ceil(2 * math.pi / 1e-4)  # the scan's grid: a full turn at the angles i * _STEP
@@ -498,6 +501,17 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
     return RootScan(len(brackets), tuple(brackets), unresolved)
 
 
+def _chain(pts) -> list:
+    """The monotone chain of pts in their order: strict left turns only."""
+    chain: list = []
+    for p in pts:
+        while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                                   - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def convex_hull(points) -> list:
     """Counterclockwise convex hull (monotone chain, strict turns).
 
@@ -507,21 +521,7 @@ def convex_hull(points) -> list:
     pts = sorted({(float(p[0]), float(p[1])) for p in points})
     if len(pts) <= 2:
         return list(pts)
-
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    hull = _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
     if len(hull) < 3:
         return [pts[0], pts[-1]]
     return hull
@@ -551,13 +551,10 @@ def random_symmetric_polygon(n_half_vertices: int, seed: int) -> SymmetricPolygo
             rho = px * px + py * py
             if not (0.25 <= rho <= 2.25):
                 continue
-            qx, qy = quantize(px, _GRID_BITS), quantize(py, _GRID_BITS)
-            if qx == 0.0 and qy == 0.0:
-                continue
-            pts.append((qx, qy))
+            pts.append((quantize(px, _GRID_BITS), quantize(py, _GRID_BITS)))
         sym = pts + [(-a, -b) for a, b in pts]
-        try:
-            return SymmetricPolygon(convex_hull(sym))
+        try:  # the upper hull of a symmetric set is its lower hull negated
+            return SymmetricPolygon.from_half(_chain(sorted(set(sym)))[:-1])
         except InvalidBodyError:
             continue
     raise RuntimeError(

@@ -68,8 +68,9 @@ class PointSet:
 class GeneratorSpec:
     """Recipe for a deterministic point set.
 
-    kind is "lattice", "perturbed_lattice", or "file"; jitter applies only to the
-    perturbed lattice, and must stay below spacing/2 so separation is preserved.
+    kind is "lattice", "perturbed_lattice", or "file"; spacing applies only to
+    the lattices, and jitter only to the perturbed lattice, where it must stay
+    below spacing/2 so separation is preserved.
     """
 
     kind: str
@@ -84,6 +85,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.jitter != 0 and self.kind != "perturbed_lattice":
             raise ValueError(f"jitter applies only to the perturbed lattice, not {self.kind!r}")
+        if self.spacing != 1.0 and self.kind == "file":
+            raise ValueError("spacing applies only to the lattices, not 'file'")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"spacing {self.spacing} must be positive and finite")
         if not (0 <= self.jitter < self.spacing / 2):

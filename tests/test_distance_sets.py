@@ -665,6 +665,8 @@ root_scales = st.builds(
 @example(c=Fraction(1), keys=[0, 1, 2**62, 2**63 - 1], dtype=np.int64, edge=0)
 # spacing 0.3: den = 2**108 takes the object branch whatever the keys
 @example(c=Fraction(0.3) ** 2, keys=[0, 1, 9040], dtype=np.int64, edge=0)
+# no key fits int64: no keys, no roots
+@example(c=Fraction(1), keys=[2**63], dtype=np.int64, edge=1)
 def test_disc_roots_match_the_per_key_formula(c, keys, dtype, edge):
     """Bit for bit, in int64 and in object dtype, with keys just below, at and
     above the largest k for which k * numerator fits int64."""

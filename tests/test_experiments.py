@@ -128,12 +128,16 @@ class TestFloatLatticeSweep:
         grid = grid_distance_set(body, side, side, 0.3, exact=False)
         assert grid.multiplicities == ds.multiplicities
 
-    @pytest.mark.parametrize("R, spacing", [(0.3, 0.1), (0.7, 0.1), (0.6, 0.2), (2.3, 0.1)])
-    def test_window_holds_every_lattice_point(self, R, spacing):
+    @pytest.mark.parametrize("R, spacing, n_points", [
+        (0.3, 0.1, 25), (0.7, 0.1, 169), (0.6, 0.2, 25), (2.3, 0.1, 2025),
+        # floor(1.7 / 0.1) = 17 but 17 * 0.1 > 1.7; floor(4.3 / 0.1) = 42 but 43 * 0.1 == 4.3
+        (1.7, 0.1, 1089), (4.3, 0.1, 7569),
+    ])
+    def test_window_holds_every_lattice_point(self, R, spacing, n_points):
         # k * spacing rounds above R for k = R / spacing here (7 * 0.1 > 0.7): no such row
         spec = GeneratorSpec(kind="lattice", R=R, spacing=spacing)
         ps = generate(spec)
-        assert np.max(np.abs(ps.points)) <= R
+        assert np.max(np.abs(ps.points)) <= R and len(ps) == n_points
         [row] = run_sweep(square(), spec, [R])
         assert row.n_points == len(ps)
 
@@ -509,6 +513,12 @@ class TestCli:
         assert "annulus width inf must be positive and finite" in capsys.readouterr().err
         assert main(["moser", "--cone", "0,1", "--cone-inner", "0.2,0.8", "--N-range", "5..3"]) == 2
         assert "argument --N-range: N range 5..3 is empty" in capsys.readouterr().err
+        assert main(["moser", "--cone", "0", "--cone-inner", "0.2,0.8", "--N-range", "1..2"]) == 2
+        assert "cone needs two comma-separated angles" in capsys.readouterr().err
+        assert main(["moser", "--cone", "0,1", "--cone-inner", "0.2,0.8", "--N-range", "5"]) == 2
+        assert "N range looks like a..b" in capsys.readouterr().err
+        assert main(["sweep", "--set", "lattice"]) == 2
+        assert "sweep needs --R with at least one radius" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, violation", [
         ({"type": "polygon", "vertices": [[1, 1], [-1, 1], [1, -1], [-1, -1]]},
@@ -651,3 +661,12 @@ class TestCli:
         assert main(argv) == 2
         err = f"error: jitter applies only to the perturbed lattice, not {kind!r}\n"
         assert capsys.readouterr().err == err and not out.exists()
+
+    def test_spacing_on_a_file_set_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("x,y\n0.0,0.0\n1.0,0.0\n0.0,1.0\n")
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--set", f"file:{path}", "--spacing", "2", "--R", "5", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: spacing applies only to the lattices, not 'file'\n"
+        assert not out.exists()
