@@ -47,7 +47,6 @@ from .geometry_kernel import (
     Segment,
     boundary_intersection,
     concurrence_check,
-    convex_hull,
     direction_line_classes,
     random_symmetric_polygon,
     strictly_convex_intersection_count,

@@ -423,15 +423,28 @@ def _spec_field(spec: dict, name: str, convert):
         raise ValueError(f"body spec has no {name!r} field")
     try:
         return convert(spec[name])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"body spec field {name!r}: {exc}") from None
+
+
+def _json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a JSON boolean")
+    return value
 
 
 def body_from_spec(spec: dict) -> ConvexBody:
     """Build a body from its JSON description.
 
     ``{"type": "polygon", "vertices": [[x, y], ...], "symmetric_completion": bool}``
-    or ``{"type": "disc", "radius": r}`` or ``{"type": "pball", "p": p, "radius": r}``.
+    or ``{"type": "disc", "radius": r}`` or ``{"type": "pball", "p": p, "radius": r}``,
+    with r and p JSON numbers and the completion a JSON boolean, false when absent.
     A malformed description raises ``ValueError`` naming the bad field, and an
     invalid body :class:`InvalidBodyError`.
     """
@@ -440,13 +453,14 @@ def body_from_spec(spec: dict) -> ConvexBody:
     kind = spec.get("type")
     if kind == "polygon":
         verts = _spec_field(spec, "vertices", _as_vertex_tuple)
-        if spec.get("symmetric_completion"):
+        complete = "symmetric_completion" in spec
+        if complete and _spec_field(spec, "symmetric_completion", _json_bool):
             return SymmetricPolygon.from_half(verts)
         return SymmetricPolygon(verts)
     if kind == "disc":
-        return Disc(_spec_field(spec, "radius", float))
+        return Disc(_spec_field(spec, "radius", _json_number))
     if kind == "pball":
-        return PBall(_spec_field(spec, "p", float), _spec_field(spec, "radius", float))
+        return PBall(_spec_field(spec, "p", _json_number), _spec_field(spec, "radius", _json_number))
     raise ValueError(f"unknown body type {kind!r}")
 
 

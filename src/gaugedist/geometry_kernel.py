@@ -58,7 +58,6 @@ __all__ = [
     "Segment",
     "boundary_intersection",
     "concurrence_check",
-    "convex_hull",
     "direction_line_classes",
     "random_symmetric_polygon",
     "strictly_convex_intersection_count",
@@ -374,9 +373,9 @@ _BUDGET = 15_000  # halving evaluations per scan; 6,000 strict trials needed at 
 
 @dataclass(frozen=True)
 class RootScan:
-    """One bracket (lo, hi) per stretch shown to hold an odd number of roots: g has opposite
-    certain signs at the sampled angles lo and hi (hi < lo across angle 0), so ``count`` is a
-    lower bound.  Resolved: all else was shown root-free (a tangency never is)."""
+    """One bracket (lo, hi) per pair of consecutive certain samples of g of opposite sign, at
+    their angles (hi < lo across angle 0), so ``count`` is a lower bound.  Resolved: all else
+    was shown root-free (a tangency never is)."""
 
     count: int
     brackets: tuple[tuple[float, float], ...]
@@ -431,12 +430,12 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
 
     A sample is certain when |g| > eps (``_scan_bounds``); the first pass takes every 16th grid
     angle i * ``_STEP``, whose boundary points depend only on the body: they come from a table
-    kept for the last few bodies scanned (``_first_pass_points``).  A bracket [a, b] of certain
-    ends is a root if their signs differ (cut to one grid step or less, and reported as it is)
-    and root-free if |g(a)| + |g(b)| - 2 eps > L (b - a).  Any other is halved: at grid angles
-    while an end is certain, then at midpoints while both are.  The uncertain grid samples
-    between two certain ones are one root, bracketed by those two, if they differ in sign; else,
-    or when the budget or doubles run out, the scan is unresolved.
+    kept for the last few bodies scanned (``_first_pass_points``).  A stretch [a, b] of certain
+    ends of one sign is root-free if |g(a)| + |g(b)| - 2 eps > L (b - a).  Any other is halved:
+    at grid angles while an end is certain, then at midpoints while the ends are certain and of
+    one sign.  Round the turn, consecutive certain samples of opposite sign bracket a root; two
+    of one sign with samples between, no certain sample at all, or a spent budget or running
+    out of doubles leave the scan unresolved.
     """
     if not isinstance(body, (Disc, PBall)):
         raise ValueError("strict-convexity scan needs a disc or p-ball body")
@@ -460,43 +459,35 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
         gb = f(c, s)
         return f((c / gb - x0) / alpha, (s / gb - x1) / alpha) - 1.0
 
-    brackets, seen = [], []  # root brackets; (grid index, g) of samples not cleared, in turn order
+    seen = []  # (angle / step, g) of the samples outside cleared stretches, in turn order
     budget, unresolved = _BUDGET, False
     for c in np.flatnonzero(~free).tolist():
-        if free[c - 1]:  # else seen as the previous bracket's end (for c = 0, at the end)
-            seen.append((c * k, float(g[c])))
-        todo = [(c * k, float(g[c]), c * k + k, float(g[c + 1]), True)]
-        while todo:  # brackets [i, j] in grid indices, leftmost last; grid: j is a grid index
-            i, gi, j, gj, grid = todo.pop()
+        seen.append((c * k, float(g[c])))
+        todo = [(c * k, float(g[c]), c * k + k, float(g[c + 1]))]
+        while todo:  # stretches [i, j] in grid steps, leftmost last
+            i, gi, j, gj = todo.pop()
             si, sj, wide = abs(gi) > eps, abs(gj) > eps, j - i > 1
             cross = si and sj and (gi > 0) != (gj > 0)
             clear = si and sj and not cross and abs(gi) + abs(gj) - 2 * eps > lip * (j - i) * step
-            if cross and not wide:
-                brackets.append((i * step, j % n * step))
-            elif not clear and (si and sj or wide and (si or sj)):
+            if not clear and (wide and (si or sj) or si and sj and not cross):
                 m = (i + j) // 2 if wide else 0.5 * (i + j)
                 if cross or (budget > 0 and i < m < j):  # a sign change is always located
                     budget -= 1
                     gm = gap(m * step)
-                    if wide or abs(gm) > eps:  # else uncertain between samples of one sign
-                        todo += [(m, gm, j, gj, grid), (i, gi, m, gm, wide)]
-                        continue
+                    todo += [(m, gm, j, gj), (i, gi, m, gm)]
+                    continue
                 unresolved = True
-            if grid:  # samples between grid angles lie between certain grid samples
-                seen.append((j % n, gj))
+            seen.append((j % n, gj))
 
-    # from the first certain sample round to it again; each run ends at a certain one
-    first = next((t for t, (_, v) in enumerate(seen) if abs(v) > eps), 0)
-    run, last, glast = False, 0, 0.0  # an open run of uncertain samples; the last certain sample
-    for j, v in seen[first:] + seen[: first + 1]:
-        if abs(v) <= eps:
-            run = True
-            continue
-        if run and (v > 0) != (glast > 0):
-            brackets.append((last * step, j * step))
-        unresolved |= run and (v > 0) == (glast > 0)
-        run, last, glast = False, j, v
-    unresolved |= run  # no certain sample at all
+    sure = [t for t, (_, v) in enumerate(seen) if abs(v) > eps]  # positions of certain samples
+    unresolved |= bool(seen) and not sure
+    brackets = []
+    for a, b in zip(sure, sure[1:] + sure[:1]):  # consecutive round the turn
+        (i, gi), (j, gj) = seen[a], seen[b]
+        if (gi > 0) != (gj > 0):
+            brackets.append((i * step, j * step))
+        elif (b - a - 1) % len(seen):  # uncertain samples lie between
+            unresolved = True
     brackets.sort()
     return RootScan(len(brackets), tuple(brackets), unresolved)
 
@@ -510,21 +501,6 @@ def _chain(pts) -> list:
             chain.pop()
         chain.append(p)
     return chain
-
-
-def convex_hull(points) -> list:
-    """Counterclockwise convex hull (monotone chain, strict turns).
-
-    Collinear input returns the two-point degenerate chain; a single distinct
-    point returns itself.  No collinear triples survive on a proper hull.
-    """
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
-    if len(pts) <= 2:
-        return list(pts)
-    hull = _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
-    if len(hull) < 3:
-        return [pts[0], pts[-1]]
-    return hull
 
 
 _GRID_BITS = 16  # random polygon vertices lie on the dyadic grid 2**-16

@@ -69,8 +69,8 @@ class GeneratorSpec:
     """Recipe for a deterministic point set.
 
     kind is "lattice", "perturbed_lattice", or "file"; spacing applies only to
-    the lattices, and jitter only to the perturbed lattice, where it must stay
-    below spacing/2 so separation is preserved.
+    the lattices, and jitter and seed only to the perturbed lattice, where the
+    jitter must stay below spacing/2 so separation is preserved.
     """
 
     kind: str
@@ -85,6 +85,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.jitter != 0 and self.kind != "perturbed_lattice":
             raise ValueError(f"jitter applies only to the perturbed lattice, not {self.kind!r}")
+        if self.seed != 0 and self.kind != "perturbed_lattice":
+            raise ValueError(f"seed applies only to the perturbed lattice, not {self.kind!r}")
         if self.spacing != 1.0 and self.kind == "file":
             raise ValueError("spacing applies only to the lattices, not 'file'")
         if not (math.isfinite(self.spacing) and self.spacing > 0):

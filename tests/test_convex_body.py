@@ -460,6 +460,28 @@ class TestBodySpecs:
         with pytest.raises(ValueError):
             body_from_spec({"type": "banana"})
 
+    @pytest.mark.parametrize("spec, field", [
+        # a string is no JSON boolean: "false" must not complete the polygon
+        ({"type": "polygon", "vertices": [[1, 1], [-1, 1]], "symmetric_completion": "false"},
+         "symmetric_completion"),
+        ({"type": "polygon", "vertices": [[1, 1], [-1, 1]], "symmetric_completion": 1},
+         "symmetric_completion"),
+        ({"type": "disc", "radius": True}, "radius"),
+        ({"type": "disc", "radius": "1.0"}, "radius"),
+        ({"type": "disc", "radius": 10**400}, "radius"),
+        ({"type": "pball", "p": "3", "radius": 1}, "p"),
+        ({"type": "pball", "p": 3, "radius": False}, "radius"),
+    ])
+    def test_fields_have_json_types(self, spec, field):
+        with pytest.raises(ValueError, match=f"body spec field '{field}': "):
+            body_from_spec(spec)
+
+    def test_completion_is_false_when_absent_or_false(self):
+        verts = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+        assert body_from_spec({"type": "polygon", "vertices": verts}) == square()
+        spec = {"type": "polygon", "vertices": verts, "symmetric_completion": False}
+        assert body_from_spec(spec) == square()
+
     def test_load_named_and_file(self, tmp_path):
         assert load_body("square") == square()
         assert load_body("diamond") == diamond()

@@ -530,6 +530,8 @@ class TestCli:
         ([1, 2], "body spec must be a JSON object, not list"),
         ({"type": "disc", "radius": None}, "body spec field 'radius': "),
         ({"type": "polygon", "vertices": 5}, "body spec field 'vertices': "),
+        ({"type": "polygon", "vertices": [[1, 1], [-1, 1]], "symmetric_completion": "false"},
+         "body spec field 'symmetric_completion': 'false' is not a JSON boolean"),
     ])
     @pytest.mark.parametrize("argv", [
         ["sweep", "--set", "lattice", "--R", "3", "--no-timestamp"],
@@ -660,6 +662,17 @@ class TestCli:
         argv = ["sweep", "--set", setting, "--jitter", "0.3", "--R", "5", "--out", str(out)]
         assert main(argv) == 2
         err = f"error: jitter applies only to the perturbed lattice, not {kind!r}\n"
+        assert capsys.readouterr().err == err and not out.exists()
+
+    @pytest.mark.parametrize("kind", ["lattice", "file"])
+    def test_seed_outside_the_perturbed_lattice_is_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "p.csv"
+        path.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
+        setting = kind if kind == "lattice" else f"file:{path}"
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--set", setting, "--R", "3", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 2
+        err = f"error: seed applies only to the perturbed lattice, not {kind!r}\n"
         assert capsys.readouterr().err == err and not out.exists()
 
     def test_spacing_on_a_file_set_is_exit_2(self, tmp_path, capsys):

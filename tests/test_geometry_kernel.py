@@ -16,7 +16,6 @@ from gaugedist import (
     boundary_point,
     boundary_points,
     concurrence_check,
-    convex_hull,
     diamond,
     direction_line_classes,
     gauge,
@@ -46,7 +45,6 @@ from oracles import (
     homothet_pair_count,
     on_closed_polyline,
     on_closed_segment,
-    point_in_polygon,
     reference_concurrence,
     reference_homothet_check,
     uncertified_brackets,
@@ -819,6 +817,16 @@ class TestScanCertificates:
             # faster than the bound: found, but the budget runs out before the arcs are cleared
             assert (scan.count, scan.unresolved) == (2, alpha == 1 and k % 6 == 0), k
 
+    @pytest.mark.parametrize("body, x", [
+        (PBall(3.0, 1.0), (-1.0461899687709008e-12, -2.754117263602614e-12)),
+        (PBall(8.0, 1.0), (4.607888309022697e-13, 1.156261985545369e-13)),
+    ])
+    def test_uncertain_sample_between_samples_of_one_sign_is_unresolved(self, body, x):
+        # halving between two certain samples of one sign finds a sample of uncertain sign,
+        # which may hide two roots: both crossings are found, but the scan cannot finish
+        scan = _check_closed_form(body, 1.0, x)
+        assert (scan.count, scan.unresolved) == (2, True)
+
     @pytest.mark.parametrize("e", range(2, 14))
     def test_disc_near_internal_tangency_matches_closed_form(self, e):
         _check_closed_form(Disc(1.0), 1.0, (10.0 ** -e * math.cos(e), 10.0 ** -e * math.sin(e)))
@@ -880,31 +888,6 @@ class TestScanCertificates:
                     worst = max(worst, float(max(abs(f - exact), abs(slow - exact))) / eps)
         print(f"largest |computed g - g| / eps for {body}: {worst:.3g}")
         assert worst <= 1.0
-
-
-class TestConvexHull:
-    def test_square_corners_and_center(self):
-        hull = convex_hull([(1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)])
-        assert len(hull) == 4
-        assert set(hull) == {(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)}
-
-    def test_collinear_degenerate_chain(self):
-        hull = convex_hull([(0, 0), (1, 1), (2, 2)])
-        assert hull == [(0.0, 0.0), (2.0, 2.0)]
-
-    def test_random_points_hull_is_ccw_and_extreme(self):
-        rng = Xorshift64Star(31415)
-        pts = []
-        while len(pts) < 100:
-            x, y = rng.in_disc()
-            pts.append((2 * x, 2 * y))
-        hull = convex_hull(pts)
-        m = len(hull)
-        assert m >= 3
-        for i in range(m):
-            assert exact_turn(hull[i], hull[(i + 1) % m], hull[(i + 2) % m]) == 1
-        for p in pts:
-            assert point_in_polygon(hull, p)
 
 
 class TestRandomSymmetricPolygon:

@@ -51,6 +51,8 @@ class TestGenerate:
         for kind in ("lattice", "file"):
             with pytest.raises(ValueError, match="only to the perturbed lattice"):
                 GeneratorSpec(kind=kind, R=2.0, jitter=0.1, path="p.csv")
+            with pytest.raises(ValueError, match="seed applies only to the perturbed lattice"):
+                GeneratorSpec(kind=kind, R=2.0, seed=5, path="p.csv")
         with pytest.raises(ValueError):
             GeneratorSpec(kind="hexgrid", R=2.0)
         with pytest.raises(ValueError):
