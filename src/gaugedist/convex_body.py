@@ -433,6 +433,12 @@ def _json_number(value) -> float:
     return float(value)
 
 
+def _json_vertices(value) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list) or not all(isinstance(v, list) and len(v) == 2 for v in value):
+        raise TypeError(f"{value!r} is not a JSON array of [x, y] pairs")
+    return tuple((_json_number(x), _json_number(y)) for x, y in value)
+
+
 def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"{value!r} is not a JSON boolean")
@@ -444,7 +450,7 @@ def body_from_spec(spec: dict) -> ConvexBody:
 
     ``{"type": "polygon", "vertices": [[x, y], ...], "symmetric_completion": bool}``
     or ``{"type": "disc", "radius": r}`` or ``{"type": "pball", "p": p, "radius": r}``,
-    with r and p JSON numbers and the completion a JSON boolean, false when absent.
+    with x, y, r and p JSON numbers and the completion a JSON boolean, false when absent.
     A malformed description raises ``ValueError`` naming the bad field, and an
     invalid body :class:`InvalidBodyError`.
     """
@@ -452,7 +458,7 @@ def body_from_spec(spec: dict) -> ConvexBody:
         raise ValueError(f"body spec must be a JSON object, not {type(spec).__name__}")
     kind = spec.get("type")
     if kind == "polygon":
-        verts = _spec_field(spec, "vertices", _as_vertex_tuple)
+        verts = _spec_field(spec, "vertices", _json_vertices)
         complete = "symmetric_completion" in spec
         if complete and _spec_field(spec, "symmetric_completion", _json_bool):
             return SymmetricPolygon.from_half(verts)

@@ -21,17 +21,17 @@ built, and no tolerance enters the polygon checks.  A lemma trial checks a
 polygon against its dyadic homothet in one integer frame per trial
 (``_homothet_check``).  A homothety keeps edge directions, so only edges i
 and i + n of the homothet, the two of that direction, can share a segment
-with edge i; the law holds on (i, i) by construction and never on (i, i + n),
-so only the latter segments become ``Fraction``s.  Only the root scan for
-strictly convex bodies works in floating point; it reads its first pass from
-a per-body table of boundary points.
+with edge i, and the pair decides the segment: (i, i) obeys the law, and
+(i, i + n), an external contact and the only overlap, is flagged at a == 1
+and a violation otherwise.  Only the root scan for strictly convex bodies
+works in floating point; it reads its first pass from a per-body table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -342,27 +342,27 @@ def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, Concu
     One integer frame (``_homothet_frame``) serves the whole check, and
     alpha * G + u is convex because G is, so neither boundary is checked.  A
     homothety with alpha > 0 keeps edge directions, so a segment on edge i of
-    G lies on edge i or i + n of alpha * G + u, the two of that direction;
-    only those pairs are searched.  Each segment has its own line (``classes``
-    counts them), as each boundary has one edge per line.  On (i, i), the
-    image B_i of A_i is on the line and B_i - A_i = (1 - alpha)(u/(1 - alpha)
-    - A_i): the line meets u/(1 - alpha), or for alpha == 1 is parallel to u.
-    On (i, i + n), with edge i on <v, x> = h > 0, edge i + n of alpha * G + u
-    is on <v, x> = <v, u> - alpha h, so <v, u> = (1 + alpha) h: u/(1 - alpha)
-    is on the line only if alpha = 0, and u is never parallel to it.  These
-    segments go, as ``Fraction``s, to ``concurrence_check``, which sizes a
-    violation (numbered among them) or flags an opposite-edge coincidence.
+    G (each on its own line: ``classes`` counts them) lies on edge i or i + n
+    of alpha * G + u, and that pair decides it.  On (i, i), B_i - A_i = (1 -
+    alpha)(u/(1 - alpha) - A_i) for the image B_i of A_i: the line meets
+    u/(1 - alpha), or for alpha == 1 is parallel to u.  On (i, i + n) the
+    outward normals are opposite, so the bodies lie on opposite sides of the
+    line and the segment is the only overlap.  For alpha == 1, edge i + n of
+    G + u is u minus edge i, so a, b, u - a and u - b lie on edge i: a flagged
+    opposite-edge coincidence.  Else u/(1 - alpha) is off the line, as <v, u> =
+    (1 + alpha) h for edge i on <v, x> = h > 0: ``concurrence_check`` sizes it.
     """
     _checked_homothety(alpha, u)
     A, B, D = _homothet_frame(poly, alpha, u)
     n = len(A) // 2
     _, overlaps = _intersect_ints(A, B, lambda i: (i, (i + n) % (2 * n)))
-    failed = [Segment(_fraction_point(p, D), _fraction_point(q, D))
-              for i, j, p, q in overlaps if j != i]
-    if not failed:
+    if all(i == j for i, j, *_ in overlaps):
         return len(overlaps), ConcurrenceReport(True, len(overlaps), 0, 0.0, 0.0)
-    rep = concurrence_check(IntersectionResult((), tuple(failed)), alpha, u, polygon=poly)
-    return len(overlaps), replace(rep, checked=rep.checked + len(overlaps) - len(failed))
+    [(_, _, p, q)] = overlaps
+    if alpha == 1:
+        return 1, ConcurrenceReport(True, 0, 1, 0.0, 0.0, flags=("opposite-edge coincidence",))
+    seg = Segment(_fraction_point(p, D), _fraction_point(q, D))
+    return 1, concurrence_check(IntersectionResult((), (seg,)), alpha, u)
 
 
 _SAMPLES = math.ceil(2 * math.pi / 1e-4)  # the scan's grid: a full turn at the angles i * _STEP

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .convex_body import _json_number
 from .prng import Xorshift64Star
 
 __all__ = [
@@ -255,8 +256,8 @@ def load_point_set(path, R: Optional[float] = None) -> PointSet:
             with open(sidecar, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
             try:
-                R = float(spec["R"])
-            except (KeyError, TypeError, ValueError) as exc:
+                R = _json_number(spec["R"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{sidecar}: expected a JSON object with a numeric 'R'") from exc
         else:
             raise ValueError("window radius R missing: pass R or provide the sidecar")

@@ -471,6 +471,13 @@ class TestBodySpecs:
         ({"type": "disc", "radius": 10**400}, "radius"),
         ({"type": "pball", "p": "3", "radius": 1}, "p"),
         ({"type": "pball", "p": 3, "radius": False}, "radius"),
+        # each vertex is an array of two JSON numbers
+        ({"type": "polygon", "vertices": [["1", "1"], [-1, True]], "symmetric_completion": True},
+         "vertices"),
+        ({"type": "polygon", "vertices": [[1, 1], [-1, True]], "symmetric_completion": True},
+         "vertices"),
+        ({"type": "polygon", "vertices": [[1, 1], [-1, 1, 0]], "symmetric_completion": True},
+         "vertices"),
     ])
     def test_fields_have_json_types(self, spec, field):
         with pytest.raises(ValueError, match=f"body spec field '{field}': "):

@@ -226,7 +226,9 @@ def _dyadic(lo, hi, bits):
 def homothety(draw, alphas=(0.5, 1.0, 2.0, 3.0)):
     """A random polygon G, a scale alpha from ``alphas`` and a translate u, all
     dyadic.  u comes from the four trial constructions of the experiments
-    module docstring, or places one vertex of alpha*G + u on an edge of G."""
+    module docstring, or places one vertex of alpha*G + u on an edge of G.
+    The opposite-edge construction holds at every alpha: it carries alpha
+    times edge i + n of G onto the line of edge i, an external contact."""
     poly = random_symmetric_polygon(draw(st.integers(2, 8)), draw(st.integers(0, 2**32 - 1)))
     alpha = draw(st.sampled_from(alphas))
     verts = poly.vertices
@@ -242,8 +244,9 @@ def homothety(draw, alphas=(0.5, 1.0, 2.0, 3.0)):
     elif kind == "vertex-homothety":
         u = ((1.0 - alpha) * wx, (1.0 - alpha) * wy)
     elif kind == "opposite-edge":
-        s = draw(_dyadic(-0.875, 0.875, 12))
-        u = (vx + wx + s * ex, vy + wy + s * ey)
+        # alpha * (edge i + n) + u runs from v + (s + alpha) e to v + s e
+        s = draw(_dyadic(2**-12 - alpha, 1.0 - 2**-12, 12))
+        u = (vx + alpha * wx + s * ex, vy + alpha * wy + s * ey)
     elif kind == "random":
         u = (draw(_dyadic(-2.5, 2.5, 16)), draw(_dyadic(-2.5, 2.5, 16)))
     else:

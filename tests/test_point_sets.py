@@ -197,7 +197,11 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             load_point_set(path)
 
-    @pytest.mark.parametrize("sidecar", ['{"radius": 2}', "[2]", '{"R": null}', '{"R": "wide"}'])
+    @pytest.mark.parametrize("sidecar", [
+        '{"radius": 2}', "[2]", '{"R": null}', '{"R": "wide"}',
+        # R is a JSON number within the double range: not a boolean or a numeric string
+        '{"R": true}', '{"R": "3"}', pytest.param('{"R": 1' + 400 * "0" + "}", id="R-401-digits"),
+    ])
     def test_malformed_sidecar(self, tmp_path, sidecar):
         path = tmp_path / "p.csv"
         path.write_text("x,y\n0.5,0.25\n")
