@@ -37,8 +37,8 @@ res = boundary_intersection(sq, moved)
 print("alpha=2, u=(1,0):")
 for seg in res.maximal_segments:
     print(f"  segment {tuple(map(float, seg.a))} -- {tuple(map(float, seg.b))}")
-rep = concurrence_check(res, 2.0, (1.0, 0.0), polygon=sq)
-print(f"  concurrence through u/(1-alpha): ok={rep.ok}, error={rep.max_point_error}")
+rep = concurrence_check(res, 2.0, (1.0, 0.0))
+print(f"  concurrence through u/(1-alpha): ok={rep.ok}, error={rep.max_error}")
 
 # Scaling about a vertex aligns both incident edges: two supporting lines,
 # both through the vertex.

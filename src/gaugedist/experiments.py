@@ -88,12 +88,15 @@ def run_sweep(
 
     Every lattice window, float or exact, goes through the grid closed form
     (:func:`grid_distance_set`), so no lattice sweep runs the pair loop; other
-    point sets are generated and go through :func:`distance_set`.
+    point sets are generated and go through :func:`distance_set`.  A file
+    point set is the same set at every radius, so it takes one radius.
     """
     radii = sorted(map(float, R_list))
     for a, b in zip(radii, radii[1:]):
         if a == b:
             raise ValueError(f"window radius {a!r} is given twice")
+    if genspec.kind == "file" and len(radii) > 1:
+        raise ValueError(f"a file point set takes one window radius, not {len(radii)}")
     rows = []
     for R in radii:
         spec = replace(genspec, R=R)
@@ -218,7 +221,7 @@ def _polygon_trial(k: int, seed: int, alpha: float) -> tuple[dict, ConcurrenceRe
         "alpha": alpha,
         "u": [u[0], u[1]],
         "classes": classes,
-        "max_concurrence_error": float(max(rep.max_point_error, rep.max_angle_error)),
+        "max_concurrence_error": rep.max_error,
         "flags": sorted(rep.flags),
     }
     return row, rep

@@ -9,10 +9,10 @@ collinear edge pair yields a whole maximal segment, and segments are never
 merged, and a point found on a segment is one of its ends.
 This module computes that decomposition, counts the distinct supporting lines
 of the segments (never more than two when u != 0), and checks the concurrence
-law with one predicate, cross(b - a, w) == 0 for each segment ab: for a != 1
-every supporting line passes through u/(1-a) (w = u/(1-a) - a), and for
-a == 1 every segment is parallel to u (w = u) except when u carries one of
-two anti-parallel edges onto the other (an "opposite-edge coincidence").
+law with one predicate for every a, cross(b - a, u - (1 - a) a) == 0 for each
+segment ab: its supporting line passes through u/(1-a) for a != 1 and is
+parallel to u for a == 1, except when u carries one of two anti-parallel
+edges onto the other (an "opposite-edge coincidence").
 
 Overlap-versus-crossing classification is discontinuous, so the polygon code
 is exact: coordinates convert to rationals (doubles convert losslessly) and
@@ -226,13 +226,21 @@ def direction_line_classes(result: IntersectionResult) -> int:
 
 @dataclass(frozen=True)
 class ConcurrenceReport:
-    ok: bool
+    """The ``violations`` among the segments ``checked``, the largest one's size, and the
+    segments ``flagged`` as opposite-edge coincidences."""
+
     checked: int
     flagged: int
-    max_point_error: float
-    max_angle_error: float
+    max_error: float
     violations: tuple[str, ...] = ()
-    flags: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return ("opposite-edge coincidence",) * self.flagged
 
 
 def _on_segment(p, a, b) -> bool:
@@ -263,63 +271,48 @@ def concurrence_check(
 ) -> ConcurrenceReport:
     """Check the concurrence/parallelism law on every maximal segment, exactly.
 
-    One predicate serves both regimes: the segment ab passes when
-    cross(b - a, w) == 0, decided in integers, with w = u/(1-alpha) - a for
-    alpha != 1 (the supporting line passes through u/(1-alpha)) and w = u for
-    alpha == 1 (the segment is parallel to u).  A nonzero cross product is a
-    violation, except that for alpha == 1 a segment that verifiably comes from
-    two anti-parallel edges of the supplied polygon at offset u is flagged
-    instead.  A violation's float size is |cross| / (|b - a| * ref): the miss
-    distance relative to ref = |u/(1-alpha)| (1 when that is 0) in
-    ``max_point_error``, the sine of the angle to u (ref = |u|) in
-    ``max_angle_error``.  alpha and u are read exactly as given, so the
-    double 0.3 is not 3/10: state a non-dyadic homothety in ``Fraction``s.
+    One predicate serves every alpha: the segment ab passes when
+    cross(b - a, w) == 0 for w = u - (1 - alpha) a, decided in integers, so
+    its supporting line passes through u/(1-alpha) for alpha != 1 and is
+    parallel to u for alpha == 1.  A nonzero cross product is a violation,
+    except that for alpha == 1 a segment that verifiably comes from two
+    anti-parallel edges of the supplied polygon at offset u is flagged
+    instead.  A violation's float size, the largest in ``max_error``, is
+    |cross(b - a, w)| / (|b - a| |u|), with |1 - alpha| for |u| when u = 0:
+    the miss relative to |u/(1-alpha)| for alpha != 1 (the distance from 0
+    when u = 0) and the sine of the angle to u for alpha == 1.  alpha and u
+    are read exactly as given, so the double 0.3 is not 3/10: state a
+    non-dyadic homothety in ``Fraction``s.
     """
     ux, uy = _checked_homothety(alpha, u)
-    if alpha == 1:
-        target, ref, miss = u, math.hypot(ux, uy), "direction off u by sin angle {:.3e}"
-    else:
-        scale = 1 - Fraction(alpha)
-        target = (Fraction(u[0]) / scale, Fraction(u[1]) / scale)
-        ref = math.hypot(float(target[0]), float(target[1])) or 1.0
-        miss = "supporting line misses u/(1-alpha) by {:.3e} (rel)"
-    # one integer frame for the segment ends, the target and, where the
-    # opposite-edge test may run, the polygon (a valid body by construction)
-    ends, [(tx, ty)], V, den = _scale_to_ints(
+    an, ad = Fraction(alpha).as_integer_ratio()
+    # one integer frame for the segment ends, u and, where the opposite-edge
+    # test may run, the polygon (a valid body by construction)
+    ends, [U], V, den = _scale_to_ints(
         [p for s in result.maximal_segments for p in (s.a, s.b)],
-        [target],
+        [u],
         polygon.vertices if alpha == 1 and polygon is not None else (),
     )
-    checked = flagged = 0
+    ref = math.hypot(ux, uy) or abs(ad - an) / ad
+    miss = ("direction off u by sin angle {:.3e}" if alpha == 1
+            else "supporting line misses u/(1-alpha) by {:.3e} (rel)")
+    flagged = 0
     max_err = 0.0
     violations: list[str] = []
-    flags: list[str] = []
 
     for k, ((ax, ay), (bx, by)) in enumerate(zip(ends[::2], ends[1::2])):
-        wx, wy = (tx, ty) if alpha == 1 else (tx - ax, ty - ay)
         dx, dy = bx - ax, by - ay
-        cr = dx * wy - dy * wx
-        if cr == 0:
-            checked += 1
-        elif V and _opposite_edge_coincidence((ax, ay), (bx, by), (tx, ty), V):
+        # ad * den^2 * cross(b - a, u - (1 - alpha) a)
+        cr = dx * (ad * U[1] - (ad - an) * ay) - dy * (ad * U[0] - (ad - an) * ax)
+        if cr != 0 and V and _opposite_edge_coincidence((ax, ay), (bx, by), U, V):
             flagged += 1
-            flags.append("opposite-edge coincidence")
-        else:
-            checked += 1
+        elif cr != 0:
             # integer true division rounds correctly, however large den is
-            size = abs(cr) / (den * den) / (math.hypot(dx / den, dy / den) * ref)
+            size = abs(cr) / (ad * den * den) / (math.hypot(dx / den, dy / den) * ref)
             max_err = max(max_err, size)
             violations.append(f"segment {k}: " + miss.format(size))
 
-    return ConcurrenceReport(
-        ok=not violations,
-        checked=checked,
-        flagged=flagged,
-        max_point_error=0.0 if alpha == 1 else max_err,
-        max_angle_error=max_err if alpha == 1 else 0.0,
-        violations=tuple(violations),
-        flags=tuple(flags),
-    )
+    return ConcurrenceReport(len(ends) // 2 - flagged, flagged, max_err, tuple(violations))
 
 
 def _homothet_frame(poly: SymmetricPolygon, alpha: float, u) -> tuple[list, list, int]:
@@ -343,9 +336,9 @@ def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, Concu
     alpha * G + u is convex because G is, so neither boundary is checked.  A
     homothety with alpha > 0 keeps edge directions, so a segment on edge i of
     G (each on its own line: ``classes`` counts them) lies on edge i or i + n
-    of alpha * G + u, and that pair decides it.  On (i, i), B_i - A_i = (1 -
-    alpha)(u/(1 - alpha) - A_i) for the image B_i of A_i: the line meets
-    u/(1 - alpha), or for alpha == 1 is parallel to u.  On (i, i + n) the
+    of alpha * G + u, and that pair decides it.  On (i, i), B_i - A_i =
+    u - (1 - alpha) A_i for the image B_i of A_i, the predicate's w at A_i, so
+    the law holds there by construction for every alpha.  On (i, i + n) the
     outward normals are opposite, so the bodies lie on opposite sides of the
     line and the segment is the only overlap.  For alpha == 1, edge i + n of
     G + u is u minus edge i, so a, b, u - a and u - b lie on edge i: a flagged
@@ -357,10 +350,10 @@ def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, Concu
     n = len(A) // 2
     _, overlaps = _intersect_ints(A, B, lambda i: (i, (i + n) % (2 * n)))
     if all(i == j for i, j, *_ in overlaps):
-        return len(overlaps), ConcurrenceReport(True, len(overlaps), 0, 0.0, 0.0)
+        return len(overlaps), ConcurrenceReport(len(overlaps), 0, 0.0)
     [(_, _, p, q)] = overlaps
     if alpha == 1:
-        return 1, ConcurrenceReport(True, 0, 1, 0.0, 0.0, flags=("opposite-edge coincidence",))
+        return 1, ConcurrenceReport(0, 1, 0.0)
     seg = Segment(_fraction_point(p, D), _fraction_point(q, D))
     return 1, concurrence_check(IntersectionResult((), (seg,)), alpha, u)
 

@@ -241,14 +241,15 @@ def load_point_set(path, R: Optional[float] = None) -> PointSet:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["x", "y"]:
+        if header is None or [c.strip() for c in header] != ["x", "y"]:
             raise ValueError(f"{path}: expected header 'x,y'")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                pts.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
+                x, y = map(float, row)  # exactly two fields
+                pts.append((x, y))
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from exc
     if R is None:
         sidecar = path.with_name(path.name + ".json")

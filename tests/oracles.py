@@ -364,7 +364,7 @@ def reference_polygon_trial(k, seed, alpha):
         "alpha": alpha,
         "u": [u[0], u[1]],
         "classes": classes,
-        "max_concurrence_error": float(max(rep.max_point_error, rep.max_angle_error)),
+        "max_concurrence_error": rep.max_error,
         "flags": sorted(rep.flags),
     }
     return row, rep

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -675,6 +676,14 @@ class TestCli:
         err = f"error: seed applies only to the perturbed lattice, not {kind!r}\n"
         assert capsys.readouterr().err == err and not out.exists()
 
+    def test_second_radius_on_a_file_set_is_exit_2(self, tmp_path, capsys):
+        # the file fixes the points: more radii would repeat one row
+        path, out = tmp_path / "p.csv", tmp_path / "sweep.csv"
+        path.write_text("x,y\n0.0,0.0\n1.0,0.0\n0.0,1.0\n")
+        assert main(["sweep", "--set", f"file:{path}", "--R", "5,10,20", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: a file point set takes one window radius, not 3\n"
+        assert not out.exists()
+
     def test_spacing_on_a_file_set_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         path.write_text("x,y\n0.0,0.0\n1.0,0.0\n0.0,1.0\n")
@@ -683,3 +692,15 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: spacing applies only to the lattices, not 'file'\n"
         assert not out.exists()
+
+
+def test_traced_names_resolve():
+    # the traced benchmark run wraps each perfbench/spans.py TARGETS function by name, so a
+    # renamed or deleted one breaks it; the file is read and run here, never written
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spans = {"__name__": "spans"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans)
+    traced = {f"{mod}.{name}": getattr(importlib.import_module(f"gaugedist.{mod}"), name, None)
+              for mod, names in spans["TARGETS"].items() for name in names}
+    assert [t for t, fn in traced.items() if not callable(fn)] == []
+    assert set(spans["QUANTITIES"]) - set(traced) == set()

@@ -138,7 +138,7 @@ class TestBoundaryIntersection:
         assert res.maximal_segments == (Segment((-1, 1), (1, 1)), Segment((1, -1), (1, 1)))
         assert res.isolated_points == ()
         rep = concurrence_check(res, 2.0, (-1.0, -1.0), polygon=square())
-        assert rep.ok and rep.checked == 2 and rep.max_point_error == 0.0
+        assert rep.ok and rep.checked == 2 and rep.max_error == 0.0
 
     def test_swap_symmetry_exact(self):
         for alpha, u in [(1.0, (0.5, 0.25)), (2.0, (1.0, 0.0)), (0.5, (0.75, -0.5))]:
@@ -391,7 +391,7 @@ class TestConcurrence:
         res = boundary_intersection(square(), transform_polygon(square(), 2.0, u))
         rep = concurrence_check(res, 2.0, u, polygon=square())
         assert rep.ok and rep.checked == 1
-        assert rep.max_point_error == 0.0  # exact arithmetic: identically zero
+        assert rep.max_error == 0.0  # exact arithmetic: identically zero
 
     def test_opposite_edge_coincidence_flagged(self):
         u = (2.0, 0.0)
@@ -411,7 +411,7 @@ class TestConcurrence:
         public = concurrence_check(res, 2.0, u, polygon=square())
         assert _homothet_check(square(), 2.0, u) == (1, public)
         assert (public.ok, public.checked, public.flagged) == (False, 1, 0)
-        assert public.max_point_error == 4 / 3
+        assert public.max_error == 4 / 3
         assert public.violations == (
             "segment 0: supporting line misses u/(1-alpha) by 1.333e+00 (rel)",)
         # at alpha = 1 the analogous contact is an opposite-edge coincidence, flagged
@@ -432,7 +432,7 @@ class TestConcurrence:
         res = boundary_intersection(square(), transform_polygon(square(), 1.0, u))
         rep = concurrence_check(res, 1.0, u, polygon=square())
         assert rep.ok and rep.checked == 2 and rep.flagged == 0
-        assert rep.max_angle_error == 0.0
+        assert rep.max_error == 0.0
 
     def test_alpha_one_zero_shift_rejected(self):
         res = boundary_intersection(square(), square())
@@ -445,7 +445,7 @@ class TestConcurrence:
             res = boundary_intersection(square(), transform_polygon(square(), alpha, u))
             rep = concurrence_check(res, alpha, u, polygon=square())
             assert rep.ok and rep.checked == 2
-            assert rep.max_point_error == 0.0
+            assert rep.max_error == 0.0
 
     def test_non_dyadic_homothety_in_doubles_misses(self):
         # the doubles 0.3 and 0.7 are not 3/10 and 7/10, and 0.7/(1 - 0.3) is not 1
@@ -453,7 +453,7 @@ class TestConcurrence:
         res = boundary_intersection(square(), transform_polygon(square(), 0.3, u))
         rep = concurrence_check(res, 0.3, u, polygon=square())
         assert not rep.ok and rep.checked == 2
-        assert rep.max_point_error == pytest.approx(5.6e-17, rel=0.01)
+        assert rep.max_error == pytest.approx(5.6e-17, rel=0.01)
 
     def test_non_dyadic_homothety_in_fractions_passes(self):
         alpha, u = Fraction(3, 10), (Fraction(7, 10), Fraction(7, 10))
@@ -461,20 +461,20 @@ class TestConcurrence:
                  for x, y in square().vertices]
         rep = concurrence_check(boundary_intersection(square(), moved), alpha, u, polygon=square())
         assert rep.ok and rep.checked == 2
-        assert rep.max_point_error == 0.0
+        assert rep.max_error == 0.0
 
     def test_line_missing_the_target_by_a_tiny_residual_fails(self):
         # alpha = 2, u = (1, 0): the target u/(1-alpha) is (-1, 0); x = -1 + 2**-40 misses it
         seg = Segment((-1 + 2**-40, -1.0), (-1 + 2**-40, 1.0))
         rep = concurrence_check(IntersectionResult((), (seg,)), 2.0, (1.0, 0.0))
         assert not rep.ok and rep.checked == 1
-        assert rep.max_point_error == 2.0**-40
+        assert rep.max_error == 2.0**-40
 
     def test_segment_nearly_parallel_to_u_fails(self):
         seg = Segment((0.0, 0.0), (1.0, 2**-45))
         rep = concurrence_check(IntersectionResult((), (seg,)), 1.0, (1.0, 0.0))
         assert not rep.ok and rep.checked == 1 and rep.flagged == 0
-        assert 0.0 < rep.max_angle_error < 1e-13
+        assert 0.0 < rep.max_error < 1e-13
 
     @pytest.mark.parametrize(
         "alpha, u",
@@ -550,6 +550,12 @@ class TestConcurrenceOracle:
     @example(case=([Segment((1, -1), (1, 1))], 1.0, (2.0, 0.0), square()))
     @example(case=([Segment((-1, 1), (1, 1)), Segment((1, -1), (1, 1))], 3.0, (-2.0, -2.0), None))
     @example(case=([Segment((0, 0), (1, 1)), Segment((1, 0), (1, 1))], 2.0, (0.0, 0.0), None))
+    # a non-dyadic homothety about (1, 1), one segment moved off it by 2**-40
+    @example(case=([Segment((Fraction(2, 5), 1), (1, 1)),
+                    Segment((1 + Fraction(1, 2**40), Fraction(2, 5)), (1 + Fraction(1, 2**40), 1))],
+                   Fraction(3, 10), (Fraction(7, 10), Fraction(7, 10)), square()))
+    # u = 0: the line x = 1 misses the centre 0 by 1, sized against |1 - alpha| = 2
+    @example(case=([Segment((1, 0), (1, 1))], 3.0, (0.0, 0.0), None))
     def test_matches_line_key_reference(self, case):
         segs, alpha, u, poly = case
         rep = concurrence_check(IntersectionResult((), tuple(segs)), alpha, u, polygon=poly)
@@ -559,20 +565,14 @@ class TestConcurrenceOracle:
         got = (rep.ok, rep.checked, rep.flagged, rep.flags, len(rep.violations))
         assert got == tuple(want[k] for k in ("ok", "checked", "flagged", "flags", "violations"))
         sizes = [x for x in want["sizes"] if x is not None]
-        if alpha == 1:
-            assert rep.max_point_error == 0.0
-            assert rep.max_angle_error == pytest.approx(max(sizes, default=0.0), rel=1e-12)
-        else:
-            assert rep.max_angle_error == 0.0
-            assert rep.max_point_error == pytest.approx(max(sizes, default=0.0), rel=1e-12)
+        assert rep.max_error == pytest.approx(max(sizes, default=0.0), rel=1e-12)
         for seg, size in zip(segs, want["sizes"]):
             one = concurrence_check(IntersectionResult((), (seg,)), alpha, u, polygon=poly)
             if size is None:
                 assert one.flagged == 1
             else:
-                err = max(one.max_point_error, one.max_angle_error)
-                assert (err == 0.0) == (size == 0.0)
-                assert err == pytest.approx(size, rel=1e-12)
+                assert (one.max_error == 0.0) == (size == 0.0)
+                assert one.max_error == pytest.approx(size, rel=1e-12)
 
 
 class TestStrictlyConvexCount:

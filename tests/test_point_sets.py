@@ -215,11 +215,24 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="malformed"):
             load_point_set(path, R=1.0)
 
-    def test_bad_header(self, tmp_path):
+    @pytest.mark.parametrize("rows, line", [("1,2,3\n0,0,9\n", 2), ("0.5,1\n\n2\n", 4)])
+    def test_row_without_two_fields(self, tmp_path, rows, line):
         path = tmp_path / "p.csv"
-        path.write_text("a,b\n1,2\n")
+        path.write_text("x,y\n" + rows)
+        with pytest.raises(ValueError, match=rf"p\.csv:{line}: malformed row"):
+            load_point_set(path, R=1.0)
+
+    @pytest.mark.parametrize("header", ["a,b", "x,y,z", " x , y ,"])
+    def test_bad_header(self, tmp_path, header):
+        path = tmp_path / "p.csv"
+        path.write_text(header + "\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             load_point_set(path, R=5.0)
+
+    def test_header_fields_are_stripped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(" x , y\n1,2\n")
+        assert load_point_set(path, R=5.0).points.tolist() == [[1.0, 2.0]]
 
     def test_file_generator(self, tmp_path):
         path = tmp_path / "p.csv"
