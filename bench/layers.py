@@ -15,17 +15,17 @@ distinct roots to round), the ``distance_set`` pair loop (exact under the
 square, and under the disc on object keys; float under the disc, under the
 diamond over the 1,521 perturbed lattice points of ``sweep --body diamond
 --set perturbed --R 20 --jitter 0.2 --seed 7``, and over the 2,000 random
-points of ``erdos-bound``), the float lattice ``run_sweep`` and
-``moser_count_check`` of the README commands, exact ``boundary_intersection``
-(under random translates, and under edge-aligned translates with the polygon
-body passed in), ``concurrence_check`` and ``direction_line_classes`` (on the
-edge-aligned intersections, computed outside the timed call) and
-``strictly_convex_intersection_count``.  The root scan is timed twice: on
-12 translates in the two-crossing range, as the lemma batches call it
-(``.warm``: the warm-up call fills the scan's per-body tables of first-pass
-boundary points), and on 12 translates of size 1e-12 at alpha = 1
-(``.floor``), where float error hides the sign of g over wide arcs: the
-disc's scans resolve, the p = 1.5 ball's spend the whole halving budget.
+points of ``erdos-bound`` under the disc and the p = 1.5 ball), the float
+lattice ``run_sweep`` and ``moser_count_check`` of the README commands, exact
+``boundary_intersection`` (under random translates, and under edge-aligned
+translates with the polygon body passed in), ``concurrence_check`` and
+``direction_line_classes`` (on the edge-aligned intersections, computed
+outside the timed call) and ``strictly_convex_intersection_count``.  The
+root scan is timed twice: on 12 translates in the two-crossing range, as the
+lemma batches call it (``.warm``: the warm-up call fills the scan's per-body
+tables of first-pass boundary points), and on 12 translates of size 1e-12 at
+alpha = 1 (``.floor``), where float error hides the sign of g over wide arcs:
+the disc's scans resolve, the p = 1.5 ball's spend the whole halving budget.
 Last come whole lemma batches: ``random_symmetric_polygon`` on the 200
 polygons a batch draws, and ``lemma.polygon`` (``--which 14``, whose alpha
 == 1 trials flag opposite-edge coincidences) and ``lemma.strict``, each 200
@@ -127,6 +127,10 @@ def _layers(gd):
     layers["distance_set.float.random2000"] = (
         f"float pair loop over {len(random2000)} uniform points, as erdos-bound runs it",
         lambda: gd.distance_set(bodies["disc"], random2000, tol=1e-12 * 45),
+    )
+    layers["distance_set.float.pball2000"] = (
+        f"float pair loop over the same {len(random2000)} points under the p = 1.5 ball",
+        lambda: gd.distance_set(bodies["pball1.5"], random2000, tol=1e-12 * 45),
     )
     disc_lattice = gd.GeneratorSpec(kind="lattice", R=5.0)
     layers["run_sweep.float_lattice.disc"] = (

@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .convex_body import (
     _MIN_NORMAL,
@@ -54,6 +55,10 @@ __all__ = [
     "min_gap",
     "moser_count_check",
 ]
+
+# pairs per gauge_many call in the float pair loop: large enough that numpy's
+# per-call overhead is small, small enough that the buffers stay in cache
+_PAIR_BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +116,8 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
     be counted as a distance.  At tol 0 the clusters are the distinct values,
     int64 or Python ints.  Rounded subtraction is monotone, so a gap > tol
     always starts a cluster and a run of smaller gaps spanning <= tol is one;
-    only wider runs are walked.
+    only wider runs are walked.  One mask marks the first value of every
+    cluster: set at each gap > tol, then at each split of a walked run.
     """
     if weights is None:
         vals.sort()
@@ -123,27 +129,36 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
         raise ValueError(f"largest distance {vals[-1]} is not finite")
     if tol is None:
         tol = 1e-9 * float(vals[-1])
-    n = len(vals)
-    runs = np.concatenate(([0], np.flatnonzero(np.diff(vals) > tol) + 1, [n]))
-    starts = runs[:-1]
-    split = []
+    # brk[j]: vals[j] starts a cluster; first the runs split by gaps > tol
+    brk = np.empty(len(vals), dtype=bool)
+    brk[0] = True
+    np.greater(np.diff(vals), tol, out=brk[1:])
+    starts, sizes = _runs(brk)
     # a run of one value spans 0 and a run of two its one gap, <= tol, so
     # only longer runs can be wider than tol
-    longer = np.flatnonzero(np.diff(runs) > 2)
-    for r in longer[vals[runs[longer + 1] - 1] - vals[starts[longer]] > tol].tolist():
-        lo, hi = runs[r], runs[r + 1]
-        first = vals[lo]
-        for j, v in enumerate(vals[lo + 1 : hi].tolist(), lo + 1):
+    longer = np.flatnonzero(sizes > 2)
+    lo, hi = starts[longer], starts[longer] + sizes[longer]
+    wide = vals[hi - 1] - vals[lo] > tol
+    for a, b in zip(lo[wide].tolist(), hi[wide].tolist()):
+        first = vals[a]
+        for j, v in enumerate(vals[a + 1 : b].tolist(), a + 1):
             if v - first > tol:
-                split.append(j)
+                brk[j] = True
                 first = v
-    if split:
-        starts = np.sort(np.concatenate((starts, split)))
-    if weights is None:
-        counts = np.diff(np.append(starts, n))
-    else:
-        counts = np.add.reduceat(weights, starts)
+    if wide.any():
+        starts, sizes = _runs(brk)
+    counts = sizes if weights is None else np.add.reduceat(weights, starts)
     return vals[starts], counts, float(tol)
+
+
+def _runs(brk: np.ndarray) -> tuple:
+    """Starts and int64 sizes of the runs that begin where the mask is set
+    (``brk[0]`` is)."""
+    starts = np.flatnonzero(brk)
+    sizes = np.empty(len(starts), dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1] = len(brk) - starts[-1]
+    return starts, sizes
 
 
 def _has_exact_keys(body: ConvexBody) -> bool:
@@ -282,6 +297,12 @@ def distance_set(
     exact squared distances, and the p-ball, which has no exact evaluator,
     raises ``ValueError``.  Both are checked before any pair is built.  A
     non-finite coordinate raises ``ValueError`` in either mode.
+
+    The float pairs are taken by cyclic shift, (i, (i + s) mod n), in fixed
+    blocks of about ``_PAIR_BLOCK`` pairs per :func:`gauge_many` call.  A pair
+    that wraps is evaluated at p_i - p_j, and fl(a - b) = -fl(b - a), so its
+    difference is the exact negation of p_j - p_i; every body is symmetric
+    and its gauge takes abs or hypot, so the value is the same double.
     """
     _check_request(body, tol, exact)
     pts = _as_points(points)
@@ -296,15 +317,30 @@ def distance_set(
         keys = np.concatenate(([0], _exact_keys(body, P[j] - P[i])))
         return _distance_set(body, n, keys, None, 0, Fraction(1, den))
     vals = np.zeros(1 + n * (n - 1) // 2)
+    # shifts s = 1 .. (n - 1) // 2 for every i, then, for even n, s = n / 2
+    # for i < n / 2: each pair once.  Blocks of whole shifts (one shift when
+    # n passes _PAIR_BLOCK) are subtracted from windows on the doubled
+    # columns into one column-major buffer, which gauge_many reads a column
+    # at a time
+    shifts = [sliding_window_view(np.concatenate((c, c)), n) for c in pts.T]
+    per = max(1, _PAIR_BLOCK // n)
+    buf = np.empty((per * n, 2), order="F")
     pos = 1
-    # column-major, so each difference block is too and gauge_many reads its
-    # columns contiguously; an overflowed difference is left to _cluster,
-    # which raises on it, so numpy's warnings are silenced
-    cols = np.asfortranarray(pts)
+    # an overflowed difference is left to _cluster, which raises on it, so
+    # numpy's warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1):
-            vals[pos : pos + n - 1 - i] = gauge_many(body, cols[i + 1 :] - cols[i])
-            pos += n - 1 - i
+        stop = (n + 1) // 2
+        for s in range(1, stop, per):
+            k = min(per, stop - s)
+            for c, w in enumerate(shifts):
+                np.subtract(w[s : s + k], w[0], out=buf[: k * n, c].reshape(k, n))
+            vals[pos : pos + k * n] = gauge_many(body, buf[: k * n])
+            pos += k * n
+        if n % 2 == 0:
+            h = n // 2
+            for c, w in enumerate(shifts):
+                np.subtract(w[h, :h], w[0, :h], out=buf[:h, c])
+            vals[pos:] = gauge_many(body, buf[:h])
     return _distance_set(body, n, vals, None, tol)
 
 

@@ -280,9 +280,9 @@ def concurrence_check(
     instead.  A violation's float size, the largest in ``max_error``, is
     |cross(b - a, w)| / (|b - a| |u|), with |1 - alpha| for |u| when u = 0:
     the miss relative to |u/(1-alpha)| for alpha != 1 (the distance from 0
-    when u = 0) and the sine of the angle to u for alpha == 1.  alpha and u
-    are read exactly as given, so the double 0.3 is not 3/10: state a
-    non-dyadic homothety in ``Fraction``s.
+    when u = 0, labelled "(abs)") and the sine of the angle to u for
+    alpha == 1.  alpha and u are read exactly as given, so the double 0.3
+    is not 3/10: state a non-dyadic homothety in ``Fraction``s.
     """
     ux, uy = _checked_homothety(alpha, u)
     an, ad = Fraction(alpha).as_integer_ratio()
@@ -293,9 +293,11 @@ def concurrence_check(
         [u],
         polygon.vertices if alpha == 1 and polygon is not None else (),
     )
-    ref = math.hypot(ux, uy) or abs(ad - an) / ad
+    norm_u = math.hypot(ux, uy)
+    ref = norm_u or abs(ad - an) / ad
     miss = ("direction off u by sin angle {:.3e}" if alpha == 1
-            else "supporting line misses u/(1-alpha) by {:.3e} (rel)")
+            else "supporting line misses u/(1-alpha) by {:.3e} (rel)" if norm_u
+            else "supporting line misses u/(1-alpha) = 0 by {:.3e} (abs)")
     flagged = 0
     max_err = 0.0
     violations: list[str] = []

@@ -5,7 +5,9 @@ ray cast (binary search on the scale with a cross-product point-in-polygon
 test, no half-plane normal form), ``full_normal_gauge_many`` and
 ``full_integer_keys`` take the max over all 2n edges of a polygon's float and
 integer normal forms, derived here from the vertices, where the library uses
-half of them and an absolute value, distance oracles are brute-force pair loops,
+half of them and an absolute value, distance oracles are brute-force pair loops
+(``row_pair_values`` is the float pair loop one row at a time, each pair as
+p_j - p_i with j > i, where the library enumerates pairs by cyclic shift),
 orientation checks use exact rational cross products, the annulus/cone
 counts test one point at a time, the concurrence reference keys each
 segment's supporting line on its own, the polygon lemma trial is the
@@ -27,6 +29,7 @@ from gaugedist import (
     boundary_intersection,
     concurrence_check,
     direction_line_classes,
+    gauge_many,
     random_symmetric_polygon,
     transform_polygon,
 )
@@ -121,6 +124,13 @@ def brute_pairwise_values(gauge_fn, points):
         for q in pts[i:]:
             vals.append(gauge_fn((q[0] - p[0], q[1] - p[1])))
     return sorted(vals)
+
+
+def row_pair_values(body, pts) -> np.ndarray:
+    """The gauge_many values of every difference p_j - p_i, i < j, one call per
+    row i, concatenated in row order."""
+    rows = [gauge_many(body, pts[i + 1 :] - pts[i]) for i in range(len(pts) - 1)]
+    return np.concatenate(rows) if rows else np.zeros(0)
 
 
 def brute_exact_counts(key, points):

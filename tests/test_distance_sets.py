@@ -39,6 +39,7 @@ from oracles import (
     full_integer_keys,
     greedy_cluster,
     moser_counts,
+    row_pair_values,
 )
 
 
@@ -431,18 +432,23 @@ def test_cluster_matches_greedy_loop(vals, tol, weighted, data):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    keys=st.lists(st.integers(-20, 20), min_size=1, max_size=40),
+    pairs=st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 9)), min_size=1, max_size=40),
     big=st.booleans(),
-    data=st.data(),
+    weighted=st.booleans(),
 )
-def test_cluster_at_tol_0_sums_the_weights_of_each_distinct_key(keys, big, data):
+@example(pairs=[(7, 2)], big=False, weighted=True)
+@example(pairs=[(7, 2)], big=True, weighted=True)
+@example(pairs=[(3, 1), (-3, 4)], big=False, weighted=True)
+@example(pairs=[(3, 1), (-3, 4)], big=True, weighted=False)
+@example(pairs=[(4, 2)] * 5, big=False, weighted=True)
+@example(pairs=[(4, 2)] * 5, big=True, weighted=True)
+@example(pairs=[(4, 1)] * 5, big=True, weighted=False)
+@example(pairs=[(1, 1), (2, 3), (2, 1), (2, 5)], big=True, weighted=True)
+def test_cluster_at_tol_0_sums_the_weights_of_each_distinct_key(pairs, big, weighted):
     """Unsorted int64 keys, or Python ints beyond int64 (object dtype), with
     weights or, as exact pairs have none, each key counting once."""
-    if big:
-        keys = [k * 2**70 + 1 for k in keys]
-    weights = data.draw(st.one_of(
-        st.none(), st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys))
-    ))
+    keys = [k * 2**70 + 1 if big else k for k, _ in pairs]
+    weights = [w for _, w in pairs] if weighted else None
     want = Counter()
     for k, w in zip(keys, weights or [1] * len(keys)):
         want[k] += w
@@ -477,23 +483,85 @@ def test_cluster_of_shuffled_values_matches_greedy_loop(vals, tol, weighted, dat
         assert arr.tolist() == vals
 
 
-@pytest.mark.parametrize("vals, tol", [
+@pytest.mark.parametrize("vals, tol, wide", [
     # one run of gaps below tol, four times as wide as tol, between singletons
-    ([-5.0] + [0.3 * k for k in range(14)] + [10.0, 20.0], 1.0),
+    pytest.param([-5.0] + [0.3 * k for k in range(14)] + [10.0, 20.0], 1.0, True, id="vals0-1.0"),
     # several wide runs, three values and longer, with equal values inside
-    ([0.0, 0.6, 1.2, 1.2, 5.0, 5.9, 6.8, 30.0, 30.0, 30.99, 31.98], 1.0),
-    ([k * 4e-10 for k in range(30)] + [1.0, 1.0 + 9e-10, 1.0 + 1.8e-9], 1e-9),
+    pytest.param([0.0, 0.6, 1.2, 1.2, 5.0, 5.9, 6.8, 30.0, 30.0, 30.99, 31.98], 1.0, True,
+                 id="vals1-1.0"),
+    pytest.param([k * 4e-10 for k in range(30)] + [1.0, 1.0 + 9e-10, 1.0 + 1.8e-9], 1e-9, True,
+                 id="vals2-1e-09"),
+    # a wide run at the first value, one ending at the last, one over every value
+    pytest.param([0.0, 0.6, 1.2, 1.8, 2.4, 10.0], 1.0, True, id="wide-first"),
+    pytest.param([-5.0, 0.0, 0.6, 1.2, 1.8, 2.4], 1.0, True, id="wide-last"),
+    pytest.param([0.3 * k for k in range(10)], 1.0, True, id="wide-all"),
+    # runs too short or too narrow to walk: one value, two, all equal
+    pytest.param([3.0], 1.0, False, id="one"),
+    pytest.param([3.0, 3.5], 1.0, False, id="two-near"),
+    pytest.param([3.0, 5.0], 1.0, False, id="two-apart"),
+    pytest.param([2.0] * 6, 0.0, False, id="equal-tol-0"),
+    pytest.param([2.0] * 6, 1.0, False, id="equal-tol-1"),
 ])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_cluster_splits_runs_wider_than_tol_as_the_greedy_loop(vals, tol, weighted):
+def test_cluster_splits_runs_wider_than_tol_as_the_greedy_loop(vals, tol, wide, weighted):
     gaps = np.diff(vals)
-    # each case has a run whose gaps are all <= tol but whose span is not
-    assert any(vals[j] - vals[i] > tol and np.all(gaps[i:j] <= tol)
-               for i in range(len(vals)) for j in range(i + 1, len(vals)))
+    # wide: a run whose gaps are all <= tol but whose span is not
+    assert wide == any(vals[j] - vals[i] > tol and np.all(gaps[i:j] <= tol)
+                       for i in range(len(vals)) for j in range(i + 1, len(vals)))
     weights = [1 + k % 3 for k in range(len(vals))] if weighted else None
     arr_weights = None if weights is None else np.array(weights)
     firsts, counts, _ = _cluster(np.array(vals), tol, arr_weights)
     assert (firsts.tolist(), counts.tolist()) == greedy_cluster(vals, tol, weights)
+
+
+def assert_pair_loop_matches_rows(body, pts):
+    """The float pair loop's values, sorted, are the row-at-a-time oracle's bit
+    for bit, and its tol-0 set is the oracle's values clustered."""
+    seen, build = [], distance_sets._distance_set
+
+    def capture(body, n, vals, *rest):
+        seen.append(np.sort(vals))
+        return build(body, n, vals, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance_sets, "_distance_set", capture)
+        ds = distance_set(body, pts, tol=0.0)
+    want = np.sort(np.concatenate(([0.0], row_pair_values(body, pts))))
+    assert seen[0].view(np.int64).tolist() == want.view(np.int64).tolist()
+    keys, counts, _ = _cluster(want, 0.0)
+    counts[0] += len(pts) - 1
+    assert ds.keys.tobytes() == keys.tobytes() and ds.counts.tolist() == counts.tolist()
+
+
+PAIR_LOOP_BODIES = [square(), diamond(), random_symmetric_polygon(5, 11), Disc(1.0),
+                    PBall(1.5, 1.0), PBall(40.0, 1.0)]
+
+
+@st.composite
+def pair_loop_cases(draw):
+    """A body and up to 64 points of either parity, with repeated points; under
+    PBall(40, 1) near 1e10 or 1e-10, where gauge_many rescales rows."""
+    body = draw(st.sampled_from(PAIR_LOOP_BODIES))
+    coord = st.floats(-7.0, 7.0)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=48))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=16))
+    pts = np.array(pts)
+    if isinstance(body, PBall) and body.p == 40.0:
+        pts *= draw(st.sampled_from([1e10, 1e-10]))
+    return body, pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pair_loop_cases())
+@example(case=(square(), np.array([[0.0, 0.0]])))
+@example(case=(diamond(), np.array([[0.1, 0.2], [0.3, -0.7]])))
+@example(case=(Disc(1.0), np.array([[0.1, 0.2], [0.3, -0.7], [1 / 3, 2 / 3]])))
+@example(case=(PBall(40.0, 1.0), np.array([[1e10, 3e10], [-2e10, 1 / 3], [0.5e10, 0.0]])))
+@example(case=(PBall(40.0, 1.0), np.array([[1e-10, 3e-10], [-2e-10, 0.0], [0.0, 0.0], [0.0, 0.0]])))
+def test_float_pair_loop_values_are_the_row_loops(case):
+    """Pairs enumerated by cyclic shift, some as p_i - p_j, give the doubles of
+    the loop over rows, which takes every pair as p_j - p_i with j > i."""
+    assert_pair_loop_matches_rows(*case)
 
 
 @pytest.mark.parametrize(
@@ -501,19 +569,24 @@ def test_cluster_splits_runs_wider_than_tol_as_the_greedy_loop(vals, tol, weight
     ids=["square", "polygon12", "disc", "pball1.5"],
 )
 def test_float_pair_loop_matches_a_row_at_a_time_loop_bit_for_bit(body):
-    """The pair loop's column-major differences give the doubles of a C-order
-    loop that evaluates one row's differences per call, every pair included."""
+    """Past one block of pairs: 300 and 301 points take three blocks of
+    shifts, and 300 the half shift; a coincident pair and non-dyadic
+    coordinates."""
     rng = np.random.default_rng(20)
-    pts = rng.uniform(-7.0, 7.0, (300, 2))
-    pts[1] = pts[0]  # a coincident pair
-    n = len(pts)
-    vals = [np.zeros(n)]
-    for i in range(n - 1):
-        vals.append(gauge_many(body, np.ascontiguousarray(pts[i + 1 :] - pts[i])))
-    keys, counts = np.unique(np.concatenate(vals), return_counts=True)
-    ds = distance_set(body, pts, tol=0.0)
-    assert ds.keys.tobytes() == keys.tobytes() and ds.counts.tolist() == counts.tolist()
-    assert ds.counts[0] == n + 1
+    for n in (300, 301):
+        pts = rng.uniform(-7.0, 7.0, (n, 2))
+        pts[1] = pts[0]
+        assert (n // 2) > distance_sets._PAIR_BLOCK // n  # more shifts than one block
+        assert_pair_loop_matches_rows(body, pts)
+
+
+@pytest.mark.parametrize("n", [30, 31])
+def test_float_pair_loop_with_one_shift_per_block(monkeypatch, n):
+    """A block smaller than one shift still takes a whole shift per call."""
+    monkeypatch.setattr(distance_sets, "_PAIR_BLOCK", 8)
+    pts = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2)) / 3
+    for body in PAIR_LOOP_BODIES:
+        assert_pair_loop_matches_rows(body, pts)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
@@ -572,11 +645,16 @@ HUGE = PointSet(np.array([[1e308, 0.0]]), 1e308)
     (lambda: distance_set(square(), [[1e308, 0.0], [-1e308, 0.0]], tol=1.0), "nan"),
     (lambda: distance_set(Disc(1.0), [[1e308, 0.0], [-1e308, 0.0]], tol=1.0), "inf"),
     (lambda: distance_set(Disc(1.0), [[1e308, 0.0], [-1e308, 0.0]], tol=0.0), "inf"),
+    # three and four points: the overflow is in a block of whole shifts
+    (lambda: distance_set(Disc(1.0), [[1e308, 0.0], [0.0, 0.0], [-1e308, 0.0]], tol=0.0), "inf"),
+    (lambda: distance_set(PBall(1.5, 1.0), [[0.0, 1e308], [1.0, 0.0], [2.0, -1e308], [3.0, 0.0]],
+                          tol=1.0), "inf"),
     (lambda: grid_distance_set(square(), 3, 3, 1e308, tol=1.0, exact=False), "nan"),
     (lambda: grid_distance_set(Disc(1.0), 3, 1, 1e308, tol=1.0, exact=False), "inf"),
     (lambda: distance_lists_from_two_points((-1e308, 0.0), (0.0, 0.0), HUGE, square(), tol=1.0),
      "nan"),
-], ids=["pairs-square", "pairs-disc", "pairs-disc-tol-0", "grid-square", "grid-disc", "lists"])
+], ids=["pairs-square", "pairs-disc", "pairs-disc-tol-0", "pairs3-disc", "pairs4-pball",
+        "grid-square", "grid-disc", "lists"])
 @pytest.mark.filterwarnings("error")
 def test_overflowed_distance_is_an_error_at_an_explicit_tol(call, value):
     """The error alone: no numpy overflow or invalid-value warning escapes."""

@@ -421,6 +421,19 @@ class TestConcurrence:
         assert _homothet_check(square(), 1.0, u) == (1, public)
         assert (public.ok, public.flags) == (True, ("opposite-edge coincidence",))
 
+    def test_miss_at_u_zero_is_an_absolute_distance(self):
+        # at u = 0 the centre u/(1 - alpha) is the origin, and the size is the
+        # line's distance from it, not a ratio to |u/(1 - alpha)| = 0
+        res = IntersectionResult((), (Segment((5, -1), (5, 1)),))
+        rep = concurrence_check(res, 3.0, (0.0, 0.0))
+        assert (rep.ok, rep.checked, rep.max_error) == (False, 1, 5.0)
+        assert rep.violations == (
+            "segment 0: supporting line misses u/(1-alpha) = 0 by 5.000e+00 (abs)",)
+        # any nonzero u is relative again
+        rep = concurrence_check(res, 3.0, (2.0, 0.0))
+        assert rep.violations == (
+            "segment 0: supporting line misses u/(1-alpha) by 6.000e+00 (rel)",)
+
     def test_opposite_edge_without_polygon_is_violation(self):
         u = (2.0, 0.0)
         res = boundary_intersection(square(), transform_polygon(square(), 1.0, u))
