@@ -12,9 +12,10 @@ keys of ``_exact_keys`` on the 321,201 difference vectors (dx, dy) of a
 diamond, Python ints for a random 12-gon), exact and float
 ``grid_distance_set`` (exact also on the 801 x 801 disc grid, with 195,114
 distinct roots to round), the ``distance_set`` pair loop (exact under the
-square, and under the disc on object keys; float under the disc, under the
-diamond over the 1,521 perturbed lattice points of ``sweep --body diamond
---set perturbed --R 20 --jitter 0.2 --seed 7``, and over the 2,000 random
+square, also on the 2,000 dyadic points of ``gauge_exact``, and under the
+disc on object keys; float under the disc, under the diamond over the 1,521
+perturbed lattice points of ``sweep --body diamond --set perturbed --R 20
+--jitter 0.2 --seed 7``, and over the 2,000 random
 points of ``erdos-bound`` under the disc and the p = 1.5 ball), the float
 lattice ``run_sweep`` and ``moser_count_check`` of the README commands, exact
 ``boundary_intersection`` (under random translates, and under edge-aligned
@@ -109,6 +110,10 @@ def _layers(gd):
     layers["distance_set.exact.disc"] = (
         f"exact pair loop over the same {len(wide)} points scaled by 0.3 (object keys)",
         lambda: gd.distance_set(bodies["disc"], wide, exact=True),
+    )
+    layers["distance_set.exact.square2000"] = (
+        f"exact pair loop over the {len(dyadic)} dyadic points of gauge_exact (int64 keys)",
+        lambda: gd.distance_set(bodies["square"], dyadic, exact=True),
     )
     cloud = rng.uniform(-20.0, 20.0, size=(800, 2))
     layers["distance_set.float.disc"] = (

@@ -2,9 +2,10 @@
 
 The distance set of A under a body K collects every pairwise gauge distance,
 including the zero from coincident pairs.  One builder, :func:`_distance_set`,
-makes it from the values of difference vectors, every pair once or a grid's
-closed-form multiset with pair counts, and one routine, :func:`_cluster`, sorts
-and groups the values of every distance set and distance list.  Floating mode
+makes it from the values of difference vectors, every pair once by one walk
+or a grid's closed-form multiset with pair counts, and one routine,
+:func:`_cluster`, sorts and groups the values of every distance set and
+distance list.  Floating mode
 groups gauge values greedily into clusters of spread <= tol (distinctness at
 double precision needs a tolerance); exact mode takes integer vectors and a
 rational scale, and groups them at tol 0 by an integer key, q * gauge in the
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,7 +57,7 @@ __all__ = [
     "moser_count_check",
 ]
 
-# pairs per gauge_many call in the float pair loop: large enough that numpy's
+# pairs per evaluator call in the pair walk: large enough that numpy's
 # per-call overhead is small, small enough that the buffers stay in cache
 _PAIR_BLOCK = 2**14
 
@@ -298,11 +299,11 @@ def distance_set(
     raises ``ValueError``.  Both are checked before any pair is built.  A
     non-finite coordinate raises ``ValueError`` in either mode.
 
-    The float pairs are taken by cyclic shift, (i, (i + s) mod n), in fixed
-    blocks of about ``_PAIR_BLOCK`` pairs per :func:`gauge_many` call.  A pair
-    that wraps is evaluated at p_i - p_j, and fl(a - b) = -fl(b - a), so its
-    difference is the exact negation of p_j - p_i; every body is symmetric
-    and its gauge takes abs or hypot, so the value is the same double.
+    Both modes walk the pairs by cyclic shift, (i, (i + s) mod n), in blocks
+    of about ``_PAIR_BLOCK`` pairs per call of :func:`gauge_many` (floats) or
+    :func:`_exact_keys` (the scaled integers).  A pair that wraps is evaluated
+    at p_i - p_j, and fl(a - b) = -fl(b - a), so its difference is the exact
+    negation of p_j - p_i; every body is symmetric, so the value is the same.
     """
     _check_request(body, tol, exact)
     pts = _as_points(points)
@@ -312,36 +313,35 @@ def distance_set(
     if exact:
         ints, den = _scale_to_ints(pts)
         # differences of the scaled points reach twice their largest coordinate
-        P = np.array(ints, dtype=_int_dtype(2 * max(max(abs(x), abs(y)) for x, y in ints)))
-        i, j = np.triu_indices(n, 1)
-        keys = np.concatenate(([0], _exact_keys(body, P[j] - P[i])))
-        return _distance_set(body, n, keys, None, 0, Fraction(1, den))
-    vals = np.zeros(1 + n * (n - 1) // 2)
-    # shifts s = 1 .. (n - 1) // 2 for every i, then, for even n, s = n / 2
-    # for i < n / 2: each pair once.  Blocks of whole shifts (one shift when
-    # n passes _PAIR_BLOCK) are subtracted from windows on the doubled
-    # columns into one column-major buffer, which gauge_many reads a column
-    # at a time
-    shifts = [sliding_window_view(np.concatenate((c, c)), n) for c in pts.T]
+        cols = np.array(ints, dtype=_int_dtype(2 * max(max(abs(x), abs(y)) for x, y in ints))).T
+        # all keys take the widest difference's key dtype; narrower blocks widen
+        vmax = max(max(c) - min(c) for c in zip(*ints))
+        dtype = _exact_keys(body, np.array([[vmax, 0]], dtype=object)).dtype
+        evaluate, tol, scale = partial(_exact_keys, body), 0, Fraction(1, den)
+    else:
+        cols, dtype, evaluate, scale = pts.T, float, partial(gauge_many, body), None
+    vals = np.zeros(1 + n * (n - 1) // 2, dtype=dtype)
+    # blocks (s, k, w): pairs (i, (i + s + t) mod n) for t < k and i < w, each
+    # pair once: k whole shifts up to (n - 1) // 2 (one when n passes
+    # _PAIR_BLOCK), then, for even n, the half shift n / 2 for i < n / 2.  They
+    # are subtracted from windows on the doubled columns into one column-major
+    # buffer, which the evaluator reads a column at a time
+    shifts = [sliding_window_view(np.concatenate((c, c)), n) for c in cols]
     per = max(1, _PAIR_BLOCK // n)
-    buf = np.empty((per * n, 2), order="F")
+    stop = (n + 1) // 2
+    blocks = [(s, min(per, stop - s), n) for s in range(1, stop, per)]
+    blocks += [(n // 2, 1, n // 2)] if n % 2 == 0 else []
+    buf = np.empty((per * n, 2), dtype=cols.dtype, order="F")
     pos = 1
     # an overflowed difference is left to _cluster, which raises on it, so
     # numpy's warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        stop = (n + 1) // 2
-        for s in range(1, stop, per):
-            k = min(per, stop - s)
-            for c, w in enumerate(shifts):
-                np.subtract(w[s : s + k], w[0], out=buf[: k * n, c].reshape(k, n))
-            vals[pos : pos + k * n] = gauge_many(body, buf[: k * n])
-            pos += k * n
-        if n % 2 == 0:
-            h = n // 2
-            for c, w in enumerate(shifts):
-                np.subtract(w[h, :h], w[0, :h], out=buf[:h, c])
-            vals[pos:] = gauge_many(body, buf[:h])
-    return _distance_set(body, n, vals, None, tol)
+        for s, k, w in blocks:
+            for c, win in enumerate(shifts):
+                np.subtract(win[s : s + k, :w], win[0, :w], out=buf[: k * w, c].reshape(k, w))
+            vals[pos : pos + k * w] = evaluate(buf[: k * w])
+            pos += k * w
+    return _distance_set(body, n, vals, None, tol, scale)
 
 
 def grid_distance_set(

@@ -278,11 +278,12 @@ def concurrence_check(
     except that for alpha == 1 a segment that verifiably comes from two
     anti-parallel edges of the supplied polygon at offset u is flagged
     instead.  A violation's float size, the largest in ``max_error``, is
-    |cross(b - a, w)| / (|b - a| |u|), with |1 - alpha| for |u| when u = 0:
-    the miss relative to |u/(1-alpha)| for alpha != 1 (the distance from 0
-    when u = 0, labelled "(abs)") and the sine of the angle to u for
-    alpha == 1.  alpha and u are read exactly as given, so the double 0.3
-    is not 3/10: state a non-dyadic homothety in ``Fraction``s.
+    |cross(b - a, w)| / (|b - a| max(|u|, |1 - alpha|)): for alpha != 1 the
+    miss relative to max(|u/(1-alpha)|, 1), continuous in u (labelled "(rel)"
+    when |u/(1-alpha)| >= 1 and "(abs)", a distance, otherwise), and the sine
+    of the angle to u for alpha == 1.  alpha and u are read exactly as given,
+    so the double 0.3 is not 3/10: state a non-dyadic homothety in
+    ``Fraction``s.
     """
     ux, uy = _checked_homothety(alpha, u)
     an, ad = Fraction(alpha).as_integer_ratio()
@@ -293,11 +294,11 @@ def concurrence_check(
         [u],
         polygon.vertices if alpha == 1 and polygon is not None else (),
     )
-    norm_u = math.hypot(ux, uy)
-    ref = norm_u or abs(ad - an) / ad
+    norm_u, norm_s = math.hypot(ux, uy), abs(ad - an) / ad  # |u|, |1 - alpha|
+    ref = max(norm_u, norm_s)
     miss = ("direction off u by sin angle {:.3e}" if alpha == 1
-            else "supporting line misses u/(1-alpha) by {:.3e} (rel)" if norm_u
-            else "supporting line misses u/(1-alpha) = 0 by {:.3e} (abs)")
+            else "supporting line misses u/(1-alpha) by {:.3e} "
+            + ("(rel)" if norm_u >= norm_s else "(abs)"))
     flagged = 0
     max_err = 0.0
     violations: list[str] = []

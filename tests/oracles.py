@@ -314,8 +314,8 @@ def reference_concurrence(segments, alpha, u, polygon_vertices=None) -> dict:
 
     Returns ``ok``, ``checked``, ``flagged``, ``flags``, ``violations`` (the
     number of nonzero residuals) and ``sizes``: per segment, the residual's
-    float size relative to |u/(1-alpha)| (1 when that is 0) or the sine of the
-    angle to u, or ``None`` for a flagged segment.
+    float size relative to max(|u/(1-alpha)|, 1) or the sine of the angle to
+    u, or ``None`` for a flagged segment.
     """
     fu = (Fraction(u[0]), Fraction(u[1]))
     checked = flagged = violations = 0
@@ -327,7 +327,7 @@ def reference_concurrence(segments, alpha, u, polygon_vertices=None) -> dict:
             target = (fu[0] / s, fu[1] / s)
             nx, ny, c = _line_key(a, b)
             resid = nx * target[0] + ny * target[1] - c
-            norm = math.hypot(float(target[0]), float(target[1])) or 1.0
+            norm = max(math.hypot(float(target[0]), float(target[1])), 1.0)
             size = abs(float(resid)) / math.hypot(nx, ny) / norm
         else:
             dx, dy = b[0] - a[0], b[1] - a[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -587,6 +588,61 @@ def test_float_pair_loop_with_one_shift_per_block(monkeypatch, n):
     pts = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2)) / 3
     for body in PAIR_LOOP_BODIES:
         assert_pair_loop_matches_rows(body, pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 31])
+@pytest.mark.parametrize("scale, disc_keys", [(1.0, "i"), (0.3, "O")], ids=["int64", "object"])
+def test_exact_pair_walk_with_one_shift_per_block(monkeypatch, n, scale, disc_keys):
+    """The exact walk in blocks of one whole shift, then for even n the half
+    shift, gives the brute-force sets of dyadic points (30 and 31 with a
+    coincident pair).  The square's keys are int64, and the random 10-gon's,
+    from its wide integer form, Python ints; the disc's are Python ints once
+    the points are scaled by 0.3, whose double has a 54-bit denominator."""
+    monkeypatch.setattr(distance_sets, "_PAIR_BLOCK", 8)
+    seen, build = [], distance_sets._distance_set
+
+    def capture(body, n, vals, *rest):
+        seen.append(vals.dtype.kind)
+        return build(body, n, vals, *rest)
+
+    monkeypatch.setattr(distance_sets, "_distance_set", capture)
+    pts = [(scale * int(a) / 64, scale * int(b) / 64)
+           for a, b in np.random.default_rng(n).integers(-256, 257, (n, 2))]
+    if n > 2:
+        pts[-1] = pts[0]
+    for body in (square(), random_symmetric_polygon(5, 11), Disc(1.0)):
+        assert_matches_oracle(body, pts)
+    # one point has only the zero key, int64 for every body but the 10-gon
+    assert seen == ["i", "O", disc_keys if n > 1 else "i"]
+
+
+def test_exact_key_dtype_is_fixed_by_the_widest_difference():
+    """Shift 1 of these four points has differences up to L, whose disc keys
+    fit int64; the half shift has 2L, whose key 49 * 2**58 does not.  The key
+    array takes Python ints before the walk, so the int64 block widens."""
+    L = 7 * 2**28
+    ds = distance_set(Disc(1.0), [(0, 0), (L, 0), (2 * L, 0), (L, 0)], exact=True)
+    assert ds.keys.tolist() == [0.0, 1879048192.0, 3758096384.0]
+    assert ds.counts.tolist() == [5, 4, 1]
+
+
+def test_exact_pair_walk_memory_is_bounded_by_its_keys():
+    """2,000 dyadic points under the square: the 1,999,001 int64 keys take
+    16 MB, and the walk adds only a block's buffers (building every pair's
+    index and difference arrays at once peaked above 130 MB)."""
+    pts = np.random.default_rng(2000).integers(-256, 257, size=(2000, 2)) / 64
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        distance_set(square(), pts, exact=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 60e6
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])

@@ -428,11 +428,22 @@ class TestConcurrence:
         rep = concurrence_check(res, 3.0, (0.0, 0.0))
         assert (rep.ok, rep.checked, rep.max_error) == (False, 1, 5.0)
         assert rep.violations == (
-            "segment 0: supporting line misses u/(1-alpha) = 0 by 5.000e+00 (abs)",)
-        # any nonzero u is relative again
-        rep = concurrence_check(res, 3.0, (2.0, 0.0))
-        assert rep.violations == (
-            "segment 0: supporting line misses u/(1-alpha) by 6.000e+00 (rel)",)
+            "segment 0: supporting line misses u/(1-alpha) by 5.000e+00 (abs)",)
+
+    @pytest.mark.parametrize("u, size, label", [
+        # the centre (-5e-301, 0) is 5 from x = 5, as the origin is: no jump at u = 0
+        ((1e-300, 0.0), 5.0, "5.000e+00 (abs)"),
+        # |u/(1 - alpha)| = 1/4 < 1: still the distance, 5 + 1/4
+        ((0.5, 0.0), 5.25, "5.250e+00 (abs)"),
+        # |u/(1 - alpha)| = 1: from here on relative, the distance 6 over 1
+        ((2.0, 0.0), 6.0, "6.000e+00 (rel)"),
+        ((4.0, 0.0), 3.5, "3.500e+00 (rel)"),
+    ])
+    def test_miss_is_relative_to_max_of_centre_and_one(self, u, size, label):
+        res = IntersectionResult((), (Segment((5, -1), (5, 1)),))
+        rep = concurrence_check(res, 3.0, u)
+        assert (rep.ok, rep.checked, rep.max_error) == (False, 1, size)
+        assert rep.violations == (f"segment 0: supporting line misses u/(1-alpha) by {label}",)
 
     def test_opposite_edge_without_polygon_is_violation(self):
         u = (2.0, 0.0)
@@ -569,6 +580,9 @@ class TestConcurrenceOracle:
                    Fraction(3, 10), (Fraction(7, 10), Fraction(7, 10)), square()))
     # u = 0: the line x = 1 misses the centre 0 by 1, sized against |1 - alpha| = 2
     @example(case=([Segment((1, 0), (1, 1))], 3.0, (0.0, 0.0), None))
+    # a centre near 0 and one inside the unit disc: sized against 1
+    @example(case=([Segment((5, -1), (5, 1))], 3.0, (1e-300, 0.0), None))
+    @example(case=([Segment((5, -1), (5, 1))], 3.0, (0.5, 0.0), None))
     def test_matches_line_key_reference(self, case):
         segs, alpha, u, poly = case
         rep = concurrence_check(IntersectionResult((), tuple(segs)), alpha, u, polygon=poly)
