@@ -19,7 +19,7 @@ perturbed lattice points of ``sweep --body diamond --set perturbed --R 20
 points of ``erdos-bound`` under the disc and the p = 1.5 ball), the float
 lattice ``run_sweep`` and ``moser_count_check`` of the README commands, exact
 ``boundary_intersection`` (under random translates, and under edge-aligned
-translates with the polygon body passed in), ``concurrence_check`` and
+translates with the polygon body as the first boundary), ``concurrence_check`` and
 ``direction_line_classes`` (on the edge-aligned intersections, computed
 outside the timed call) and ``strictly_convex_intersection_count``.  The
 root scan is timed twice: on 12 translates in the two-crossing range, as the
@@ -28,9 +28,9 @@ tables of first-pass boundary points), and on 12 translates of size 1e-12 at
 alpha = 1 (``.floor``), where float error hides the sign of g over wide arcs:
 the disc's scans resolve, the p = 1.5 ball's spend the whole halving budget.
 Last come whole lemma batches: ``random_symmetric_polygon`` on the 200
-polygons a batch draws, and ``lemma.polygon`` (``--which 14``, whose alpha
-== 1 trials flag opposite-edge coincidences) and ``lemma.strict``, each 200
-trials of ``run_lemma_checks`` at seed 7.
+polygons a batch draws, and ``lemma.polygon`` (``--which 14``, whose
+external contacts are flagged and tested against u/(1 + alpha)) and
+``lemma.strict``, each 200 trials of ``run_lemma_checks`` at seed 7.
 
 ``--src`` names the ``src`` directory to import ``gaugedist`` from, so one
 script can time two checkouts on the same machine.  Only numpy and the
@@ -181,8 +181,7 @@ def _layers(gd):
     # the layers below time only their own call on these intersections
     layers["concurrence_check"] = (
         f"concurrence_check of {len(results)} edge-aligned intersections ({n_segments} segments)",
-        lambda: [gd.concurrence_check(r, alpha, u, polygon=p)
-                 for r, (p, alpha, u) in zip(results, aligned)],
+        lambda: [gd.concurrence_check(r, alpha, u) for r, (_, alpha, u) in zip(results, aligned)],
     )
     layers["direction_line_classes"] = (
         f"direction_line_classes of the same {len(results)} intersections",

@@ -15,7 +15,6 @@ from gaugedist import (
     SymmetricPolygon,
     boundary_point,
     diamond,
-    edge_normal_form,
     gauge,
     gauge_exact,
     square,
@@ -35,11 +34,11 @@ print("3-ball gauge of (3, 4):", gauge(PBall(3.0, 1.0), (3, 4)))
 
 # Polygon gauges are evaluated through the half-plane normal form: K is the
 # intersection of half-planes <y, n_i> <= h_i, and the gauge is the largest
-# of the ratios <x, n_i> / h_i.
-nf = edge_normal_form(sq)
-print("\nsquare normal form:")
-for n, h in zip(nf.normals, nf.offsets):
-    print(f"  normal ({n[0]:+.0f}, {n[1]:+.0f})  offset {h:.0f}")
+# of the ratios <x, n_i> / h_i.  Edge i + n is edge i negated, so the body
+# keeps only the first n rows and takes max_i |<x, n_i>| / h_i.
+print("\nsquare normal form, first half of the edges:")
+for nx, ny, h in sq._half_rows:
+    print(f"  normal ({nx:+.0f}, {ny:+.0f})  offset {h:.0f}")
 
 # boundary_point walks the unit sphere of the gauge: the returned point always
 # has gauge 1.

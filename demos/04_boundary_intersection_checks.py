@@ -5,12 +5,12 @@ alpha*G + u splits into isolated points and maximal segments, and the
 segments are rigidly constrained:
 
 * their supporting lines form at most 2 distinct classes;
-* for alpha != 1 every supporting line passes through u / (1 - alpha), except
-  where the boundaries touch from outside along two anti-parallel edges: the
-  square and 2 * square + (3, 0) share x = 1, |y| <= 1, whose line misses
-  u / (1 - alpha) = (-3, 0), and the checks report that as a violation;
-* for alpha == 1 every segment is parallel to u, except when u carries one of
-  two anti-parallel edges exactly onto the other.
+* each supporting line is alpha times as far from u as from 0.  With 0 and u
+  on one side of it, the line passes through u / (1 - alpha), or is parallel
+  to u when alpha == 1.  Where the boundaries touch from outside along two
+  anti-parallel edges the line lies between 0 and u and passes through
+  u / (1 + alpha): the square and 2 * square + (3, 0) share x = 1, |y| <= 1,
+  through u / 3 = (1, 0).
 
 Strictly convex boundaries contain no segments at all, so there the
 intersection has at most 2 points.  This script shows each case concretely.
@@ -50,11 +50,17 @@ print(f"\nhomothety about (1,1), alpha={alpha}: "
       f"{direction_line_classes(res)} line classes (never more than 2)")
 
 # The translate u=(2,0) maps the square's left edge onto its right edge: a
-# shared segment perpendicular to u.  That is the one sanctioned exception for
-# alpha == 1, and it is flagged, not failed.
+# shared segment perpendicular to u, between 0 and u, through u/2 = (1, 0).
+# Such segments are flagged and tested against u/(1+alpha).
 res = boundary_intersection(sq, transform_polygon(sq, 1.0, (2.0, 0.0)))
-rep = concurrence_check(res, 1.0, (2.0, 0.0), polygon=sq)
+rep = concurrence_check(res, 1.0, (2.0, 0.0))
 print(f"\nalpha=1, u=(2,0): flags={list(rep.flags)}, ok={rep.ok}")
+
+# The same external contact at alpha = 2: 2 * square + (3, 0) touches the
+# square along x = 1, which passes through u/(1+alpha) = (1, 0).
+res = boundary_intersection(sq, transform_polygon(sq, 2.0, (3.0, 0.0)))
+rep = concurrence_check(res, 2.0, (3.0, 0.0))
+print(f"alpha=2, u=(3,0): {rep.flagged} flagged, ok={rep.ok}, error={rep.max_error}")
 
 # Strictly convex: two unit circles at center distance 1 cross twice; at
 # distance 3 they are disjoint.  At distance 2 they touch in one point, but a

@@ -10,7 +10,6 @@ checkable here.
 from .convex_body import (
     ConvexBody,
     Disc,
-    EdgeNormalForm,
     InvalidBodyError,
     PBall,
     SymmetricPolygon,
@@ -18,7 +17,6 @@ from .convex_body import (
     boundary_point,
     boundary_points,
     diamond,
-    edge_normal_form,
     gauge,
     gauge_exact,
     gauge_many,

@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "ConvexBody",
     "Disc",
-    "EdgeNormalForm",
     "InvalidBodyError",
     "PBall",
     "SymmetricPolygon",
@@ -41,7 +40,6 @@ __all__ = [
     "boundary_point",
     "boundary_points",
     "diamond",
-    "edge_normal_form",
     "gauge",
     "gauge_exact",
     "gauge_many",
@@ -151,14 +149,6 @@ ConvexBody = Union[SymmetricPolygon, Disc, PBall]
 _MIN_NORMAL = sys.float_info.min  # the smallest normal double
 
 
-@dataclass(frozen=True)
-class EdgeNormalForm:
-    """Half-plane form K = {y : <y, n_i> <= h_i}, one row per edge, normals unit length."""
-
-    normals: np.ndarray
-    offsets: np.ndarray
-
-
 def square(half_width: float = 1.0) -> SymmetricPolygon:
     """The square [-c, c]^2; its gauge is the scaled max-coordinate norm."""
     c = float(half_width)
@@ -261,15 +251,6 @@ def validate(body: ConvexBody) -> None:
         viol = [f"unsupported body type {type(body).__name__}"]
     if viol:
         raise InvalidBodyError("; ".join(viol))
-
-
-def edge_normal_form(poly: SymmetricPolygon) -> EdgeNormalForm:
-    """Outward unit normals and offsets of all 2n edges of a polygon, in angular
-    order (row i + n is row i, normal negated); ``ValueError`` as :func:`gauge`."""
-    if not isinstance(poly, SymmetricPolygon):
-        raise InvalidBodyError("edge_normal_form needs a polygon body")
-    half = np.array(poly._half_rows)
-    return EdgeNormalForm(np.concatenate((half[:, :2], -half[:, :2])), np.tile(half[:, 2], 2))
 
 
 def gauge(body: ConvexBody, x) -> float:

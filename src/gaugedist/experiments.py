@@ -254,8 +254,9 @@ def run_lemma_checks(which: str, trials: int, seed: int) -> LemmaBatch:
     """Run a seeded trial batch and sum its summary from the trials.
 
     which "13": bound on distinct supporting-line classes (must stay <= 2).
-    which "14": concurrence of segment lines through u/(1-alpha); every fourth
-    trial exercises alpha == 1 parallelism with opposite-edge flagging.
+    which "14": the concurrence law on every segment line: through u/(1-alpha)
+    (parallel to u at alpha == 1), or, for a flagged external contact, through
+    u/(1+alpha); every fourth trial runs at alpha == 1.
     which "strict": intersection counts for strictly convex bodies (<= 2), from
     the certified root scan, whose count is a lower bound; a row whose scan is
     unresolved (not all the rest shown root-free) carries the flag "unresolved".

@@ -9,10 +9,13 @@ collinear edge pair yields a whole maximal segment, and segments are never
 merged, and a point found on a segment is one of its ends.
 This module computes that decomposition, counts the distinct supporting lines
 of the segments (never more than two when u != 0), and checks the concurrence
-law with one predicate for every a, cross(b - a, u - (1 - a) a) == 0 for each
-segment ab: its supporting line passes through u/(1-a) for a != 1 and is
-parallel to u for a == 1, except when u carries one of two anti-parallel
-edges onto the other (an "opposite-edge coincidence").
+lemma by one distance law for every segment and every a: the supporting line
+of a segment is a times as far from u as from 0.  The segment lies on an edge
+e of G and on an edge a e' + u of the homothet, e' an edge of G parallel to e;
+G is origin-symmetric, so e' is as far from 0 as e, and a e' + u is a times as
+far from u.  With 0 and u on one side of the line, it passes through u/(1-a)
+(is parallel to u for a == 1); with the line between them, as where a
+homothet's anti-parallel edges meet, it passes through u/(1+a).
 
 Overlap-versus-crossing classification is discontinuous, so the polygon code
 is exact: coordinates convert to rationals (doubles convert losslessly) and
@@ -21,9 +24,9 @@ built, and no tolerance enters the polygon checks.  A lemma trial checks a
 polygon against its dyadic homothet in one integer frame per trial
 (``_homothet_check``).  A homothety keeps edge directions, so only edges i
 and i + n of the homothet, the two of that direction, can share a segment
-with edge i, and the pair decides the segment: (i, i) obeys the law, and
-(i, i + n), an external contact and the only overlap, is flagged at a == 1
-and a violation otherwise.  Only the root scan for strictly convex bodies
+with edge i, and the pair decides the segment: (i, i) obeys the law by
+construction, and (i, i + n), an external contact and the only overlap, is
+tested against u/(1+a).  Only the root scan for strictly convex bodies
 works in floating point; it reads its first pass from a per-body table.
 """
 
@@ -33,7 +36,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -226,8 +228,10 @@ def direction_line_classes(result: IntersectionResult) -> int:
 
 @dataclass(frozen=True)
 class ConcurrenceReport:
-    """The ``violations`` among the segments ``checked``, the largest one's size, and the
-    segments ``flagged`` as opposite-edge coincidences."""
+    """The ``violations`` among the segments, the largest one's size, and how the segments
+    split: ``checked`` have 0 and u on one side of their line and are tested against
+    u/(1 - alpha), ``flagged`` have a line between 0 and u, as a homothet's anti-parallel
+    edges do, and are tested against u/(1 + alpha)."""
 
     checked: int
     flagged: int
@@ -243,73 +247,44 @@ class ConcurrenceReport:
         return ("opposite-edge coincidence",) * self.flagged
 
 
-def _on_segment(p, a, b) -> bool:
-    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    if cross != 0:
-        return False
-    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-    return 0 <= dot <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+def concurrence_check(result: IntersectionResult, alpha: float, u) -> ConcurrenceReport:
+    """Check the concurrence law on every maximal segment, exactly.
 
-
-def _opposite_edge_coincidence(a, b, u, V) -> bool:
-    """True when the segment ab lies on an edge i of the valid polygon V and
-    ab - u on edge i + n, the only edge anti-parallel to it: the translate
-    carried one of two parallel edges onto the other.  Edge i + n is minus
-    edge i, so a, b, u - a and u - b must all lie on edge i.  Every point is
-    an integer pair in one frame."""
-    ua, ub = (u[0] - a[0], u[1] - a[1]), (u[0] - b[0], u[1] - b[1])
-    return any(
-        all(_on_segment(p, v, w) for p in (a, b, ua, ub)) for v, w in zip(V, V[1:] + V[:1])
-    )
-
-
-def concurrence_check(
-    result: IntersectionResult,
-    alpha: float,
-    u,
-    polygon: Optional[SymmetricPolygon] = None,
-) -> ConcurrenceReport:
-    """Check the concurrence/parallelism law on every maximal segment, exactly.
-
-    One predicate serves every alpha: the segment ab passes when
-    cross(b - a, w) == 0 for w = u - (1 - alpha) a, decided in integers, so
-    its supporting line passes through u/(1-alpha) for alpha != 1 and is
-    parallel to u for alpha == 1.  A nonzero cross product is a violation,
-    except that for alpha == 1 a segment that verifiably comes from two
-    anti-parallel edges of the supplied polygon at offset u is flagged
-    instead.  A violation's float size, the largest in ``max_error``, is
-    |cross(b - a, w)| / (|b - a| max(|u|, |1 - alpha|)): for alpha != 1 the
-    miss relative to max(|u/(1-alpha)|, 1), continuous in u (labelled "(rel)"
-    when |u/(1-alpha)| >= 1 and "(abs)", a distance, otherwise), and the sine
-    of the angle to u for alpha == 1.  alpha and u are read exactly as given,
-    so the double 0.3 is not 3/10: state a non-dyadic homothety in
+    One distance law serves every segment and every alpha: the segment ab passes
+    when its line is alpha times as far from u as from 0, |cu| == alpha |c0| for
+    cu = cross(b - a, u - a) and c0 = cross(b - a, a), decided in integers.  With 0
+    and u on one side of the line (cu c0 <= 0) that is cross(b - a, u - (1 - alpha) a)
+    == 0: the line passes through u/(1-alpha), or is parallel to u for alpha == 1.
+    With the line between them (cu c0 > 0, counted in ``flagged``) it is
+    cross(b - a, u - (1 + alpha) a) == 0: the line passes through u/(1+alpha).  A
+    violation's float size, the largest in ``max_error``, is the miss
+    ||cu| - alpha |c0|| / (|b - a| max(|u|, |1 - alpha|)), continuous in u: on one
+    side, the distance of u/(1-alpha) from the line relative to max(|u/(1-alpha)|, 1)
+    (labelled "(rel)" when |u| >= |1 - alpha| and "(abs)", a distance, otherwise),
+    and the sine of the angle to u for alpha == 1.  alpha and u are read exactly as
+    given, so the double 0.3 is not 3/10: state a non-dyadic homothety in
     ``Fraction``s.
     """
     ux, uy = _checked_homothety(alpha, u)
     an, ad = Fraction(alpha).as_integer_ratio()
-    # one integer frame for the segment ends, u and, where the opposite-edge
-    # test may run, the polygon (a valid body by construction)
-    ends, [U], V, den = _scale_to_ints(
-        [p for s in result.maximal_segments for p in (s.a, s.b)],
-        [u],
-        polygon.vertices if alpha == 1 and polygon is not None else (),
+    ends, [(Ux, Uy)], den = _scale_to_ints(
+        [p for s in result.maximal_segments for p in (s.a, s.b)], [u]
     )
     norm_u, norm_s = math.hypot(ux, uy), abs(ad - an) / ad  # |u|, |1 - alpha|
     ref = max(norm_u, norm_s)
-    miss = ("direction off u by sin angle {:.3e}" if alpha == 1
-            else "supporting line misses u/(1-alpha) by {:.3e} "
-            + ("(rel)" if norm_u >= norm_s else "(abs)"))
+    miss = "line's distance from u misses alpha times its distance from 0 by {:.3e} " + (
+        "(rel)" if norm_u >= norm_s else "(abs)")
     flagged = 0
     max_err = 0.0
     violations: list[str] = []
 
     for k, ((ax, ay), (bx, by)) in enumerate(zip(ends[::2], ends[1::2])):
         dx, dy = bx - ax, by - ay
-        # ad * den^2 * cross(b - a, u - (1 - alpha) a)
-        cr = dx * (ad * U[1] - (ad - an) * ay) - dy * (ad * U[0] - (ad - an) * ax)
-        if cr != 0 and V and _opposite_edge_coincidence((ax, ay), (bx, by), U, V):
-            flagged += 1
-        elif cr != 0:
+        cu = dx * (Uy - ay) - dy * (Ux - ax)  # den^2 cross(b - a, u - a)
+        c0 = dx * ay - dy * ax  # den^2 cross(b - a, a)
+        flagged += cu * c0 > 0
+        cr = ad * abs(cu) - an * abs(c0)
+        if cr != 0:
             # integer true division rounds correctly, however large den is
             size = abs(cr) / (ad * den * den) / (math.hypot(dx / den, dy / den) * ref)
             max_err = max(max_err, size)
@@ -331,7 +306,7 @@ def _homothet_frame(poly: SymmetricPolygon, alpha: float, u) -> tuple[list, list
 
 def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, ConcurrenceReport]:
     """``(classes, report)`` for G = poly and alpha * G + u, equal to
-    ``direction_line_classes`` and ``concurrence_check(..., polygon=poly)`` of
+    ``direction_line_classes`` and ``concurrence_check`` of
     ``boundary_intersection(poly, transform_polygon(poly, alpha, u))`` whenever
     every alpha * v + u is a double, as on the dyadic grids of the lemma trials.
 
@@ -339,14 +314,13 @@ def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, Concu
     alpha * G + u is convex because G is, so neither boundary is checked.  A
     homothety with alpha > 0 keeps edge directions, so a segment on edge i of
     G (each on its own line: ``classes`` counts them) lies on edge i or i + n
-    of alpha * G + u, and that pair decides it.  On (i, i), B_i - A_i =
-    u - (1 - alpha) A_i for the image B_i of A_i, the predicate's w at A_i, so
-    the law holds there by construction for every alpha.  On (i, i + n) the
-    outward normals are opposite, so the bodies lie on opposite sides of the
-    line and the segment is the only overlap.  For alpha == 1, edge i + n of
-    G + u is u minus edge i, so a, b, u - a and u - b lie on edge i: a flagged
-    opposite-edge coincidence.  Else u/(1 - alpha) is off the line, as <v, u> =
-    (1 + alpha) h for edge i on <v, x> = h > 0: ``concurrence_check`` sizes it.
+    of alpha * G + u, and that pair decides it.  On (i, i) the outward normals
+    agree, so 0, inside G, and u, inside alpha * G + u, lie on one side of the
+    line, and B_i - A_i = u - (1 - alpha) A_i for the image B_i of A_i: the
+    line passes through u/(1 - alpha), or is parallel to u, by construction.
+    On (i, i + n) the normals are opposite, so the bodies, and 0 and u with
+    them, lie on opposite sides of the line, and the segment is the only
+    overlap: ``concurrence_check`` tests it against u/(1 + alpha).
     """
     _checked_homothety(alpha, u)
     A, B, D = _homothet_frame(poly, alpha, u)
@@ -355,8 +329,6 @@ def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, Concu
     if all(i == j for i, j, *_ in overlaps):
         return len(overlaps), ConcurrenceReport(len(overlaps), 0, 0.0)
     [(_, _, p, q)] = overlaps
-    if alpha == 1:
-        return 1, ConcurrenceReport(0, 1, 0.0)
     seg = Segment(_fraction_point(p, D), _fraction_point(q, D))
     return 1, concurrence_check(IntersectionResult((), (seg,)), alpha, u)
 

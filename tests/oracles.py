@@ -305,50 +305,41 @@ def _line_key(a, b):
     return nx, ny, nx * a[0] + ny * a[1]
 
 
-def reference_concurrence(segments, alpha, u, polygon_vertices=None) -> dict:
-    """The concurrence law checked one segment at a time in Fraction, with two
-    branches: for alpha != 1 the residual of the segment's supporting-line key
-    at u/(1-alpha), for alpha == 1 the cross product of the segment with u.  A
-    non-parallel segment at alpha == 1 is flagged instead when it lies on an
-    edge of the polygon and, moved by -u, on the opposite edge.
+def reference_concurrence(segments, alpha, u) -> dict:
+    """The concurrence law checked one segment at a time in Fraction, by the
+    segment's supporting-line key <n, p> = c: a line with 0 and u on one side
+    (or through either) must pass through u/(1-alpha), or be parallel to u at
+    alpha == 1, and a line with 0 and u strictly on opposite sides, flagged,
+    must pass through u/(1+alpha).
 
     Returns ``ok``, ``checked``, ``flagged``, ``flags``, ``violations`` (the
-    number of nonzero residuals) and ``sizes``: per segment, the residual's
-    float size relative to max(|u/(1-alpha)|, 1) or the sine of the angle to
-    u, or ``None`` for a flagged segment.
+    number of nonzero residuals) and ``sizes``: per segment, the distance of
+    the target u/k from the line, k = 1 - alpha or 1 + alpha, times |k| over
+    max(|u|, |1 - alpha|), or at k == 0 the sine of the angle to u.
     """
-    fu = (Fraction(u[0]), Fraction(u[1]))
+    fu, fa = (Fraction(u[0]), Fraction(u[1])), Fraction(alpha)
+    ref = max(math.hypot(float(fu[0]), float(fu[1])), abs(float(1 - fa)))
     checked = flagged = violations = 0
-    flags, sizes = [], []
+    sizes = []
     for a, b in segments:
-        a, b = (Fraction(a[0]), Fraction(a[1])), (Fraction(b[0]), Fraction(b[1]))
-        if alpha != 1:
-            s = 1 - Fraction(alpha)
-            target = (fu[0] / s, fu[1] / s)
-            nx, ny, c = _line_key(a, b)
-            resid = nx * target[0] + ny * target[1] - c
-            norm = max(math.hypot(float(target[0]), float(target[1])), 1.0)
-            size = abs(float(resid)) / math.hypot(nx, ny) / norm
+        nx, ny, c = _line_key(*((Fraction(p[0]), Fraction(p[1])) for p in (a, b)))
+        apart = c * (nx * fu[0] + ny * fu[1] - c) > 0  # <n, 0> - c and <n, u> - c differ in sign
+        k = 1 + fa if apart else 1 - fa
+        if k == 0:
+            resid = nx * fu[0] + ny * fu[1]
+            size = abs(float(resid)) / math.hypot(nx, ny) / ref
         else:
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            resid = dx * fu[1] - dy * fu[0]
-            if resid != 0 and polygon_vertices is not None and _on_opposite_edges(
-                a, b, fu, polygon_vertices
-            ):
-                flagged += 1
-                flags.append("opposite-edge coincidence")
-                sizes.append(None)
-                continue
-            ref = math.hypot(float(fu[0]), float(fu[1]))
-            size = abs(float(resid)) / (math.hypot(float(dx), float(dy)) * ref)
-        checked += 1
+            resid = nx * fu[0] / k + ny * fu[1] / k - c
+            size = abs(float(resid)) / math.hypot(nx, ny) * abs(float(k)) / ref
+        flagged += apart
+        checked += not apart
         violations += resid != 0
         sizes.append(size)
     return {
         "ok": violations == 0,
         "checked": checked,
         "flagged": flagged,
-        "flags": tuple(flags),
+        "flags": ("opposite-edge coincidence",) * flagged,
         "violations": violations,
         "sizes": sizes,
     }
@@ -359,7 +350,7 @@ def reference_homothet_check(poly, alpha, u):
     public functions: ``transform_polygon``, ``boundary_intersection``,
     ``concurrence_check`` and ``direction_line_classes``."""
     res = boundary_intersection(poly, transform_polygon(poly, alpha, u))
-    return direction_line_classes(res), concurrence_check(res, alpha, u, polygon=poly)
+    return direction_line_classes(res), concurrence_check(res, alpha, u)
 
 
 def reference_polygon_trial(k, seed, alpha):
@@ -378,19 +369,6 @@ def reference_polygon_trial(k, seed, alpha):
         "flags": sorted(rep.flags),
     }
     return row, rep
-
-
-def _on_opposite_edges(a, b, u, vertices) -> bool:
-    """a and b lie on one edge of the polygon, and a - u and b - u on the edge
-    half a turn further on."""
-    m = len(vertices)
-    for i in range(m):
-        v, w = vertices[i], vertices[(i + 1) % m]
-        if on_closed_segment(a, v, w) and on_closed_segment(b, v, w):
-            p, q = vertices[(i + m // 2) % m], vertices[(i + m // 2 + 1) % m]
-            moved = [(x - u[0], y - u[1]) for x, y in (a, b)]
-            return all(on_closed_segment(r, p, q) for r in moved)
-    return False
 
 
 def _norm(body, a, b):

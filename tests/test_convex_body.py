@@ -18,7 +18,6 @@ from gaugedist import (
     boundary_points,
     diamond,
     distance_set,
-    edge_normal_form,
     gauge,
     gauge_exact,
     gauge_many,
@@ -89,37 +88,54 @@ class TestValidate:
             SymmetricPolygon([(1, 1), (-1, 1), (1, -1), (-1, -1)])
         with pytest.raises(InvalidBodyError, match="^unsupported body type tuple$"):
             validate((1.0, 0.0))
-        with pytest.raises(InvalidBodyError):
-            edge_normal_form(Disc(1.0))
+        with pytest.raises(InvalidBodyError, match="defined for polygon bodies"):
+            gauge_exact(Disc(1.0), (1, 0))
 
 
-class TestEdgeNormalForm:
+def half_form(poly) -> tuple[np.ndarray, np.ndarray]:
+    """The unit normals and offsets of the n rows the float gauge reads."""
+    rows = np.array(poly._half_rows)
+    return rows[:, :2], rows[:, 2]
+
+
+class TestHalfRows:
+    """Edge i + n is edge i negated, so the n half rows and their negations are
+    the 2n rows of the oracle's half-plane form, :func:`full_normal_form`."""
+
+    @pytest.mark.parametrize(
+        "poly", [square(), diamond(), square(2.5), random_symmetric_polygon(6, seed=11)]
+    )
+    def test_rows_and_negations_are_the_full_normal_form(self, poly):
+        normals, offsets = half_form(poly)
+        full_normals, full_offsets = full_normal_form(poly.vertices)
+        assert np.array_equal(np.concatenate((normals, -normals)), full_normals)
+        assert np.array_equal(np.tile(offsets, 2), full_offsets)
+
     def test_unit_square(self):
-        nf = edge_normal_form(square())
-        normals = {tuple(n) for n in np.round(nf.normals, 12)}
-        assert normals == {(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)}
-        assert np.allclose(nf.offsets, 1.0)
+        normals, offsets = half_form(square())
+        both = np.concatenate((normals, -normals))
+        assert {tuple(n) for n in np.round(both, 12)} == {(0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 0.0)}
+        assert np.allclose(offsets, 1.0)
 
     def test_diamond(self):
-        nf = edge_normal_form(diamond())
+        normals, offsets = half_form(diamond())
         s = 1 / math.sqrt(2)
-        assert np.allclose(np.abs(nf.normals), s)
-        assert np.allclose(nf.offsets, s)
+        assert np.allclose(np.abs(normals), s)
+        assert np.allclose(offsets, s)
 
     def test_scaled_square_homogeneity(self):
         c = 2.5
-        nf = edge_normal_form(square(c))
-        assert np.allclose(np.sort(nf.normals, axis=0), np.sort(edge_normal_form(square()).normals, axis=0))
-        assert np.allclose(nf.offsets, c)
+        normals, offsets = half_form(square(c))
+        assert np.allclose(np.sort(normals, axis=0), np.sort(half_form(square())[0], axis=0))
+        assert np.allclose(offsets, c)
 
     def test_halfplane_reconstruction(self):
         # the polygon equals the half-plane intersection: vertices satisfy
-        # every inequality, tight on their own edges
+        # every inequality |<v, n_i>| <= h_i
         poly = random_symmetric_polygon(6, seed=11)
-        nf = edge_normal_form(poly)
-        verts = np.asarray(poly.vertices)
-        vals = verts @ nf.normals.T
-        assert np.all(vals <= nf.offsets[None, :] + 1e-12)
+        normals, offsets = half_form(poly)
+        vals = np.asarray(poly.vertices) @ normals.T
+        assert np.all(np.abs(vals) <= offsets[None, :] + 1e-12)
 
 
 class TestGauge:
@@ -304,19 +320,17 @@ def test_float_form_is_the_first_half_of_the_full_normal_form(body):
     """Row i + n of the oracle's float normal form is exactly minus row i (as
     numbers: a zero component may keep its sign) with the same offset, which
     is what lets the gauge read half the rows.  The body's float rows are the
-    oracle's first half and edge_normal_form's are all of them, or, without a
-    float form (:func:`has_float_form`), both raise."""
+    oracle's first half, or, without a float form (:func:`has_float_form`),
+    reading them raises."""
     normals, offsets = full_normal_form(body.vertices)
     n = len(offsets) // 2
     assert np.array_equal(normals[n:], -normals[:n])
     assert offsets[n:].tobytes() == offsets[:n].tobytes()
     if not has_float_form(body):
         with pytest.raises(ValueError, match="not normal doubles"):
-            edge_normal_form(body)
+            body._half_rows
         return
     assert body._half_rows == tuple(zip(*normals[:n].T.tolist(), offsets[:n].tolist()))
-    nf = edge_normal_form(body)
-    assert np.array_equal(nf.normals, normals) and nf.offsets.tobytes() == offsets.tobytes()
 
 
 # a coordinate: dyadic, a signed zero, near the largest double, or infinite

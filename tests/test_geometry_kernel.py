@@ -31,8 +31,10 @@ from gaugedist.geometry_kernel import (
     _STEP,
     _STRIDE,
     _first_pass_points,
+    _fraction_point,
     _homothet_check,
     _homothet_frame,
+    _intersect_ints,
     _scan_bounds,
 )
 from gaugedist.prng import Xorshift64Star
@@ -137,7 +139,7 @@ class TestBoundaryIntersection:
         res = boundary_intersection(square(), transform_polygon(square(), 2.0, (-1.0, -1.0)))
         assert res.maximal_segments == (Segment((-1, 1), (1, 1)), Segment((1, -1), (1, 1)))
         assert res.isolated_points == ()
-        rep = concurrence_check(res, 2.0, (-1.0, -1.0), polygon=square())
+        rep = concurrence_check(res, 2.0, (-1.0, -1.0))
         assert rep.ok and rep.checked == 2 and rep.max_error == 0.0
 
     def test_swap_symmetry_exact(self):
@@ -309,6 +311,7 @@ class TestHomothetCheck:
     @settings(max_examples=200, deadline=None)
     @given(case=homothety(alphas=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)))
     @example(case=(square(), 1.0, (0.25, 2.0)))  # an opposite-edge coincidence
+    @example(case=(square(), 2.0, (3.0, 0.0)))  # an external contact through u/(1 + alpha)
     @example(case=(square(), 2.0, (1.0, 1.0)))  # two segments through u/(1 - alpha)
     def test_matches_public_composition(self, case):
         poly, alpha, u = case
@@ -322,6 +325,25 @@ class TestHomothetCheck:
         assert fractions(B, D) == fractions(transform_polygon(poly, alpha, u), 1)
         classes, rep = _homothet_check(poly, alpha, u)
         assert (classes, rep) == reference_homothet_check(poly, alpha, u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=homothety(alphas=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)))
+    @example(case=(square(), 2.0, (3.0, 0.0)))
+    @example(case=(square(), 1.0, (2.0, 0.5)))
+    def test_flags_exactly_the_anti_parallel_segments(self, case):
+        # every edge pair of G and alpha * G + u, not only the two of each
+        # direction: a segment lies on edges (i, i) or (i, i + n), the public
+        # check flags it exactly on (i, i + n), and no segment misses its law
+        poly, alpha, u = case
+        assume(alpha != 1 or u != (0.0, 0.0))
+        A, B, D = _homothet_frame(poly, alpha, u)
+        n = len(A) // 2
+        _, overlaps = _intersect_ints(A, B, lambda i: range(2 * n))
+        for i, j, p, q in overlaps:
+            assert j in (i, (i + n) % (2 * n))
+            seg = Segment(_fraction_point(p, D), _fraction_point(q, D))
+            rep = concurrence_check(IntersectionResult((), (seg,)), alpha, u)
+            assert (rep.ok, rep.checked, rep.flagged, rep.max_error) == (True, int(j == i), int(j != i), 0.0)
 
     @pytest.mark.parametrize("alpha, u", [(1.0, (0.0, 0.0)), (0.0, (1.0, 0.0)), (2.0, (math.nan, 0.0))])
     def test_rejects_what_the_public_functions_reject(self, alpha, u):
@@ -385,41 +407,51 @@ class TestDirectionClasses:
         assert direction_line_classes(IntersectionResult((), (a, b))) == 2
 
 
+MISS = "segment 0: line's distance from u misses alpha times its distance from 0 by "
+
+
 class TestConcurrence:
     def test_scaled_shift_passes_through_target(self):
         u = (1.0, 0.0)
         res = boundary_intersection(square(), transform_polygon(square(), 2.0, u))
-        rep = concurrence_check(res, 2.0, u, polygon=square())
+        rep = concurrence_check(res, 2.0, u)
         assert rep.ok and rep.checked == 1
         assert rep.max_error == 0.0  # exact arithmetic: identically zero
 
     def test_opposite_edge_coincidence_flagged(self):
         u = (2.0, 0.0)
         res = boundary_intersection(square(), transform_polygon(square(), 1.0, u))
-        rep = concurrence_check(res, 1.0, u, polygon=square())
+        rep = concurrence_check(res, 1.0, u)
         assert rep.ok
         assert rep.flagged == 1
         assert rep.flags == ("opposite-edge coincidence",)
 
-    def test_external_edge_contact_off_alpha_one_is_a_violation(self):
+    def test_external_edge_contact_passes_through_u_over_one_plus_alpha(self):
         # the square and 2 * square + (3, 0) touch from outside along x = 1, |y| <= 1, the
-        # square's right edge and the image's left edge; that line misses u/(1 - alpha) =
-        # (-3, 0) by 4, 4/3 of |u/(1 - alpha)|.  Both checks report it as a violation.
+        # square's right edge and the image's left edge.  The line lies between 0 and u and
+        # is 2 from u, twice its distance from 0: it passes through u/(1 + alpha) = (1, 0).
+        # Both checks flag it and pass it.
         u = (3.0, 0.0)
         res = boundary_intersection(square(), transform_polygon(square(), 2.0, u))
         assert res.maximal_segments == (Segment((1, -1), (1, 1)),)
-        public = concurrence_check(res, 2.0, u, polygon=square())
+        public = concurrence_check(res, 2.0, u)
         assert _homothet_check(square(), 2.0, u) == (1, public)
-        assert (public.ok, public.checked, public.flagged) == (False, 1, 0)
-        assert public.max_error == 4 / 3
-        assert public.violations == (
-            "segment 0: supporting line misses u/(1-alpha) by 1.333e+00 (rel)",)
-        # at alpha = 1 the analogous contact is an opposite-edge coincidence, flagged
+        assert (public.ok, public.checked, public.flagged, public.max_error) == (True, 0, 1, 0.0)
+        # at alpha = 1 the analogous contact passes through u/2 = (1, 1/4)
         u = (2.0, 0.5)
         res = boundary_intersection(square(), transform_polygon(square(), 1.0, u))
-        public = concurrence_check(res, 1.0, u, polygon=square())
+        public = concurrence_check(res, 1.0, u)
         assert _homothet_check(square(), 1.0, u) == (1, public)
         assert (public.ok, public.flags) == (True, ("opposite-edge coincidence",))
+
+    def test_line_missing_u_over_one_plus_alpha_is_a_violation(self):
+        # x = 1 lies between 0 and u = (3 + 2**-20, 0), 2 + 2**-20 from u, not 2 * 1: it misses
+        # u/(1 + alpha) by 2**-20 / 3, and the size is 2**-20 relative to |u|
+        u = (3.0 + 2**-20, 0.0)
+        rep = concurrence_check(IntersectionResult((), (Segment((1, -1), (1, 1)),)), 2.0, u)
+        assert (rep.ok, rep.checked, rep.flagged) == (False, 0, 1)
+        assert rep.max_error == pytest.approx(2**-20 / (3 + 2**-20), rel=1e-15)
+        assert rep.violations == (MISS + "3.179e-07 (rel)",)
 
     def test_miss_at_u_zero_is_an_absolute_distance(self):
         # at u = 0 the centre u/(1 - alpha) is the origin, and the size is the
@@ -427,8 +459,7 @@ class TestConcurrence:
         res = IntersectionResult((), (Segment((5, -1), (5, 1)),))
         rep = concurrence_check(res, 3.0, (0.0, 0.0))
         assert (rep.ok, rep.checked, rep.max_error) == (False, 1, 5.0)
-        assert rep.violations == (
-            "segment 0: supporting line misses u/(1-alpha) by 5.000e+00 (abs)",)
+        assert rep.violations == (MISS + "5.000e+00 (abs)",)
 
     @pytest.mark.parametrize("u, size, label", [
         # the centre (-5e-301, 0) is 5 from x = 5, as the origin is: no jump at u = 0
@@ -443,18 +474,12 @@ class TestConcurrence:
         res = IntersectionResult((), (Segment((5, -1), (5, 1)),))
         rep = concurrence_check(res, 3.0, u)
         assert (rep.ok, rep.checked, rep.max_error) == (False, 1, size)
-        assert rep.violations == (f"segment 0: supporting line misses u/(1-alpha) by {label}",)
-
-    def test_opposite_edge_without_polygon_is_violation(self):
-        u = (2.0, 0.0)
-        res = boundary_intersection(square(), transform_polygon(square(), 1.0, u))
-        rep = concurrence_check(res, 1.0, u)
-        assert not rep.ok
+        assert rep.violations == (MISS + label,)
 
     def test_parallel_translate_passes(self):
         u = (0.5, 0.0)
         res = boundary_intersection(square(), transform_polygon(square(), 1.0, u))
-        rep = concurrence_check(res, 1.0, u, polygon=square())
+        rep = concurrence_check(res, 1.0, u)
         assert rep.ok and rep.checked == 2 and rep.flagged == 0
         assert rep.max_error == 0.0
 
@@ -467,7 +492,7 @@ class TestConcurrence:
         for alpha in (0.5, 3.0):
             u = ((1 - alpha) * -1.0, (1 - alpha) * 1.0)  # vertex (-1, 1)
             res = boundary_intersection(square(), transform_polygon(square(), alpha, u))
-            rep = concurrence_check(res, alpha, u, polygon=square())
+            rep = concurrence_check(res, alpha, u)
             assert rep.ok and rep.checked == 2
             assert rep.max_error == 0.0
 
@@ -475,7 +500,7 @@ class TestConcurrence:
         # the doubles 0.3 and 0.7 are not 3/10 and 7/10, and 0.7/(1 - 0.3) is not 1
         u = (0.7, 0.7)
         res = boundary_intersection(square(), transform_polygon(square(), 0.3, u))
-        rep = concurrence_check(res, 0.3, u, polygon=square())
+        rep = concurrence_check(res, 0.3, u)
         assert not rep.ok and rep.checked == 2
         assert rep.max_error == pytest.approx(5.6e-17, rel=0.01)
 
@@ -483,7 +508,7 @@ class TestConcurrence:
         alpha, u = Fraction(3, 10), (Fraction(7, 10), Fraction(7, 10))
         moved = [(alpha * Fraction(x) + u[0], alpha * Fraction(y) + u[1])
                  for x, y in square().vertices]
-        rep = concurrence_check(boundary_intersection(square(), moved), alpha, u, polygon=square())
+        rep = concurrence_check(boundary_intersection(square(), moved), alpha, u)
         assert rep.ok and rep.checked == 2
         assert rep.max_error == 0.0
 
@@ -507,7 +532,7 @@ class TestConcurrence:
     def test_non_finite_scale_or_translation_raises(self, alpha, u):
         res = boundary_intersection(square(), transform_polygon(square(), 2.0, (1.0, 0.0)))
         with pytest.raises(ValueError):
-            concurrence_check(res, alpha, u, polygon=square())
+            concurrence_check(res, alpha, u)
 
 
 def _dyadic_point(lo, hi, bits):
@@ -518,38 +543,39 @@ def _dyadic_point(lo, hi, bits):
 
 @st.composite
 def concurrence_case(draw):
-    """(segments, alpha, u, polygon): dyadic segments through u/(1-alpha),
-    parallel to u, either of those moved off by 2**-40, or drawn at random.
-    With a polygon, u may carry an edge onto its opposite edge, and the overlap
-    of the two is one of the segments (flagged only at alpha == 1)."""
+    """(segments, alpha, u): dyadic segments on lines through u/(1-alpha) or
+    u/(1+alpha), parallel to u, either of those moved off by 2**-40, or drawn
+    at random.  u/(1+alpha) lies strictly between 0 and u, so a line through it
+    separates them.  Or u carries alpha times edge i + n of a polygon onto the
+    line of edge i, and the external contact of the two is one of the segments."""
     alpha = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
-    mode = draw(st.sampled_from(["free", "polygon", "opposite"]))
-    poly = None
-    if mode != "free":
-        poly = random_symmetric_polygon(draw(st.integers(2, 6)), draw(st.integers(0, 2**32 - 1)))
+    fa = Fraction(alpha)
     segs = []
-    if mode == "opposite":
+    if draw(st.booleans()):
+        poly = random_symmetric_polygon(draw(st.integers(2, 6)), draw(st.integers(0, 2**32 - 1)))
         verts = [(Fraction(x), Fraction(y)) for x, y in poly.vertices]
         i = draw(st.integers(0, len(verts) - 1))
         v, w = verts[i], verts[(i + 1) % len(verts)]
         e = (w[0] - v[0], w[1] - v[1])
-        s = Fraction(draw(_dyadic(-0.875, 0.875, 12)))
-        fu = (v[0] + w[0] + s * e[0], v[1] + w[1] + s * e[1])
-        lo, hi = max(s, 0), 1 + min(s, 0)
+        # alpha * (edge i + n) + u runs from v + (s + alpha) e to v + s e
+        s = Fraction(draw(_dyadic(2**-12 - alpha, 1.0 - 2**-12, 12)))
+        fu = (v[0] + fa * w[0] + s * e[0], v[1] + fa * w[1] + s * e[1])
+        lo, hi = max(s, 0), min(s + fa, 1)
         segs.append(((v[0] + lo * e[0], v[1] + lo * e[1]), (v[0] + hi * e[0], v[1] + hi * e[1])))
     else:
         fu = draw(_dyadic_point(-2.5, 2.5, 12))
         assume(fu != (0, 0) or alpha != 1)
-    target = None if alpha == 1 else (fu[0] / (1 - Fraction(alpha)), fu[1] / (1 - Fraction(alpha)))
+    centres = [(fu[0] / k, fu[1] / k) for k in (1 - fa, 1 + fa) if k != 0]
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["through", "parallel", "random"]))
-        if kind == "through" and target is not None:
+        if kind == "through":
+            centre = draw(st.sampled_from(centres))
             d = draw(_dyadic_point(-2.0, 2.0, 8))
             assume(d != (0, 0))
             s, t = Fraction(draw(_dyadic(-2.0, 2.0, 8))), Fraction(draw(_dyadic(0.125, 2.0, 8)))
-            a = (target[0] + s * d[0], target[1] + s * d[1])
+            a = (centre[0] + s * d[0], centre[1] + s * d[1])
             b = (a[0] + t * d[0], a[1] + t * d[1])
-        elif kind in ("through", "parallel"):
+        elif kind == "parallel":
             assume(fu != (0, 0))
             a = draw(_dyadic_point(-3.0, 3.0, 12))
             t = Fraction(draw(_dyadic(0.125, 2.0, 8)))
@@ -563,43 +589,40 @@ def concurrence_case(draw):
         segs.append((a, b))
     u = (float(fu[0]), float(fu[1]))
     assert (Fraction(u[0]), Fraction(u[1])) == fu
-    return [Segment(a, b) for a, b in segs], alpha, u, poly
+    return [Segment(a, b) for a, b in segs], alpha, u
 
 
 class TestConcurrenceOracle:
-    """concurrence_check against the two-branch line-key check in Fraction."""
+    """concurrence_check against the two-centre line-key check in Fraction."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=concurrence_case())
-    @example(case=([Segment((1, -1), (1, 1))], 1.0, (2.0, 0.0), square()))
-    @example(case=([Segment((-1, 1), (1, 1)), Segment((1, -1), (1, 1))], 3.0, (-2.0, -2.0), None))
-    @example(case=([Segment((0, 0), (1, 1)), Segment((1, 0), (1, 1))], 2.0, (0.0, 0.0), None))
+    @example(case=([Segment((1, -1), (1, 1))], 1.0, (2.0, 0.0)))
+    # the external contact of the square and 2 * square + (3, 0), on it and moved off by 2**-20
+    @example(case=([Segment((1, -1), (1, 1))], 2.0, (3.0, 0.0)))
+    @example(case=([Segment((1, -1), (1, 1))], 2.0, (3.0 + 2**-20, 0.0)))
+    @example(case=([Segment((-1, 1), (1, 1)), Segment((1, -1), (1, 1))], 3.0, (-2.0, -2.0)))
+    @example(case=([Segment((0, 0), (1, 1)), Segment((1, 0), (1, 1))], 2.0, (0.0, 0.0)))
     # a non-dyadic homothety about (1, 1), one segment moved off it by 2**-40
     @example(case=([Segment((Fraction(2, 5), 1), (1, 1)),
                     Segment((1 + Fraction(1, 2**40), Fraction(2, 5)), (1 + Fraction(1, 2**40), 1))],
-                   Fraction(3, 10), (Fraction(7, 10), Fraction(7, 10)), square()))
+                   Fraction(3, 10), (Fraction(7, 10), Fraction(7, 10))))
     # u = 0: the line x = 1 misses the centre 0 by 1, sized against |1 - alpha| = 2
-    @example(case=([Segment((1, 0), (1, 1))], 3.0, (0.0, 0.0), None))
+    @example(case=([Segment((1, 0), (1, 1))], 3.0, (0.0, 0.0)))
     # a centre near 0 and one inside the unit disc: sized against 1
-    @example(case=([Segment((5, -1), (5, 1))], 3.0, (1e-300, 0.0), None))
-    @example(case=([Segment((5, -1), (5, 1))], 3.0, (0.5, 0.0), None))
+    @example(case=([Segment((5, -1), (5, 1))], 3.0, (1e-300, 0.0)))
+    @example(case=([Segment((5, -1), (5, 1))], 3.0, (0.5, 0.0)))
     def test_matches_line_key_reference(self, case):
-        segs, alpha, u, poly = case
-        rep = concurrence_check(IntersectionResult((), tuple(segs)), alpha, u, polygon=poly)
-        want = reference_concurrence(
-            [(s.a, s.b) for s in segs], alpha, u, None if poly is None else poly.vertices
-        )
+        segs, alpha, u = case
+        rep = concurrence_check(IntersectionResult((), tuple(segs)), alpha, u)
+        want = reference_concurrence([(s.a, s.b) for s in segs], alpha, u)
         got = (rep.ok, rep.checked, rep.flagged, rep.flags, len(rep.violations))
         assert got == tuple(want[k] for k in ("ok", "checked", "flagged", "flags", "violations"))
-        sizes = [x for x in want["sizes"] if x is not None]
-        assert rep.max_error == pytest.approx(max(sizes, default=0.0), rel=1e-12)
+        assert rep.max_error == pytest.approx(max(want["sizes"], default=0.0), rel=1e-12)
         for seg, size in zip(segs, want["sizes"]):
-            one = concurrence_check(IntersectionResult((), (seg,)), alpha, u, polygon=poly)
-            if size is None:
-                assert one.flagged == 1
-            else:
-                assert (one.max_error == 0.0) == (size == 0.0)
-                assert one.max_error == pytest.approx(size, rel=1e-12)
+            one = concurrence_check(IntersectionResult((), (seg,)), alpha, u)
+            assert (one.max_error == 0.0) == (size == 0.0)
+            assert one.max_error == pytest.approx(size, rel=1e-12)
 
 
 class TestStrictlyConvexCount:
