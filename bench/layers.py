@@ -2,10 +2,16 @@
 
     python bench/layers.py --src src --out layers.json
     python bench/layers.py --src /path/to/other/checkout/src --quick
+    python bench/layers.py --src src --quick --processes 8
 
 Each layer is a fixed, seeded workload run ``REPEATS`` times (once with
 ``--quick``) after one untimed warm-up call; the JSON holds the median,
-minimum and maximum seconds per workload.  The layers are the ones the
+minimum and maximum seconds per workload.  Layer timings can differ by a
+fifth or more from one process to the next, so one process is not a
+comparison: ``--processes K`` times every layer in K fresh processes, one
+after another, and reports the median of their K medians, the smallest and
+largest of them (``min_s``, ``max_s``) and the K medians themselves
+(``process_medians_s``).  The layers are the ones the
 roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, the exact polygon
 keys of ``_exact_keys`` on the 321,201 difference vectors (dx, dy) of a
 401 x 401 grid with 0 <= dx <= 400 (int64 keys for the square and the
@@ -44,6 +50,7 @@ import json
 import math
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -221,15 +228,63 @@ def _layers(gd):
     return layers
 
 
+def _time_layers(gd, repeats: int) -> dict:
+    """``{name: {what, median_s, min_s, max_s}}`` over ``repeats`` timed runs each."""
+    layers = {}
+    for name, (what, fn) in _layers(gd).items():
+        fn()  # warm-up: imports, cached forms and grids
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        layers[name] = {
+            "what": what,
+            "median_s": statistics.median(times),
+            "min_s": min(times),
+            "max_s": max(times),
+        }
+    return layers
+
+
+def _across_processes(src: Path, quick: bool, processes: int) -> dict:
+    """Each layer's timings from ``processes`` runs of this script, one after another."""
+    argv = [sys.executable, __file__, "--src", str(src)] + ["--quick"] * quick
+    runs = []
+    for _ in range(processes):
+        child = subprocess.run(argv, capture_output=True, text=True)
+        if child.returncode != 0:
+            sys.stderr.write(child.stderr)
+            raise SystemExit(child.returncode)
+        runs.append(json.loads(child.stdout)["layers"])
+    layers = {}
+    for name, first in runs[0].items():
+        medians = [run[name]["median_s"] for run in runs]
+        layers[name] = {
+            "what": first["what"],
+            "median_s": statistics.median(medians),
+            "min_s": min(medians),
+            "max_s": max(medians),
+            "process_medians_s": medians,
+        }
+    return layers
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", required=True, help="directory holding the gaugedist package")
     ap.add_argument("--quick", action="store_true", help="one timed run per layer")
+    ap.add_argument("--processes", type=int, default=1, metavar="K",
+                    help="time every layer in K fresh processes and report the median "
+                         "and range of their medians (default 1: this process only)")
     ap.add_argument("--out", help="write the JSON here as well as to stdout")
     args = ap.parse_args(argv)
     src = Path(args.src).resolve()
     if not (src / "gaugedist" / "__init__.py").is_file():
         print(f"no gaugedist package under {src}", file=sys.stderr)
+        return 2
+    if args.processes < 1:
+        print("--processes needs K >= 1", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src))
     import numpy as np
@@ -242,22 +297,15 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "repeats": repeats,
-        "layers": {},
+        "processes": args.processes,
     }
-    for name, (what, fn) in _layers(gd).items():
-        fn()  # warm-up: imports, cached forms and grids
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        out["layers"][name] = {
-            "what": what,
-            "median_s": statistics.median(times),
-            "min_s": min(times),
-            "max_s": max(times),
-        }
-        print(f"{name:48s} {statistics.median(times) * 1e3:10.2f} ms", file=sys.stderr)
+    if args.processes == 1:
+        out["layers"] = _time_layers(gd, repeats)
+    else:
+        out["layers"] = _across_processes(src, args.quick, args.processes)
+    for name, t in out["layers"].items():
+        spread = f"  ({t['min_s'] * 1e3:.2f}-{t['max_s'] * 1e3:.2f})" if args.processes > 1 else ""
+        print(f"{name:48s} {t['median_s'] * 1e3:10.2f} ms{spread}", file=sys.stderr)
     text = json.dumps(out, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -69,9 +69,18 @@ class SymmetricPolygon:
     :func:`SymmetricPolygon.from_half` to build a body from one half-turn of
     vertices.  Construction raises :class:`InvalidBodyError` unless every
     invariant holds.
+
+    Each polygon keeps one integer frame ``_frame = (V, den)`` of all 2n
+    vertices, equal to ``_scale_to_ints(vertices)``: ``den * vertices[i] ==
+    V[i]``, den the lcm of the denominators.  :func:`validate` computes it
+    once at construction, unless the private constructor
+    ``_from_half_frame`` filled it, and checks the body on it; the integer
+    form and the lemma trials' homothet frame read it.  It takes no part in
+    equality, hashing or repr.
     """
 
     vertices: tuple[tuple[float, float], ...]
+    _frame: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _as_vertex_tuple(self.vertices))
@@ -81,6 +90,20 @@ class SymmetricPolygon:
     def from_half(cls, half_vertices) -> "SymmetricPolygon":
         half = _as_vertex_tuple(half_vertices)
         return cls(half + tuple((-x, -y) for x, y in half))
+
+    @classmethod
+    def _from_half_frame(cls, half, H, den: int) -> "SymmetricPolygon":
+        """``from_half(half)`` for a half-turn of doubles already in integers,
+        ``H[i] == den * half[i]``: the frame is H reduced to lowest terms and
+        completed by negation, not a second conversion, and :func:`validate`
+        then runs every check on it, raising as the public constructor does."""
+        g = math.gcd(den, *(c for p in H for c in p))
+        V = [(x // g, y // g) for x, y in H]
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vertices", tuple(half) + tuple((-x, -y) for x, y in half))
+        object.__setattr__(poly, "_frame", (V + [(-x, -y) for x, y in V], den // g))
+        validate(poly)
+        return poly
 
     @property
     def n_vertices(self) -> int:
@@ -114,9 +137,10 @@ class SymmetricPolygon:
         # V = den * v, n_i / h_i = den * (Ey, -Ex) / cross(V_i, V_i+1) = (a, b) / H;
         # q, the lcm of H / gcd(a, b, H), makes the rows q * (a, b) / H integers
         # (Python ints in an (n, 2) object array); edge i + n has the same H.
-        V, den = _scale_to_ints(self.vertices[: len(self.vertices) // 2 + 1])
+        V, den = self._frame
+        n = len(V) // 2
         rows = [(den * (y1 - y0), den * (x0 - x1), x0 * y1 - y0 * x1)
-                for (x0, y0), (x1, y1) in zip(V, V[1:])]
+                for (x0, y0), (x1, y1) in zip(V[:n], V[1 : n + 1])]
         q = math.lcm(*(h // math.gcd(a, b, h) for a, b, h in rows))
         coef = np.array([(a * q // h, b * q // h) for a, b, h in rows], dtype=object)
         coef.setflags(write=False)
@@ -197,7 +221,8 @@ def _convexity(V) -> tuple[int, list[str]]:
     return orient, viol
 
 
-def _polygon_violations(v) -> list[str]:
+def _polygon_violations(poly: SymmetricPolygon) -> list[str]:
+    v = poly.vertices
     m = len(v)
     if m == 0:
         return ["polygon has no vertices"]
@@ -213,7 +238,9 @@ def _polygon_violations(v) -> list[str]:
         bad = [i for i in range(n) if v[i + n] != (-v[i][0], -v[i][1])]
         if bad:
             viol.append(f"symmetry pairing fails: vertices {bad} not negated at +n")
-    V, _ = _scale_to_ints(v)
+    if poly._frame is None:
+        object.__setattr__(poly, "_frame", _scale_to_ints(v))
+    V, _ = poly._frame
     orient, shape = _convexity(V)
     viol += shape
     outside = [i for i, ((x0, y0), (x1, y1)) in enumerate(zip(V, V[1:] + V[:1]))
@@ -233,11 +260,13 @@ def validate(body: ConvexBody) -> None:
     and operations never re-check it; any other object fails as an
     unsupported type.
 
-    Polygon shape checks are exact.  Besides pairing, strict counterclockwise
-    turns and the origin inside, the boundary must wind once: the {8/3}
-    octagram turns left at every vertex but winds three times."""
+    Polygon shape checks are exact, on the polygon's integer frame
+    (``SymmetricPolygon._frame``), which this computes once for finite
+    vertices unless a private constructor filled it.  Besides pairing, strict
+    counterclockwise turns and the origin inside, the boundary must wind once:
+    the {8/3} octagram turns left at every vertex but winds three times."""
     if isinstance(body, SymmetricPolygon):
-        viol = _polygon_violations(body.vertices)
+        viol = _polygon_violations(body)
     elif isinstance(body, Disc):
         ok = math.isfinite(body.radius) and body.radius > 0
         viol = [] if ok else [f"disc radius {body.radius} not positive"]

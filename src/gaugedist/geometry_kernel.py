@@ -51,7 +51,7 @@ from .convex_body import (
     gauge_many,
     max_euclid_radius,
 )
-from .prng import Xorshift64Star, derive_seed, quantize
+from .prng import Xorshift64Star, derive_seed
 
 __all__ = [
     "ConcurrenceReport",
@@ -295,13 +295,18 @@ def concurrence_check(result: IntersectionResult, alpha: float, u) -> Concurrenc
 
 def _homothet_frame(poly: SymmetricPolygon, alpha: float, u) -> tuple[list, list, int]:
     """``(A, B, D)``: poly and alpha * poly + u in one integer frame, each point p
-    as D * p, where D = ad * den for alpha = an/ad and den the lcm of the
-    denominators of poly and u, so that B = (an * A + ad * U) / ad is exact."""
+    as D * p, where D = ad * lcm(den, den_u) for alpha = an/ad, den the
+    denominator of poly's own frame (``SymmetricPolygon._frame``) and den_u
+    that of u, so that B = (an * A + ad * U) / ad is exact.  Only u is
+    converted here; the polygon's frame is scaled into the common one."""
     an, ad = float(alpha).as_integer_ratio()
-    V, [(ux, uy)], den = _scale_to_ints(poly.vertices, [u])
-    A = [(ad * x, ad * y) for x, y in V]
-    B = [(an * x + ad * ux, an * y + ad * uy) for x, y in V]
-    return A, B, ad * den
+    V, den = poly._frame
+    [(ux, uy)], den_u = _scale_to_ints([u])
+    lcm = math.lcm(den, den_u)
+    sa, sb, su = ad * (lcm // den), an * (lcm // den), ad * (lcm // den_u)
+    A = [(sa * x, sa * y) for x, y in V]
+    B = [(sb * x + su * ux, sb * y + su * uy) for x, y in V]
+    return A, B, ad * lcm
 
 
 def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, ConcurrenceReport]:
@@ -398,7 +403,10 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
 
     A sample is certain when |g| > eps (``_scan_bounds``); the first pass takes every 16th grid
     angle i * ``_STEP``, whose boundary points depend only on the body: they come from a table
-    kept for the last few bodies scanned (``_first_pass_points``).  A stretch [a, b] of certain
+    kept for the last few bodies scanned (``_first_pass_points``).  The pass subtracts x from
+    the table's two columns into one column-major buffer, writes g and its wrap-around sample
+    into one array and builds its mask in place: the floats of the plain expressions, in their
+    order, with fewer temporaries.  A stretch [a, b] of certain
     ends of one sign is root-free if |g(a)| + |g(b)| - 2 eps > L (b - a).  Any other is halved:
     at grid angles while an end is certain, then at midpoints while the ends are certain and of
     one sign.  Round the turn, consecutive certain samples of opposite sign bracket a root; two
@@ -412,14 +420,26 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
         raise ValueError("translation must be nonzero")
     lip, eps = _scan_bounds(body, alpha, math.hypot(x0, x1))
     n, step, k = _SAMPLES, _STEP, _STRIDE
-    pts = _first_pass_points(body) - (x0, x1)
+    table = _first_pass_points(body)
+    m = len(table)
+    pts = np.empty((m, 2), order="F")  # gauge_many reads it a column at a time
+    np.subtract(table[:, 0], x0, out=pts[:, 0])
+    np.subtract(table[:, 1], x1, out=pts[:, 1])
     pts /= alpha
-    g = gauge_many(body, pts)
-    g -= 1
-    g = np.append(g, g[0])  # grid index n is index 0 again
+    g = np.empty(m + 1)
+    np.subtract(gauge_many(body, pts), 1, out=g[:m])
+    g[m] = g[0]  # grid index n is index 0 again
+    # free[c]: samples c and c + 1 certain, of one sign, and far enough from 0
+    # to clear the stretch between them; the same floats as
+    # (g[:-1] * g[1:] > 0) & (min(|g|) > eps) & (sum(|g|) - 2 eps > lip k step)
     absg = np.abs(g)
-    free = (g[:-1] * g[1:] > 0) & (np.minimum(absg[:-1], absg[1:]) > eps)
-    free &= absg[:-1] + absg[1:] - 2 * eps > lip * k * step
+    val = np.multiply(g[:-1], g[1:])
+    free = val > 0
+    test = np.empty(m, dtype=bool)
+    free &= np.greater(np.minimum(absg[:-1], absg[1:], out=val), eps, out=test)
+    np.add(absg[:-1], absg[1:], out=val)
+    val -= 2 * eps
+    free &= np.greater(val, lip * k * step, out=test)
     f = _scalar_gauge(body)
 
     def gap(theta: float) -> float:  # as boundary_point then gauge, without their dispatch
@@ -471,7 +491,7 @@ def _chain(pts) -> list:
     return chain
 
 
-_GRID_BITS = 16  # random polygon vertices lie on the dyadic grid 2**-16
+_GRID = 2**16  # random polygon vertices lie on the dyadic grid 2**-16
 _MAX_ATTEMPTS = 64
 
 
@@ -481,8 +501,15 @@ def random_symmetric_polygon(n_half_vertices: int, seed: int) -> SymmetricPolygo
     Draws n points in the annulus 0.5 <= |p| <= 1.5 (rejection sampling, no
     transcendentals), snaps them to the dyadic grid 2**-16 so downstream
     rational arithmetic stays cheap, and takes the hull of the points and their
-    negations.  A draw whose hull is not a valid body (construction raises
-    ``InvalidBodyError``) retries with a derived seed, up to 64 draws.
+    negations.  The snapped points are integers X = round(p * 2**16), as
+    ``quantize`` rounds them, and the hull is taken in integers; the body is
+    built from them (``SymmetricPolygon._from_half_frame``), so its vertices
+    are converted to integers once, and ``validate`` runs every check on that
+    frame.  Each hull point keeps the doubles of its first occurrence among
+    the points and then their negations, so a negated zero coordinate stays
+    -0.0, as in a hull of the snapped doubles.  A draw whose hull is not a
+    valid body (construction raises ``InvalidBodyError``) retries with a
+    derived seed, up to 64 draws.
     """
     if n_half_vertices < 2:
         raise ValueError("need at least 2 half-turn vertices")
@@ -495,10 +522,16 @@ def random_symmetric_polygon(n_half_vertices: int, seed: int) -> SymmetricPolygo
             rho = px * px + py * py
             if not (0.25 <= rho <= 2.25):
                 continue
-            pts.append((quantize(px, _GRID_BITS), quantize(py, _GRID_BITS)))
-        sym = pts + [(-a, -b) for a, b in pts]
-        try:  # the upper hull of a symmetric set is its lower hull negated
-            return SymmetricPolygon.from_half(_chain(sorted(set(sym)))[:-1])
+            pts.append((round(px * _GRID), round(py * _GRID)))
+        doubles: dict = {}  # grid point -> its doubles, first occurrence first
+        for x, y in pts:
+            doubles.setdefault((x, y), (x / _GRID, y / _GRID))
+        for x, y in pts:
+            doubles.setdefault((-x, -y), (-(x / _GRID), -(y / _GRID)))
+        # the upper hull of a symmetric set is its lower hull negated
+        half = _chain(sorted(doubles))[:-1]
+        try:
+            return SymmetricPolygon._from_half_frame(tuple(doubles[p] for p in half), half, _GRID)
         except InvalidBodyError:
             continue
     raise RuntimeError(

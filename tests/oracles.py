@@ -12,7 +12,9 @@ orientation checks use exact rational cross products, the annulus/cone
 counts test one point at a time, the concurrence reference keys each
 segment's supporting line on its own, the polygon lemma trial is the
 composition of the library's public polygon functions that the trials ran
-before they checked each homothet in one integer frame, and the strictly
+before they checked each homothet in one integer frame, the random polygon
+draw snaps doubles with ``quantize`` and takes their hull in doubles, the
+homothet frame converts the polygon and u in one call, and the strictly
 convex count is a closed form in the body's norm, with each scanned root
 bracket certified by the exact signs of the gap at its ends, in mpmath.
 """
@@ -26,6 +28,8 @@ from mpmath import mp
 
 from gaugedist import (
     Disc,
+    InvalidBodyError,
+    SymmetricPolygon,
     boundary_intersection,
     concurrence_check,
     direction_line_classes,
@@ -33,8 +37,9 @@ from gaugedist import (
     random_symmetric_polygon,
     transform_polygon,
 )
+from gaugedist.convex_body import _scale_to_ints
 from gaugedist.experiments import _choose_u
-from gaugedist.prng import Xorshift64Star, derive_seed
+from gaugedist.prng import Xorshift64Star, derive_seed, quantize
 
 
 def full_normal_form(vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -419,3 +424,46 @@ def uncertified_brackets(body, alpha, x, brackets) -> list:
             if exact_gap(body, alpha, x, lo) * exact_gap(body, alpha, x, hi) >= 0 or nxt < end:
                 bad.append((lo, hi))
     return bad
+
+
+def float_polygon_attempt(n_half_vertices, attempt_seed):
+    """One attempt of the float polygon draw: n points of the annulus
+    0.5 <= |p| <= 1.5 from ``Xorshift64Star(attempt_seed)``, snapped with
+    ``quantize`` to the 2**-16 grid, and the lower hull, in doubles, of the
+    set of them and their negations, completed by ``from_half``; raises
+    ``InvalidBodyError`` for a degenerate hull."""
+    rng = Xorshift64Star(attempt_seed)
+    pts = []
+    while len(pts) < n_half_vertices:
+        px = rng.uniform(-1.5, 1.5)
+        py = rng.uniform(-1.5, 1.5)
+        if 0.25 <= px * px + py * py <= 2.25:
+            pts.append((quantize(px, 16), quantize(py, 16)))
+    chain = []
+    for p in sorted(set(pts + [(-a, -b) for a, b in pts])):
+        while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                                   - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])) <= 0:
+            chain.pop()
+        chain.append(p)
+    return SymmetricPolygon.from_half(chain[:-1])
+
+
+def float_random_symmetric_polygon(n_half_vertices, seed):
+    """The random polygon drawn in doubles: :func:`float_polygon_attempt` with
+    ``derive_seed(seed, attempt)`` for attempts 0, 1, ... up to 64."""
+    for attempt in range(64):
+        try:
+            return float_polygon_attempt(n_half_vertices, derive_seed(seed, attempt))
+        except InvalidBodyError:
+            continue
+    raise RuntimeError("no valid symmetric polygon after 64 attempts")
+
+
+def reference_homothet_frame(poly, alpha, u):
+    """``(A, B, D)`` of the lemma trials' homothet frame, with the polygon's
+    vertices and u converted to integers in one ``_scale_to_ints`` call."""
+    an, ad = float(alpha).as_integer_ratio()
+    V, [(ux, uy)], den = _scale_to_ints(poly.vertices, [u])
+    A = [(ad * x, ad * y) for x, y in V]
+    B = [(an * x + ad * ux, an * y + ad * uy) for x, y in V]
+    return A, B, ad * den

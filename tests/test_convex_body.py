@@ -27,6 +27,7 @@ from gaugedist import (
     square,
     validate,
 )
+from gaugedist.convex_body import _scale_to_ints
 from gaugedist.distance_sets import _exact_keys
 
 from oracles import (
@@ -293,6 +294,33 @@ def test_integer_form_matches_fraction_derivation(body):
     assert rows[n:] == [(-a, -b) for a, b in rows[:n]]
     coef, body_q = body._integer_form
     assert ([tuple(row) for row in coef.tolist()], body_q) == (rows[:n], q)
+
+
+def _routes(poly, c):
+    """The polygon ``poly`` and ``c`` through every construction route."""
+    half = [list(v) for v in poly.vertices[: poly.n_vertices // 2]]
+    return [
+        poly,
+        SymmetricPolygon(poly.vertices),
+        SymmetricPolygon.from_half(poly.vertices[: poly.n_vertices // 2]),
+        square(c),
+        diamond(c),
+        body_from_spec({"type": "polygon", "vertices": [list(v) for v in poly.vertices]}),
+        body_from_spec({"type": "polygon", "vertices": half, "symmetric_completion": True}),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly=st.one_of(dyadic_polygons, st.builds(random_symmetric_polygon, st.integers(2, 9),
+                                                  st.integers(0, 2**64 - 1))),
+       c=extreme)
+@example(poly=random_symmetric_polygon(5, 9283), c=0.375)  # a -0.0 coordinate
+@example(poly=SUBNORMAL_POLYGON, c=2.0**-1074)
+def test_frame_is_the_vertices_in_integers(poly, c):
+    """Every route to a polygon leaves it the frame of one conversion of all
+    its vertices, the frame its checks, integer form and homothets read."""
+    for body in _routes(poly, c):
+        assert body._frame == _scale_to_ints(body.vertices)
 
 
 # integer vectors: small, and up to 2**62, so that the keys of the same body

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gaugedist import (
     Disc,
     IntersectionResult,
+    InvalidBodyError,
     PBall,
     Segment,
     SymmetricPolygon,
@@ -26,6 +27,8 @@ from gaugedist import (
     transform_polygon,
     validate,
 )
+from gaugedist import geometry_kernel
+from gaugedist.convex_body import _scale_to_ints
 from gaugedist.geometry_kernel import (
     _SAMPLES,
     _STEP,
@@ -37,18 +40,21 @@ from gaugedist.geometry_kernel import (
     _intersect_ints,
     _scan_bounds,
 )
-from gaugedist.prng import Xorshift64Star
+from gaugedist.prng import Xorshift64Star, derive_seed
 
 from oracles import (
     _line_key,
     exact_edge_pieces,
     exact_gap,
     exact_turn,
+    float_polygon_attempt,
+    float_random_symmetric_polygon,
     homothet_pair_count,
     on_closed_polyline,
     on_closed_segment,
     reference_concurrence,
     reference_homothet_check,
+    reference_homothet_frame,
     uncertified_brackets,
 )
 
@@ -224,6 +230,11 @@ def _dyadic(lo, hi, bits):
     return st.integers(math.ceil(lo * 2**bits), math.floor(hi * 2**bits)).map(lambda k: k / 2**bits)
 
 
+def bits(vertices) -> list:
+    """The vertices' doubles as hex strings, which tell -0.0 from 0.0."""
+    return [(x.hex(), y.hex()) for x, y in vertices]
+
+
 @st.composite
 def homothety(draw, alphas=(0.5, 1.0, 2.0, 3.0)):
     """A random polygon G, a scale alpha from ``alphas`` and a translate u, all
@@ -317,6 +328,7 @@ class TestHomothetCheck:
         poly, alpha, u = case
         assume(alpha != 1 or u != (0.0, 0.0))
         A, B, D = _homothet_frame(poly, alpha, u)
+        assert (A, B, D) == reference_homothet_frame(poly, alpha, u)
 
         def fractions(V, d):
             return [(Fraction(x) / d, Fraction(y) / d) for x, y in V]
@@ -325,6 +337,22 @@ class TestHomothetCheck:
         assert fractions(B, D) == fractions(transform_polygon(poly, alpha, u), 1)
         classes, rep = _homothet_check(poly, alpha, u)
         assert (classes, rep) == reference_homothet_check(poly, alpha, u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        poly=st.one_of(
+            st.sampled_from([square(), diamond(), square(0.375)]),
+            st.builds(random_symmetric_polygon, st.integers(2, 8), st.integers(0, 2**32 - 1)),
+        ),
+        alpha=st.sampled_from([0.25, 0.75, 1.0, 3.0, 0.3]),
+        u=st.tuples(*[st.builds(lambda m, e: m * 2.0**e, st.integers(-(2**20), 2**20),
+                                st.integers(-60, 4))] * 2),
+    )
+    def test_frame_matches_one_call_conversion(self, poly, alpha, u):
+        # the polygon's own frame, scaled into lcm(den, den_u), is the frame of
+        # one conversion of the vertices and u together, whichever
+        # denominator is larger
+        assert _homothet_frame(poly, alpha, u) == reference_homothet_frame(poly, alpha, u)
 
     @settings(max_examples=200, deadline=None)
     @given(case=homothety(alphas=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)))
@@ -960,6 +988,68 @@ class TestRandomSymmetricPolygon:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             random_symmetric_polygon(1, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**64 - 1))
+    @example(n=5, seed=9283)  # a negated zero coordinate
+    def test_matches_float_draw_bit_for_bit(self, n, seed):
+        poly = random_symmetric_polygon(n, seed)
+        assert bits(poly.vertices) == bits(float_random_symmetric_polygon(n, seed).vertices)
+        assert poly._frame == _scale_to_ints(poly.vertices)
+
+    def test_negated_zero_keeps_its_sign(self):
+        # the drawn point (-0.836..., 0.0) is not on the lower hull, its
+        # negation is, with the y coordinate -0.0 that the double negation
+        # gives; the grid integer 0 alone would give 0.0
+        poly = random_symmetric_polygon(5, 9283)
+        x, y = poly.vertices[3]
+        assert x == 0.836151123046875
+        assert math.copysign(1.0, y) == -1.0
+        assert math.copysign(1.0, poly.vertices[7][1]) == 1.0
+
+    @staticmethod
+    def _degenerate_first(monkeypatch, failures):
+        """Make the first ``failures`` draws put every point at (1, 1), whose
+        hull with its negation has two vertices; record each draw's seed."""
+        seeds = []
+
+        class Rng(Xorshift64Star):
+            def __init__(self, seed):
+                super().__init__(seed)
+                seeds.append(seed)
+                if len(seeds) <= failures:
+                    self.uniform = lambda lo, hi: 1.0
+
+        monkeypatch.setattr(geometry_kernel, "Xorshift64Star", Rng)
+        return seeds
+
+    @pytest.mark.parametrize("n, seed", [(2, 5), (5, 9283), (8, 2**64 - 1)])
+    def test_retries_with_the_next_derived_seed(self, monkeypatch, n, seed):
+        seeds = self._degenerate_first(monkeypatch, 1)
+        poly = random_symmetric_polygon(n, seed)
+        assert seeds == [derive_seed(seed, 0), derive_seed(seed, 1)]
+        expected = float_polygon_attempt(n, derive_seed(seed, 1))
+        assert bits(poly.vertices) == bits(expected.vertices)
+        assert poly._frame == _scale_to_ints(poly.vertices)
+
+    def test_gives_up_after_64_draws(self, monkeypatch):
+        seeds = self._degenerate_first(monkeypatch, 64)
+        with pytest.raises(RuntimeError, match="no valid symmetric polygon after 64 attempts"):
+            random_symmetric_polygon(3, 11)
+        assert seeds == [derive_seed(11, k) for k in range(64)]
+
+    @pytest.mark.parametrize("half", [
+        ((0.5, 0.25), (1.0, 0.5), (1.5, 0.75)),  # collinear
+        ((0.5, 0.25), (0.5, 0.25), (-0.25, 0.5)),  # a repeated vertex
+        ((0.5, 0.0), (0.25, 0.0)),  # collinear on an axis
+    ])
+    def test_private_constructor_rejects_as_the_public_one(self, half):
+        with pytest.raises(InvalidBodyError) as public:
+            SymmetricPolygon.from_half(half)
+        grid = [(round(x * 2**16), round(y * 2**16)) for x, y in half]
+        with pytest.raises(InvalidBodyError) as private:
+            SymmetricPolygon._from_half_frame(half, grid, 2**16)
+        assert str(private.value) == str(public.value)
 
 
 class TestLemmaTrialProperties:
