@@ -1,6 +1,6 @@
 """Command-line driver for the distance-set experiments.
 
-Exit codes: 0 all checks pass, 1 violations found, 2 usage or I/O error.
+Exit codes: 0 all checks pass, 1 violations found, 2 usage, I/O or out-of-memory error.
 """
 
 from __future__ import annotations
@@ -50,31 +50,22 @@ def _parse_n_range(text: str) -> range:
 
 
 def _genspec_from_args(args) -> GeneratorSpec:
-    setting = args.set
+    setting, path = args.set, None
     if setting.startswith("file:"):
-        if not args.R:
-            raise ValueError("file point sets need --R for the window radius")
-        return GeneratorSpec(
-            kind="file", R=args.R[0], path=setting[len("file:") :], spacing=args.spacing,
-            jitter=args.jitter, seed=args.seed,
-        )
-    kind = {"lattice": "lattice", "perturbed": "perturbed_lattice"}.get(setting)
-    if kind is None:
-        raise ValueError(f"unknown point set {setting!r}")
-    return GeneratorSpec(
-        kind=kind,
-        R=args.R[0] if args.R else 1.0,
-        spacing=args.spacing,
-        jitter=args.jitter,
-        seed=args.seed,
-    )
+        kind, path = "file", setting[len("file:") :]
+    else:
+        kind = {"lattice": "lattice", "perturbed": "perturbed_lattice"}.get(setting)
+        if kind is None:
+            raise ValueError(f"unknown point set {setting!r}")
+    return GeneratorSpec(kind=kind, R=args.R[0], spacing=args.spacing, jitter=args.jitter,
+                         seed=args.seed, path=path)
 
 
 def _cmd_sweep(args) -> int:
-    body = load_body(args.body)
-    genspec = _genspec_from_args(args)
     if not args.R:
         raise ValueError("sweep needs --R with at least one radius")
+    body = load_body(args.body)
+    genspec = _genspec_from_args(args)
     rows = run_sweep(body, genspec, args.R, tol=args.tol, exact=args.exact)
     if args.out:
         write_sweep_csv(rows, args.out, timestamp=not args.no_timestamp)
@@ -197,6 +188,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 2
 
 

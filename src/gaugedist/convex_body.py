@@ -335,11 +335,11 @@ def gauge_many(body: ConvexBody, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (n, 2)")
+    x, y = pts[:, 0], pts[:, 1]
     if isinstance(body, SymmetricPolygon):
         # one column at a time over half the edges (_half_rows), elementwise
         # rather than matmul: no (n, edges) temporaries, independent of BLAS
         # threading, and bit-identical to the scalar path
-        x, y = pts[:, 0], pts[:, 1]
         out = None
         for nx, ny, h in body._half_rows:
             v = x * nx
@@ -348,35 +348,27 @@ def gauge_many(body: ConvexBody, points) -> np.ndarray:
             np.abs(v, out=v)
             out = v if out is None else np.maximum(out, v, out=out)
         return out
-    # in place from here on: the same operations in the same order, so the
-    # same floats, with one temporary array fewer per step; this lowers the
-    # peak memory of the root scan, which calls this on every trial
+    r = body.radius
     if isinstance(body, Disc):
-        out = np.hypot(pts[:, 0], pts[:, 1])
-    else:
-        p = body.p
-        out = np.abs(pts[:, 0])
-        y = np.abs(pts[:, 1])
-        with np.errstate(over="ignore"):
-            out **= p
-            y **= p
-            out += y
-        # two reductions keep the check cheap; rows whose sum is not a normal
-        # double are rescaled as in _scalar_gauge
-        redo = None
-        if len(out) and not _MIN_NORMAL <= out.min() <= out.max() < np.inf:
-            redo = np.flatnonzero((out < _MIN_NORMAL) | (out == np.inf))
-        out **= 1.0 / p
-        if redo is not None:
-            a = np.abs(pts[redo])
-            m = a.max(axis=1)
-            keep = (m > 0) & (m < np.inf)  # zero rows stay 0, non-finite rows as computed
-            redo, a, m = redo[keep], a[keep], m[keep]
-            a /= m[:, None]
-            a **= p
-            out[redo] = m * (a[:, 0] + a[:, 1]) ** (1.0 / p)
-    out /= body.radius
-    return out
+        return np.hypot(x, y) / r
+    p = body.p
+    with np.errstate(over="ignore"):
+        s = np.abs(x) ** p + np.abs(y) ** p
+    # two reductions keep the check cheap; rows whose sum is not a normal
+    # double are rescaled as in _scalar_gauge
+    redo = None
+    if len(s) and not _MIN_NORMAL <= s.min() <= s.max() < np.inf:
+        redo = np.flatnonzero((s < _MIN_NORMAL) | (s == np.inf))
+    out = s ** (1.0 / p)
+    if redo is not None:
+        a = np.abs(pts[redo])
+        m = a.max(axis=1)
+        keep = (m > 0) & (m < np.inf)  # zero rows stay 0, non-finite rows as computed
+        redo, a, m = redo[keep], a[keep], m[keep]
+        a /= m[:, None]
+        a **= p
+        out[redo] = m * (a[:, 0] + a[:, 1]) ** (1.0 / p)
+    return out / r
 
 
 def gauge_exact(poly: SymmetricPolygon, x) -> Fraction:

@@ -215,14 +215,14 @@ def _polygon_trial(k: int, seed: int, alpha: float) -> tuple[dict, ConcurrenceRe
     rng = Xorshift64Star(derive_seed(seed, k))
     poly = random_symmetric_polygon(2 + rng.below(7), rng.next_u64())
     u = _choose_u(rng, poly, alpha)
-    classes, rep = _homothet_check(poly, alpha, u)
+    rep = _homothet_check(poly, alpha, u)
     row = {
         "trial": k,
         "alpha": alpha,
         "u": [u[0], u[1]],
-        "classes": classes,
+        "classes": rep.checked + rep.flagged,  # each maximal segment has its own line
         "max_concurrence_error": rep.max_error,
-        "flags": sorted(rep.flags),
+        "flags": list(rep.flags),
     }
     return row, rep
 

@@ -309,16 +309,15 @@ def _homothet_frame(poly: SymmetricPolygon, alpha: float, u) -> tuple[list, list
     return A, B, ad * lcm
 
 
-def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, ConcurrenceReport]:
-    """``(classes, report)`` for G = poly and alpha * G + u, equal to
-    ``direction_line_classes`` and ``concurrence_check`` of
+def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> ConcurrenceReport:
+    """The report alone for G = poly and alpha * G + u, equal to ``concurrence_check`` of
     ``boundary_intersection(poly, transform_polygon(poly, alpha, u))`` whenever
     every alpha * v + u is a double, as on the dyadic grids of the lemma trials.
 
     One integer frame (``_homothet_frame``) serves the whole check, and
     alpha * G + u is convex because G is, so neither boundary is checked.  A
     homothety with alpha > 0 keeps edge directions, so a segment on edge i of
-    G (each on its own line: ``classes`` counts them) lies on edge i or i + n
+    G (each on its own line: ``checked + flagged`` counts them) lies on edge i or i + n
     of alpha * G + u, and that pair decides it.  On (i, i) the outward normals
     agree, so 0, inside G, and u, inside alpha * G + u, lie on one side of the
     line, and B_i - A_i = u - (1 - alpha) A_i for the image B_i of A_i: the
@@ -332,15 +331,17 @@ def _homothet_check(poly: SymmetricPolygon, alpha: float, u) -> tuple[int, Concu
     n = len(A) // 2
     _, overlaps = _intersect_ints(A, B, lambda i: (i, (i + n) % (2 * n)))
     if all(i == j for i, j, *_ in overlaps):
-        return len(overlaps), ConcurrenceReport(len(overlaps), 0, 0.0)
+        return ConcurrenceReport(len(overlaps), 0, 0.0)
     [(_, _, p, q)] = overlaps
     seg = Segment(_fraction_point(p, D), _fraction_point(q, D))
-    return 1, concurrence_check(IntersectionResult((), (seg,)), alpha, u)
+    return concurrence_check(IntersectionResult((), (seg,)), alpha, u)
 
 
 _SAMPLES = math.ceil(2 * math.pi / 1e-4)  # the scan's grid: a full turn at the angles i * _STEP
 _STEP = 2 * math.pi / _SAMPLES
 _STRIDE = 16  # the first pass takes every 16th grid angle: 62,832 = 16 * 3,927
+# its stretches are 2^4 steps and halve into 2^k: one wider than a step has an even i + j,
+# and its midpoint 0.5 (i + j) is a grid angle
 _BUDGET = 15_000  # halving evaluations per scan; 6,000 strict trials needed at most 5,139
 
 
@@ -458,7 +459,7 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
             cross = si and sj and (gi > 0) != (gj > 0)
             clear = si and sj and not cross and abs(gi) + abs(gj) - 2 * eps > lip * (j - i) * step
             if not clear and (wide and (si or sj) or si and sj and not cross):
-                m = (i + j) // 2 if wide else 0.5 * (i + j)
+                m = 0.5 * (i + j)
                 if cross or (budget > 0 and i < m < j):  # a sign change is always located
                     budget -= 1
                     gm = gap(m * step)

@@ -96,6 +96,11 @@ class GeneratorSpec:
             raise ValueError("jitter must lie in [0, spacing/2)")
         if not (math.isfinite(self.R) and self.R > 0):
             raise ValueError(f"window radius {self.R} must be positive and finite")
+        # below 2**53 steps _lattice_indices settles the largest index in a few
+        # steps; beyond, k * spacing is one double for many consecutive k
+        if self.kind != "file" and not self.R / self.spacing < 2**53:
+            raise ValueError(f"window radius {self.R} over spacing {self.spacing} "
+                             "must be below 2**53")
         if self.kind == "file" and not self.path:
             raise ValueError("file generator needs a path")
 

@@ -5,16 +5,18 @@ ray cast (binary search on the scale with a cross-product point-in-polygon
 test, no half-plane normal form), ``full_normal_gauge_many`` and
 ``full_integer_keys`` take the max over all 2n edges of a polygon's float and
 integer normal forms, derived here from the vertices, where the library uses
-half of them and an absolute value, distance oracles are brute-force pair loops
-(``row_pair_values`` is the float pair loop one row at a time, each pair as
-p_j - p_i with j > i, where the library enumerates pairs by cyclic shift),
-orientation checks use exact rational cross products, the annulus/cone
-counts test one point at a time, the concurrence reference keys each
-segment's supporting line on its own, the polygon lemma trial is the
-composition of the library's public polygon functions that the trials ran
-before they checked each homothet in one integer frame, the random polygon
-draw snaps doubles with ``quantize`` and takes their hull in doubles, the
-homothet frame converts the polygon and u in one call, and the strictly
+half of them and an absolute value, ``plain_round_gauge_many`` evaluates the
+plain and the rescaled p-ball formula on every row and picks one with
+``np.where``, where the library rescales only the rows it finds, distance
+oracles are brute-force pair loops (``row_pair_values`` is the float pair loop
+one row at a time, each pair as p_j - p_i with j > i, where the library
+enumerates pairs by cyclic shift), orientation checks use exact rational cross
+products, the annulus/cone counts test one point at a time, the concurrence
+reference keys each segment's supporting line on its own, the polygon lemma
+trial is the composition of the library's public polygon functions that the
+trials ran before they checked each homothet in one integer frame, the random
+polygon draw snaps doubles with ``quantize`` and takes their hull in doubles,
+the homothet frame converts the polygon and u in one call, and the strictly
 convex count is a closed form in the body's norm, with each scanned root
 bracket certified by the exact signs of the gap at its ends, in mpmath.
 """
@@ -72,6 +74,24 @@ def point_in_polygon(vertices, p) -> bool:
         if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) < 0:
             return False
     return True
+
+
+def plain_round_gauge_many(body, points) -> np.ndarray:
+    """``gauge_many`` of a disc or p-ball in plain whole-array expressions: hypot(x, y) / r,
+    or (|x|^p + |y|^p)^(1/p) / r, and where that sum is not a normal double and the
+    row is not zero, m ((|x|/m)^p + (|y|/m)^p)^(1/p) / r for m = max(|x|, |y|),
+    chosen row by row with ``np.where``."""
+    pts = np.asarray(points, dtype=float)
+    ax, ay = np.abs(pts[:, 0]), np.abs(pts[:, 1])
+    if isinstance(body, Disc):
+        return np.hypot(ax, ay) / body.radius
+    p = body.p
+    m = np.maximum(ax, ay)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = ax**p + ay**p
+        scaled = m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
+    rescale = ((s < np.finfo(float).tiny) | (s == np.inf)) & (m > 0)
+    return np.where(rescale, scaled, s ** (1.0 / p)) / body.radius
 
 
 def raycast_gauge(vertices, x, iters: int = 80) -> float:
@@ -351,11 +371,11 @@ def reference_concurrence(segments, alpha, u) -> dict:
 
 
 def reference_homothet_check(poly, alpha, u):
-    """``(classes, report)`` for the polygon and alpha * poly + u, through the
-    public functions: ``transform_polygon``, ``boundary_intersection``,
-    ``concurrence_check`` and ``direction_line_classes``."""
+    """``(result, report)`` for the polygon and alpha * poly + u, through the
+    public functions: the ``boundary_intersection`` of the polygon and its
+    ``transform_polygon``, and that result's ``concurrence_check``."""
     res = boundary_intersection(poly, transform_polygon(poly, alpha, u))
-    return direction_line_classes(res), concurrence_check(res, alpha, u)
+    return res, concurrence_check(res, alpha, u)
 
 
 def reference_polygon_trial(k, seed, alpha):
@@ -364,12 +384,12 @@ def reference_polygon_trial(k, seed, alpha):
     rng = Xorshift64Star(derive_seed(seed, k))
     poly = random_symmetric_polygon(2 + rng.below(7), rng.next_u64())
     u = _choose_u(rng, poly, alpha)
-    classes, rep = reference_homothet_check(poly, alpha, u)
+    res, rep = reference_homothet_check(poly, alpha, u)
     row = {
         "trial": k,
         "alpha": alpha,
         "u": [u[0], u[1]],
-        "classes": classes,
+        "classes": direction_line_classes(res),
         "max_concurrence_error": rep.max_error,
         "flags": sorted(rep.flags),
     }

@@ -36,6 +36,7 @@ from oracles import (
     full_integer_keys,
     full_normal_form,
     full_normal_gauge_many,
+    plain_round_gauge_many,
     raycast_gauge,
 )
 
@@ -216,6 +217,35 @@ def test_pball_gauge_lies_between_max_norm_and_its_bound(p, x):
     for g in (one, many):
         assert m * (1 - 1e-12) <= g <= m * 2 ** (1 / p) * (1 + 1e-12)
     assert abs(one - many) <= 1e-14 * m
+
+
+# coordinates from 0 and the unit range out to 1e+-300 and the subnormals
+wide_coord = st.one_of(
+    st.just(0.0),
+    st.floats(-4.0, 4.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-320, 299)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    body=st.one_of(
+        st.builds(Disc, st.floats(0.25, 4.0)),
+        st.builds(PBall, st.one_of(st.sampled_from([1.0001, 1.5, 2.0, 3.0, 400.0]),
+                                   st.floats(1.0001, 400.0)), st.floats(0.25, 4.0)),
+    ),
+    pts=st.lists(st.tuples(wide_coord, wide_coord), max_size=40),
+    zeros=st.integers(0, 3),
+)
+def test_round_gauge_many_bit_equal_to_plain_expressions(body, pts, zeros):
+    """gauge_many on a disc or p-ball, the rescued rows whose |x|^p + |y|^p is not a
+    normal double included, equals the plain whole-array oracle bit for bit, with no
+    warning."""
+    pts = np.array(pts + [(0.0, 0.0)] * zeros, dtype=float).reshape(-1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gauge_many(body, pts)
+    assert got.tobytes() == plain_round_gauge_many(body, pts).tobytes()
 
 
 # dyadic rationals m * 2**e with denominators up to 2**52

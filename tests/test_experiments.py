@@ -303,6 +303,26 @@ class TestLemmaBatches:
         rows = run_lemma_checks(which, trials, seed=1).rows
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
+    def test_root_scans_are_pinned(self, monkeypatch):
+        # every RootScan of the 150 strict trials at seed 1, then 12 directions per strict
+        # body at alpha = 1 and |x| = 1e-12, the rounding floor, where g is noise and 24 of
+        # the 36 scans stay unresolved; json.dumps writes each float's repr
+        import gaugedist.experiments as experiments
+        from gaugedist import strictly_convex_intersection_count as scan
+
+        scans = []
+        monkeypatch.setattr(experiments, "strictly_convex_intersection_count",
+                            lambda *args: scans.append(scan(*args)) or scans[-1])
+        run_lemma_checks("strict", 150, seed=1)
+        for body in experiments._STRICT_BODIES:
+            for k in range(12):
+                t = k * math.pi / 6
+                scans.append(scan(body, 1.0, (1e-12 * math.cos(t), 1e-12 * math.sin(t))))
+        assert (len(scans), sum(s.unresolved for s in scans)) == (186, 24)
+        data = json.dumps([[s.count, s.brackets, s.unresolved] for s in scans])
+        digest = "91be9c9ee1f442f42e1aff21155d832350478e325cf7372d3a32dd807b94941f"
+        assert hashlib.sha256(data.encode()).hexdigest() == digest
+
 
 class TestRunMoser:
     def test_window_one_spacing_past_a_non_integer_annulus(self, tmp_path, capsys):
@@ -686,6 +706,39 @@ class TestCli:
         assert main(argv) == 2
         err = f"error: seed applies only to the perturbed lattice, not {kind!r}\n"
         assert capsys.readouterr().err == err and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--set", "lattice", "--R", "5", "--spacing", "1e-300"],
+        ["sweep", "--set", "perturbed", "--R", "5", "--spacing", "1e-300"],
+        ["moser", "--cone", "0,1", "--cone-inner", "0.2,0.8", "--N-range", "1..2",
+         "--spacing", "1e-300"],
+    ])
+    def test_lattice_window_of_2_53_steps_is_exit_2(self, capsys, argv):
+        # before the check the largest lattice index was searched one step at a time
+        assert main(argv) == 2
+        assert "over spacing 1e-300 must be below 2**53" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, err", [
+        (MemoryError("Unable to allocate 14.6 TiB"),
+         "error: out of memory: Unable to allocate 14.6 TiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ])
+    def test_out_of_memory_is_exit_2(self, monkeypatch, capsys, exc, err):
+        # exit 1 means violations found; a run that could not finish is an error
+        import gaugedist.cli as cli
+
+        def run_sweep(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        assert main(["sweep", "--set", "lattice", "--R", "1e12"]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_file_set_without_radius_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
+        assert main(["sweep", "--set", f"file:{path}"]) == 2
+        assert capsys.readouterr().err == "error: sweep needs --R with at least one radius\n"
 
     def test_second_radius_on_a_file_set_is_exit_2(self, tmp_path, capsys):
         # the file fixes the points: more radii would repeat one row

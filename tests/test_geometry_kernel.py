@@ -335,8 +335,11 @@ class TestHomothetCheck:
 
         assert fractions(A, D) == fractions(poly.vertices, 1)
         assert fractions(B, D) == fractions(transform_polygon(poly, alpha, u), 1)
-        classes, rep = _homothet_check(poly, alpha, u)
-        assert (classes, rep) == reference_homothet_check(poly, alpha, u)
+        res, want = reference_homothet_check(poly, alpha, u)
+        rep = _homothet_check(poly, alpha, u)
+        assert rep == want
+        # each maximal segment has its own line, so the report counts the lines
+        assert rep.checked + rep.flagged == direction_line_classes(res) == len(res.maximal_segments)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -463,13 +466,13 @@ class TestConcurrence:
         res = boundary_intersection(square(), transform_polygon(square(), 2.0, u))
         assert res.maximal_segments == (Segment((1, -1), (1, 1)),)
         public = concurrence_check(res, 2.0, u)
-        assert _homothet_check(square(), 2.0, u) == (1, public)
+        assert _homothet_check(square(), 2.0, u) == public
         assert (public.ok, public.checked, public.flagged, public.max_error) == (True, 0, 1, 0.0)
         # at alpha = 1 the analogous contact passes through u/2 = (1, 1/4)
         u = (2.0, 0.5)
         res = boundary_intersection(square(), transform_polygon(square(), 1.0, u))
         public = concurrence_check(res, 1.0, u)
-        assert _homothet_check(square(), 1.0, u) == (1, public)
+        assert _homothet_check(square(), 1.0, u) == public
         assert (public.ok, public.flags) == (True, ("opposite-edge coincidence",))
 
     def test_line_missing_u_over_one_plus_alpha_is_a_violation(self):

@@ -64,6 +64,17 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GeneratorSpec(kind="file", R=2.0)
 
+    @pytest.mark.parametrize("kind", ["lattice", "perturbed_lattice"])
+    @pytest.mark.parametrize("R, spacing", [(5.0, 1e-300), (1.0, 2.0**-53), (2.0**53, 1.0)])
+    def test_window_of_2_53_steps_or_more_is_rejected(self, kind, R, spacing):
+        # that far out k * spacing is one double for many consecutive k, and the search
+        # for the largest index inside the window would step through them one at a time
+        with pytest.raises(ValueError, match="must be below 2\\*\\*53"):
+            GeneratorSpec(kind=kind, R=R, spacing=spacing)
+        GeneratorSpec(kind=kind, R=1.0, spacing=2.0**-52)  # 2**52 steps: accepted
+        # a file set has no spacing to count steps in
+        GeneratorSpec(kind="file", R=1e300, path="p.csv")
+
     def test_pointset_rejects_escapees(self):
         with pytest.raises(ValueError):
             PointSet(np.array([[0.0, 3.0]]), 2.0)
