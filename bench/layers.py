@@ -19,9 +19,10 @@ diamond, Python ints for a random 12-gon), exact and float
 ``grid_distance_set`` (exact also on the 801 x 801 disc grid, with 195,114
 distinct roots to round), the ``distance_set`` pair loop (exact under the
 square, also on the 2,000 dyadic points of ``gauge_exact``, and under the
-disc on object keys; float under the disc, under the diamond over the 1,521
-perturbed lattice points of ``sweep --body diamond --set perturbed --R 20
---jitter 0.2 --seed 7``, and over the 2,000 random
+disc on uint64 limb keys and, with one more point, on Python-int keys;
+float under the disc, under the diamond over the 1,521 perturbed lattice
+points of ``sweep --body diamond --set perturbed --R 20 --jitter 0.2
+--seed 7``, and over the 2,000 random
 points of ``erdos-bound`` under the disc and the p = 1.5 ball), the float
 lattice ``run_sweep`` and ``moser_count_check`` of the README commands, exact
 ``boundary_intersection`` (under random translates, and under edge-aligned
@@ -112,11 +113,19 @@ def _layers(gd):
         lambda: gd.distance_set(bodies["square"], jitter, exact=True),
     )
     # scaled by 0.3, whose double has a 54-bit denominator: the squared
-    # lengths pass 2**63, so the disc's keys are Python ints (object dtype)
+    # lengths pass 2**63 and the differences do not, so the disc's keys are
+    # uint64 limbs
     wide = [(0.3 * x, 0.3 * y) for x, y in jitter]
     layers["distance_set.exact.disc"] = (
-        f"exact pair loop over the same {len(wide)} points scaled by 0.3 (object keys)",
+        f"exact pair loop over the same {len(wide)} points scaled by 0.3 (uint64 limb keys)",
         lambda: gd.distance_set(bodies["disc"], wide, exact=True),
+    )
+    # one more point, whose denominator takes the scaled coordinates to 77
+    # bits: the differences pass 2**63, so the keys are Python ints
+    wider = wide + [(0.3 * 2**-20, 0.0)]
+    layers["distance_set.exact.disc.object"] = (
+        f"exact pair loop over those {len(wide)} points and (0.3 * 2**-20, 0) (object keys)",
+        lambda: gd.distance_set(bodies["disc"], wider, exact=True),
     )
     layers["distance_set.exact.square2000"] = (
         f"exact pair loop over the {len(dyadic)} dyadic points of gauge_exact (int64 keys)",

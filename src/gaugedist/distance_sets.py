@@ -11,7 +11,9 @@ double precision needs a tolerance); exact mode takes integer vectors and a
 rational scale, and groups them at tol 0 by an integer key, q * gauge in the
 polygon's integer form or the disc's squared length, so lattice counts are
 tolerance-free.  Integers are int64 when a bound rules out overflow and Python
-ints otherwise (:func:`_int_dtype`).  A :class:`DistanceSet` holds numpy arrays
+ints otherwise (:func:`_int_dtype`), except that a disc set's squared lengths
+past int64 of differences within int64 are held exactly as two uint64 limbs
+(:func:`_disc_limbs`).  A :class:`DistanceSet` holds numpy arrays
 (float clusters, polygon keys or rounded disc roots, with counts) and builds
 Python values only when a caller reads them.  Every request is checked by
 :func:`_check_request` before any work: an exact set needs a polygon or disc
@@ -119,7 +121,18 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
     always starts a cluster and a run of smaller gaps spanning <= tol is one;
     only wider runs are walked.  One mask marks the first value of every
     cluster: set at each gap > tol, then at each split of a walked run.
+    Exact keys held as uint64 limbs, shape (2, m) (:func:`_disc_limbs`), come
+    unweighted from the pair walk: they are sorted by (hi, lo) and grouped
+    where either limb changes, and their firsts are limbs too.
     """
+    if vals.ndim == 2:
+        hi, lo = vals
+        vals = vals[:, np.lexsort((lo, hi))]
+        brk = np.empty(vals.shape[1], dtype=bool)
+        brk[0] = True
+        np.any(vals[:, 1:] != vals[:, :-1], axis=0, out=brk[1:])
+        starts, sizes = _runs(brk)
+        return vals[:, starts], sizes, 0.0
     if weights is None:
         vals.sort()
     else:
@@ -183,7 +196,9 @@ def _check_request(body: ConvexBody, tol: Optional[float], exact: bool) -> None:
 def _int_dtype(bound: int):
     """np.int64 if ``bound``, a bound on the absolute value of every integer the
     caller forms, is below 2**63; object (Python ints, the same arithmetic)
-    otherwise."""
+    otherwise.  The one exception is the disc keys of :func:`distance_set`:
+    past int64 they are Python ints only when the differences are, and uint64
+    limbs (:func:`_disc_limbs`) otherwise."""
     return np.int64 if bound < 2**63 else object
 
 
@@ -222,11 +237,62 @@ def _exact_keys(body: ConvexBody, V: np.ndarray) -> np.ndarray:
     return out
 
 
+def _disc_limbs(V: np.ndarray) -> np.ndarray:
+    """Squared lengths k = x**2 + y**2 of int64 vectors V, shape (m, 2), with
+    |x|, |y| < 2**63, exactly as uint64 limbs (hi, lo), shape (2, m):
+    k = hi * 2**64 + lo < 2**127.
+
+    Each |x| = a * 2**32 + b has a < 2**31, so x**2 = a**2 * 2**64 +
+    2ab * 2**32 + b**2 with every product below 2**64; the terms and the two
+    squares are added with explicit carries."""
+    b = np.abs(V).view(np.uint64)
+    a = b >> 32
+    b &= 2**32 - 1
+    ab = a * b
+    a *= a
+    b *= b
+    # 2ab * 2**32 = (ab >> 31) * 2**64 + (ab << 33) mod 2**64
+    mid = ab << 33
+    b += mid
+    a += ab >> 31
+    a += b < mid
+    lo = b[:, 0] + b[:, 1]
+    hi = a[:, 0] + a[:, 1]
+    hi += lo < b[:, 0]
+    return np.stack((hi, lo))
+
+
+def _limb_roots(keys: np.ndarray, e: int) -> np.ndarray:
+    """:func:`_disc_roots` of limb keys (:func:`_disc_limbs`) at c = 2**-e,
+    0 <= e < 1022: sqrt(fl(k >> t)) / sqrt(2**(e - t)), the power-of-two gcd
+    2**t of k and 2**e taken from k's trailing zeros, t = min(tz(k), e).
+
+    fl(k) is one rounding of the top 64 bits of k, from bit sh on, with a
+    sticky bit for any set bit below: sh is the exponent of fl(hi), at most
+    63, so k >> sh keeps 63 or 64 significant bits when hi != 0 (all of k
+    when hi == 0), and the sticky bit sits below the rounding position."""
+    hi, lo = keys
+    ex = np.minimum(np.frexp(hi.astype(float))[1], 63)
+    sh = ex.astype(np.uint64)
+    top = hi << (63 - sh) << 1
+    top |= lo >> sh
+    top |= (lo & ((1 << sh) - 1)) != 0
+    fk = np.ldexp(top.astype(float), ex)
+    # the lowest set bit of lo, or of hi when lo is 0 (the zero key gets 63)
+    low = np.where(lo != 0, lo, hi)
+    tz = np.frexp((low & -low).astype(float))[1] - 1 + 64 * (lo == 0)
+    t = np.minimum(tz, e)
+    return np.sqrt(np.ldexp(fk, -t)) / np.sqrt(np.ldexp(1.0, e - t))
+
+
 def _disc_roots(keys: np.ndarray, c: Fraction) -> np.ndarray:
     """sqrt(k * c) of nonnegative integer keys k, each rounded once as
     sqrt(numerator) / sqrt(denominator) of k * c in lowest terms.
 
-    A denominator beyond the double range (a tiny c) is met by dividing every
+    Keys are an integer array or uint64 limbs, shape (2, m)
+    (:func:`_disc_limbs`); limbs at c = 2**-e with 2**e < 2**1022 are valued
+    from the limbs (:func:`_limb_roots`), other limbs as Python ints.  A
+    denominator beyond the double range (a tiny c) is met by dividing every
     numerator and denominator by one power of four, 4**s: their roots shrink
     by exactly 2**s, so each quotient is the double the formula gives with
     unbounded exponents.  A numerator beyond the double range raises
@@ -235,6 +301,10 @@ def _disc_roots(keys: np.ndarray, c: Fraction) -> np.ndarray:
     if not keys.size:
         return np.zeros(0)
     num, den = c.numerator, c.denominator
+    if keys.ndim == 2:
+        if num == 1 and den & (den - 1) == 0 and den < 2**1022:
+            return _limb_roots(keys, den.bit_length() - 1)
+        keys = keys[0].astype(object) << 64 | keys[1].astype(object)
     # max(..., 1): num itself must fit as well
     k = keys.astype(_int_dtype(max(max(int(keys.max()), 1) * num, den)))
     g = np.gcd(k, den)
@@ -301,9 +371,11 @@ def distance_set(
 
     Both modes walk the pairs by cyclic shift, (i, (i + s) mod n), in blocks
     of about ``_PAIR_BLOCK`` pairs per call of :func:`gauge_many` (floats) or
-    :func:`_exact_keys` (the scaled integers).  A pair that wraps is evaluated
-    at p_i - p_j, and fl(a - b) = -fl(b - a), so its difference is the exact
-    negation of p_j - p_i; every body is symmetric, so the value is the same.
+    :func:`_exact_keys` (the scaled integers, each column less its minimum),
+    or :func:`_disc_limbs` for a disc whose keys pass int64 while the
+    differences do not.  A pair that wraps is evaluated at p_i - p_j, and
+    fl(a - b) = -fl(b - a), so its difference is the exact negation of
+    p_j - p_i; every body is symmetric, so the value is the same.
     """
     _check_request(body, tol, exact)
     pts = _as_points(points)
@@ -312,15 +384,22 @@ def distance_set(
         raise ValueError("distance set of an empty point collection")
     if exact:
         ints, den = _scale_to_ints(pts)
-        # differences of the scaled points reach twice their largest coordinate
-        cols = np.array(ints, dtype=_int_dtype(2 * max(max(abs(x), abs(y)) for x, y in ints))).T
+        # each scaled column less its minimum lies in [0, vmax], vmax the widest
+        # difference, and so do the magnitudes of the differences
+        xs, ys = zip(*ints)
+        x0, y0 = min(xs), min(ys)
+        vmax = max(max(xs) - x0, max(ys) - y0)
+        cols = np.array([(x - x0, y - y0) for x, y in ints], dtype=_int_dtype(vmax)).T
         # all keys take the widest difference's key dtype; narrower blocks widen
-        vmax = max(max(c) - min(c) for c in zip(*ints))
         dtype = _exact_keys(body, np.array([[vmax, 0]], dtype=object)).dtype
         evaluate, tol, scale = partial(_exact_keys, body), 0, Fraction(1, den)
+        if isinstance(body, Disc) and dtype == object and cols.dtype == np.int64:
+            # disc keys past int64 of int64 differences: exact as uint64 limbs
+            evaluate, dtype = _disc_limbs, np.uint64
     else:
         cols, dtype, evaluate, scale = pts.T, float, partial(gauge_many, body), None
-    vals = np.zeros(1 + n * (n - 1) // 2, dtype=dtype)
+    npairs = 1 + n * (n - 1) // 2
+    vals = np.zeros((2, npairs) if evaluate is _disc_limbs else npairs, dtype=dtype)
     # blocks (s, k, w): pairs (i, (i + s + t) mod n) for t < k and i < w, each
     # pair once: k whole shifts up to (n - 1) // 2 (one when n passes
     # _PAIR_BLOCK), then, for even n, the half shift n / 2 for i < n / 2.  They
@@ -339,7 +418,7 @@ def distance_set(
         for s, k, w in blocks:
             for c, win in enumerate(shifts):
                 np.subtract(win[s : s + k, :w], win[0, :w], out=buf[: k * w, c].reshape(k, w))
-            vals[pos : pos + k * w] = evaluate(buf[: k * w])
+            vals[..., pos : pos + k * w] = evaluate(buf[: k * w])
             pos += k * w
     return _distance_set(body, n, vals, None, tol, scale)
 

@@ -302,9 +302,16 @@ def run_moser(
 ) -> list[MoserRow]:
     """Annulus/cone counts on the unit-spacing lattice, window sized to fit N_max.
 
-    An empty ``N_range`` gives no rows, as in :func:`moser_count_check`.
+    An empty ``N_range`` gives no rows, as in :func:`moser_count_check`.  A
+    window of 2**53 spacings or more raises ``ValueError`` naming the inputs
+    it is derived from.
     """
-    R = Annulus(max(N_range, default=0), width).outer * max_chebyshev_radius(body) + spacing
+    N_max, reach = max(N_range, default=0), max_chebyshev_radius(body)
+    R = Annulus(N_max, width).outer * reach + spacing
+    if 0 < spacing < math.inf and not R / spacing < 2**53:
+        raise ValueError(f"moser window radius {R!r}, from width {width!r} * (N_range maximum "
+                         f"{N_max} + 1) * body reach {reach!r} + spacing, over spacing "
+                         f"{spacing!r} must be below 2**53")
     ps = generate(GeneratorSpec(kind="lattice", R=R, spacing=spacing))
     return moser_count_check(ps, body, cone, inner_cone, N_range, width)
 

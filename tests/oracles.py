@@ -16,9 +16,11 @@ reference keys each segment's supporting line on its own, the polygon lemma
 trial is the composition of the library's public polygon functions that the
 trials ran before they checked each homothet in one integer frame, the random
 polygon draw snaps doubles with ``quantize`` and takes their hull in doubles,
-the homothet frame converts the polygon and u in one call, and the strictly
+the homothet frame converts the polygon and u in one call, the strictly
 convex count is a closed form in the body's norm, with each scanned root
-bracket certified by the exact signs of the gap at its ends, in mpmath.
+bracket certified by the exact signs of the gap at its ends, in mpmath, and
+the exact disc set keys every pair in Python ints, where the library may hold
+its keys as uint64 limbs, and values them by the library's root rule.
 """
 
 import math
@@ -40,6 +42,7 @@ from gaugedist import (
     transform_polygon,
 )
 from gaugedist.convex_body import _scale_to_ints
+from gaugedist.distance_sets import _disc_roots
 from gaugedist.experiments import _choose_u
 from gaugedist.prng import Xorshift64Star, derive_seed, quantize
 
@@ -208,6 +211,23 @@ def disc_root(k: int, num: int, den: int) -> float:
     lowest terms, each a correctly rounded root of a rounded integer."""
     g = math.gcd(k, den)
     return math.sqrt(k // g * num) / math.sqrt(den // g)
+
+
+def disc_int_key_set(radius, points) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, counts) of the exact disc distance set, keyed in Python ints:
+    each pair's squared difference of the points scaled to integers by their
+    common denominator den, the n coincident pairs counted at key 0, valued
+    by ``_disc_roots`` at c = 1 / (den * radius)**2 on an object array of the
+    distinct keys and ordered by (root, key)."""
+    ints, den = _scale_to_ints(points)
+    counts = Counter(
+        (qx - px) ** 2 + (qy - py) ** 2 for i, (px, py) in enumerate(ints) for qx, qy in ints[i + 1 :]
+    )
+    counts[0] += len(ints)
+    keys = sorted(counts)
+    roots = _disc_roots(np.array(keys, dtype=object), 1 / (den * Fraction(radius)) ** 2)
+    order = np.argsort(roots, kind="stable")
+    return roots[order], np.array([counts[keys[i]] for i in order.tolist()])
 
 
 def greedy_cluster(sorted_vals, tol, weights=None):

@@ -35,6 +35,7 @@ from gaugedist.distance_sets import _cluster, _disc_roots, _exact_keys
 from oracles import (
     brute_exact_counts,
     brute_pairwise_values,
+    disc_int_key_set,
     disc_root,
     exact_polygon_gauge,
     full_integer_keys,
@@ -591,13 +592,18 @@ def test_float_pair_loop_with_one_shift_per_block(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 30, 31])
-@pytest.mark.parametrize("scale, disc_keys", [(1.0, "i"), (0.3, "O")], ids=["int64", "object"])
-def test_exact_pair_walk_with_one_shift_per_block(monkeypatch, n, scale, disc_keys):
+@pytest.mark.parametrize("scale, tiny, kinds", [
+    (1.0, False, "iOi"), (0.3, True, "OOO"), (0.3, False, "iOu"),
+], ids=["int64", "object", "limbs"])
+def test_exact_pair_walk_with_one_shift_per_block(monkeypatch, n, scale, tiny, kinds):
     """The exact walk in blocks of one whole shift, then for even n the half
     shift, gives the brute-force sets of dyadic points (30 and 31 with a
     coincident pair).  The square's keys are int64, and the random 10-gon's,
-    from its wide integer form, Python ints; the disc's are Python ints once
-    the points are scaled by 0.3, whose double has a 54-bit denominator."""
+    from its wide integer form, Python ints.  Scaled by 0.3, whose double has
+    a 54-bit denominator, the points' disc keys pass int64 while their
+    differences do not, so they are uint64 limbs; a first point 0.3 * 2**-30
+    widens the common denominator by 24 bits, and every key, past int64,
+    takes Python ints."""
     monkeypatch.setattr(distance_sets, "_PAIR_BLOCK", 8)
     seen, build = [], distance_sets._distance_set
 
@@ -608,22 +614,99 @@ def test_exact_pair_walk_with_one_shift_per_block(monkeypatch, n, scale, disc_ke
     monkeypatch.setattr(distance_sets, "_distance_set", capture)
     pts = [(scale * int(a) / 64, scale * int(b) / 64)
            for a, b in np.random.default_rng(n).integers(-256, 257, (n, 2))]
+    if tiny:
+        pts[0] = (0.3 * 2.0**-30, pts[0][1])
     if n > 2:
         pts[-1] = pts[0]
     for body in (square(), random_symmetric_polygon(5, 11), Disc(1.0)):
         assert_matches_oracle(body, pts)
     # one point has only the zero key, int64 for every body but the 10-gon
-    assert seen == ["i", "O", disc_keys if n > 1 else "i"]
+    assert "".join(seen) == (kinds if n > 1 else "iOi")
 
 
 def test_exact_key_dtype_is_fixed_by_the_widest_difference():
     """Shift 1 of these four points has differences up to L, whose disc keys
     fit int64; the half shift has 2L, whose key 49 * 2**58 does not.  The key
-    array takes Python ints before the walk, so the int64 block widens."""
+    array takes uint64 limbs before the walk, and every block fills it."""
     L = 7 * 2**28
     ds = distance_set(Disc(1.0), [(0, 0), (L, 0), (2 * L, 0), (L, 0)], exact=True)
     assert ds.keys.tolist() == [0.0, 1879048192.0, 3758096384.0]
     assert ds.counts.tolist() == [5, 4, 1]
+
+
+def assert_disc_set_matches_int_keys(radius, pts):
+    """The exact disc set of the points is the Python-int key oracle's: the
+    same roots and min_gap, bit for bit, and the same counts."""
+    ds = distance_set(Disc(radius), np.array(pts, dtype=float), exact=True)
+    roots, counts = disc_int_key_set(radius, pts)
+    assert ds.keys.tobytes() == roots.tobytes()
+    assert ds.counts.tolist() == counts.tolist()
+    gap = min_gap(ds)
+    if len(roots) < 2:
+        assert gap is None
+    else:
+        assert type(gap) is float and np.float64(gap).tobytes() == np.diff(roots).min().tobytes()
+
+
+@st.composite
+def wide_disc_sets(draw):
+    """Points whose scaled differences pass 2**31, so that their squares pass
+    int64, and reach up to and past 2**63: integers of up to 63 bits, rounded
+    to doubles, times 2**-e, with some points repeated."""
+    bits = draw(st.integers(28, 63))
+    e = draw(st.integers(0, 80))
+    coord = st.integers(-(2**bits), 2**bits).map(lambda m: m * 2.0**-e)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=wide_disc_sets(), radius=st.sampled_from([1.0, 0.5, 2.0, 2.0**-30, 0.75, 0.3]))
+def test_exact_disc_set_matches_python_int_keys(pts, radius):
+    assert_disc_set_matches_int_keys(radius, pts)
+
+
+# perfbench's EXACT_DISC_REPRO: its distinct squared distances 200 and
+# 200 + 20 * 2**-49 + 2**-98 have roots that round to one double
+EXACT_DISC_REPRO = [(0.0, 0.0), (1.0, 1.0), (10.0, 10.0), (11.0, 11.0 + 2.0**-49)]
+# 2**63 - 1024 is a double, and so is 1023: one difference of 2**63 - 1
+TOP = 2.0**63 - 1024
+
+
+@pytest.mark.parametrize("radius, pts, form, by_limbs", [
+    (1.0, [(0.1, 0.2), (1.3, -0.7), (0.1, 0.2), (2.5, 1 / 3), (-1.75, 0.9)], "limbs", True),
+    (1.0, [(0.1, 0.2), (1.3, -0.7), (0.1, 0.2), (2.5, 1 / 3)], "limbs", True),
+    (1.0, [(TOP, TOP), (-1023.0, -1023.0), (0.0, 0.0), (-1023.0, TOP)], "limbs", True),
+    (1.0, [(TOP, TOP), (-1024.0, -1024.0), (0.0, 0.0)], "object", False),
+    (0.3, EXACT_DISC_REPRO, "limbs", False),
+    (1.0, [(0.0, 0.0), (2.0**-560, 2.0**-600), (2.0**-599, 0.0)], "limbs", False),
+    (1.0, EXACT_DISC_REPRO, "limbs", True),
+    # the top 64 bits of this key end in a rounding tie; bits below break it
+    (1.0, [(0.0, 0.0), (855992426655.0, 6351.0)], "limbs", True),
+], ids=["odd", "even", "key-near-2**127", "difference-2**63", "radius-0.3", "tiny", "repro",
+        "sticky"])
+def test_exact_disc_key_form_and_roots(monkeypatch, radius, pts, form, by_limbs):
+    """Disc keys past int64 are uint64 limbs exactly when the widest scaled
+    difference is below 2**63 (up to 2**63 - 1, whose key is near 2**127),
+    and Python ints from 2**63 on.  Limbs are valued from the limbs when
+    c = 1 / (den * radius)**2 is 2**-e with e < 1022, and as Python ints by
+    the one root rule otherwise: under Disc(0.3), and for a tiny coordinate,
+    whose common denominator is 2**600.  Either way the set is the oracle's,
+    and EXACT_DISC_REPRO's two keys with one root stay two equal values."""
+    seen, build, limb_roots = [], distance_sets._distance_set, distance_sets._limb_roots
+
+    def capture(body, n, vals, *rest):
+        seen.append("limbs" if vals.ndim == 2 and vals.dtype == np.uint64 else vals.dtype.name)
+        return build(body, n, vals, *rest)
+
+    def spy(*args):
+        seen.append("by limbs")
+        return limb_roots(*args)
+
+    monkeypatch.setattr(distance_sets, "_distance_set", capture)
+    monkeypatch.setattr(distance_sets, "_limb_roots", spy)
+    assert_disc_set_matches_int_keys(radius, pts)
+    assert seen == [form] + ["by limbs"] * by_limbs
 
 
 def test_exact_pair_walk_memory_is_bounded_by_its_keys():

@@ -718,6 +718,16 @@ class TestCli:
         assert main(argv) == 2
         assert "over spacing 1e-300 must be below 2**53" in capsys.readouterr().err
 
+    def test_moser_window_of_2_53_steps_names_its_inputs(self, capsys):
+        # the window radius is derived, never given: the message says from what
+        argv = ["moser", "--body", "square", "--cone", "0,1.5707963267948966",
+                "--cone-inner", "0.39269908169872414,1.1780972450961724", "--N-range", "1..2",
+                "--spacing", "1e-300"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: moser window radius 30.0, from width 10.0 * (N_range maximum 2 + 1) * "
+            "body reach 1.0 + spacing, over spacing 1e-300 must be below 2**53\n")
+
     @pytest.mark.parametrize("exc, err", [
         (MemoryError("Unable to allocate 14.6 TiB"),
          "error: out of memory: Unable to allocate 14.6 TiB\n"),
