@@ -28,10 +28,21 @@ from .point_sets import GeneratorSpec
 __all__ = ["main", "entry"]
 
 
+def _usage_rule(parse):  # argparse prints an ArgumentTypeError's message, not the helper's name
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return checked
+
+
+@_usage_rule
 def _parse_floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
+@_usage_rule
 def _parse_cone(text: str) -> Cone:
     parts = _parse_floats(text)
     if len(parts) != 2:
@@ -39,6 +50,7 @@ def _parse_cone(text: str) -> Cone:
     return Cone(parts[0], parts[1])
 
 
+@_usage_rule
 def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:

@@ -392,9 +392,9 @@ def _scan_bounds(body, alpha: float, x_norm: float) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=8)
 def _first_pass_points(body) -> np.ndarray:
-    """The body's boundary points at the first-pass angles, read-only: one
-    table per body (equal bodies share it) for the few bodies kept."""
-    pts = boundary_points(body, np.arange(0, _SAMPLES, _STRIDE) * _STEP)
+    """The body's boundary points at the first-pass angles, column-major and read-only:
+    one table per body (equal bodies share it) for the few bodies kept."""
+    pts = np.asfortranarray(boundary_points(body, np.arange(0, _SAMPLES, _STRIDE) * _STEP))
     pts.setflags(write=False)
     return pts
 
@@ -404,10 +404,7 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
 
     A sample is certain when |g| > eps (``_scan_bounds``); the first pass takes every 16th grid
     angle i * ``_STEP``, whose boundary points depend only on the body: they come from a table
-    kept for the last few bodies scanned (``_first_pass_points``).  The pass subtracts x from
-    the table's two columns into one column-major buffer, writes g and its wrap-around sample
-    into one array and builds its mask in place: the floats of the plain expressions, in their
-    order, with fewer temporaries.  A stretch [a, b] of certain
+    kept for the last few bodies scanned (``_first_pass_points``).  A stretch [a, b] of certain
     ends of one sign is root-free if |g(a)| + |g(b)| - 2 eps > L (b - a).  Any other is halved:
     at grid angles while an end is certain, then at midpoints while the ends are certain and of
     one sign.  Round the turn, consecutive certain samples of opposite sign bracket a root; two
@@ -421,26 +418,16 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
         raise ValueError("translation must be nonzero")
     lip, eps = _scan_bounds(body, alpha, math.hypot(x0, x1))
     n, step, k = _SAMPLES, _STEP, _STRIDE
-    table = _first_pass_points(body)
-    m = len(table)
-    pts = np.empty((m, 2), order="F")  # gauge_many reads it a column at a time
-    np.subtract(table[:, 0], x0, out=pts[:, 0])
-    np.subtract(table[:, 1], x1, out=pts[:, 1])
-    pts /= alpha
+    pts = (_first_pass_points(body) - (x0, x1)) / alpha
+    m = len(pts)
     g = np.empty(m + 1)
     np.subtract(gauge_many(body, pts), 1, out=g[:m])
     g[m] = g[0]  # grid index n is index 0 again
     # free[c]: samples c and c + 1 certain, of one sign, and far enough from 0
-    # to clear the stretch between them; the same floats as
-    # (g[:-1] * g[1:] > 0) & (min(|g|) > eps) & (sum(|g|) - 2 eps > lip k step)
+    # to clear the stretch between them
     absg = np.abs(g)
-    val = np.multiply(g[:-1], g[1:])
-    free = val > 0
-    test = np.empty(m, dtype=bool)
-    free &= np.greater(np.minimum(absg[:-1], absg[1:], out=val), eps, out=test)
-    np.add(absg[:-1], absg[1:], out=val)
-    val -= 2 * eps
-    free &= np.greater(val, lip * k * step, out=test)
+    free = ((g[:-1] * g[1:] > 0) & (np.minimum(absg[:-1], absg[1:]) > eps)
+            & (absg[:-1] + absg[1:] - 2 * eps > lip * k * step))
     f = _scalar_gauge(body)
 
     def gap(theta: float) -> float:  # as boundary_point then gauge, without their dispatch
@@ -448,10 +435,13 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
         gb = f(c, s)
         return f((c / gb - x0) / alpha, (s / gb - x1) / alpha) - 1.0
 
-    seen = []  # (angle / step, g) of the samples outside cleared stretches, in turn order
+    # (angle / step, g, an uncertain sample lies just before) of the certain samples outside
+    # cleared stretches, in turn order; vague: an uncertain sample since the last of them
+    certain, vague = [], False
     budget, unresolved = _BUDGET, False
     for c in np.flatnonzero(~free).tolist():
-        seen.append((c * k, float(g[c])))
+        if free[c - 1]:  # else the stretch before ended at this sample (index -1 is m - 1)
+            certain.append((c * k, float(g[c]), False))
         todo = [(c * k, float(g[c]), c * k + k, float(g[c + 1]))]
         while todo:  # stretches [i, j] in grid steps, leftmost last
             i, gi, j, gj = todo.pop()
@@ -466,16 +456,18 @@ def strictly_convex_intersection_count(body, alpha: float, x) -> RootScan:
                     todo += [(m, gm, j, gj), (i, gi, m, gm)]
                     continue
                 unresolved = True
-            seen.append((j % n, gj))
+            if sj:
+                certain.append((j % n, gj, vague))
+            vague = not sj
 
-    sure = [t for t, (_, v) in enumerate(seen) if abs(v) > eps]  # positions of certain samples
-    unresolved |= bool(seen) and not sure
+    if vague and certain:  # the turn ends on uncertain samples, just before the first entry
+        certain[0] = (*certain[0][:2], True)
+    unresolved |= vague and not certain
     brackets = []
-    for a, b in zip(sure, sure[1:] + sure[:1]):  # consecutive round the turn
-        (i, gi), (j, gj) = seen[a], seen[b]
+    for (i, gi, _), (j, gj, between) in zip(certain, certain[1:] + certain[:1]):
         if (gi > 0) != (gj > 0):
             brackets.append((i * step, j * step))
-        elif (b - a - 1) % len(seen):  # uncertain samples lie between
+        elif between:
             unresolved = True
     brackets.sort()
     return RootScan(len(brackets), tuple(brackets), unresolved)

@@ -129,14 +129,8 @@ def generate(spec: GeneratorSpec) -> PointSet:
     # point stays inside the window
     ks = _lattice_indices(spec.R - spec.jitter, spec.spacing) * spec.spacing
     rng = Xorshift64Star(spec.seed)
-    pts = np.empty((len(ks) * len(ks), 2), dtype=float)
-    i = 0
-    for x in ks:
-        for y in ks:
-            ox, oy = rng.in_disc()
-            pts[i, 0] = x + spec.jitter * ox
-            pts[i, 1] = y + spec.jitter * oy
-            i += 1
+    pts = [(x + spec.jitter * ox, y + spec.jitter * oy)
+           for x in ks for y in ks for ox, oy in [rng.in_disc()]]
     return PointSet(pts, spec.R)
 
 

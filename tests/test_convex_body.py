@@ -157,6 +157,12 @@ class TestGauge:
         for body in (square(), diamond(), Disc(1.0), PBall(1.5, 1.0)):
             assert gauge(body, (0.0, 0.0)) == 0.0
 
+    @pytest.mark.parametrize("body", [square(), Disc(1.0), PBall(3.0, 1.0)])
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), (1.0, -math.inf)])
+    def test_non_finite_point_rejected(self, body, x):
+        with pytest.raises(ValueError, match="gauge of a non-finite point"):
+            gauge(body, x)
+
     def test_matches_raycast_oracle(self):
         poly = random_symmetric_polygon(7, seed=3)
         for x in [(1.3, -0.4), (-2.0, 5.0), (0.01, 0.02), (4.0, 4.0)]:
@@ -568,6 +574,9 @@ class TestBodySpecs:
         path = tmp_path / "body.json"
         path.write_text('{"type": "disc", "radius": 3.5}')
         assert load_body(str(path)) == Disc(3.5)
+        assert load_body({"type": "pball", "p": 3, "radius": 2}) == PBall(3.0, 2.0)
+        body = PBall(1.5, 1.0)
+        assert load_body(body) is body
 
     def test_max_euclid_radius(self):
         assert max_euclid_radius(square()) == math.sqrt(2)

@@ -93,6 +93,11 @@ class TestDistanceSet:
         with pytest.raises(ValueError, match="non-finite"):
             distance_set(square(), [[bad, 0.0], [0.0, 0.0], [1.0, 0.0]], exact=exact)
 
+    @pytest.mark.parametrize("evaluate", [gauge_many, distance_set])
+    def test_points_need_two_coordinates(self, evaluate):
+        with pytest.raises(ValueError, match=r"points must have shape \(n, 2\)"):
+            evaluate(square(), np.zeros((3, 3)))
+
     def test_matches_brute_force_oracle(self):
         pts = np.array([[0.0, 0.0], [1.5, 0.25], [-2.0, 1.0], [0.5, -3.0], [2.0, 2.0]])
         for body in (square(), diamond(), Disc(1.0), PBall(3.0, 1.0)):
@@ -192,6 +197,11 @@ class TestGridFastPath:
         # a negative exact spacing gave keys in increasing order but values in decreasing order
         with pytest.raises(ValueError, match="spacing"):
             grid_distance_set(square(), 3, 3, spacing, exact=exact)
+
+    @pytest.mark.parametrize("cols, rows", [(0, 3), (3, 0)])
+    def test_grid_needs_a_point_per_side(self, cols, rows):
+        with pytest.raises(ValueError, match="at least one point per side"):
+            grid_distance_set(square(), cols, rows)
 
     def test_rectangular_grid_spacing(self):
         ds = grid_distance_set(square(), 3, 2, 0.5, exact=True)

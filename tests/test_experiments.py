@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -305,8 +306,13 @@ class TestLemmaBatches:
 
     def test_root_scans_are_pinned(self, monkeypatch):
         # every RootScan of the 150 strict trials at seed 1, then 12 directions per strict
-        # body at alpha = 1 and |x| = 1e-12, the rounding floor, where g is noise and 24 of
-        # the 36 scans stay unresolved; json.dumps writes each float's repr
+        # body at alpha = 1 and |x| = 1e-12, the rounding floor, where g is noise, and at
+        # 1e-9 and 1e-6 above it, then the wrap-around examples of the oracle tests (a root
+        # in the last grid cell, two crossings at angle 0, zero samples through index 0 and
+        # a crossing at sample n - 1), an external tangency at angle 0, whose uncertain
+        # samples end the turn, and a crossing inside the first grid cell, after a cleared
+        # last stretch; 59 of the 265 scans stay unresolved; json.dumps writes each float's
+        # repr
         import gaugedist.experiments as experiments
         from gaugedist import strictly_convex_intersection_count as scan
 
@@ -314,13 +320,22 @@ class TestLemmaBatches:
         monkeypatch.setattr(experiments, "strictly_convex_intersection_count",
                             lambda *args: scans.append(scan(*args)) or scans[-1])
         run_lemma_checks("strict", 150, seed=1)
-        for body in experiments._STRICT_BODIES:
-            for k in range(12):
-                t = k * math.pi / 6
-                scans.append(scan(body, 1.0, (1e-12 * math.cos(t), 1e-12 * math.sin(t))))
-        assert (len(scans), sum(s.unresolved for s in scans)) == (186, 24)
+        for norm in (1e-12, 1e-9, 1e-6):
+            for body in experiments._STRICT_BODIES:
+                for k in range(12):
+                    t = k * math.pi / 6
+                    scans.append(scan(body, 1.0, (norm * math.cos(t), norm * math.sin(t))))
+        for case in [(Disc(1.0), 1.496175877787816, (2.496175877787816, 0.0)),
+                     (Disc(3.0), 2.75, (11.167438096953676, -1.1642400664939052)),
+                     (Disc(1.0), 1.0, (0.45969769413186023, -0.8414709848078967)),
+                     (Disc(1.0), 1.0, (1.8218282497603827e-17, 2.1933282903958047e-16)),
+                     (Disc(1.0), 1.296875, (-0.25655830190596896, -0.3209520094241996)),
+                     (Disc(1.0), 0.5, (1.5, 0.0)),
+                     (Disc(1.0), 1.0, (1.4162332132102269, -0.9091628890878247))]:
+            scans.append(scan(*case))
+        assert (len(scans), sum(s.unresolved for s in scans)) == (265, 59)
         data = json.dumps([[s.count, s.brackets, s.unresolved] for s in scans])
-        digest = "91be9c9ee1f442f42e1aff21155d832350478e325cf7372d3a32dd807b94941f"
+        digest = "0c2ca6f5e78d1507a1c37cc4ad29cf87c8d4ad6217bb4eb3a9ccd708eb97174e"
         assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
@@ -386,6 +401,16 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "R,n_points,n_distances,min_gap,alpha_hat"
         assert lines[1] == "5.0,121,11,1.0,"
+
+    def test_module_entry_point_prints_one_row_per_radius(self, monkeypatch, capsys):
+        # python -m gaugedist, in this process; sweep without --out prints its rows
+        monkeypatch.setattr(sys, "argv", ["gaugedist", "sweep", "--set", "lattice", "--R", "2,3"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("gaugedist", run_name="__main__")
+        assert info.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[:2] for line in lines] == [
+            ["ExperimentRow(R=2.0", " n_points=25"], ["ExperimentRow(R=3.0", " n_points=49"]]
 
     def test_sweep_rerun_byte_identical(self, tmp_path):
         args = lambda p: [
@@ -545,6 +570,16 @@ class TestCli:
         assert "annulus width inf must be positive and finite" in capsys.readouterr().err
         assert main(["moser", "--cone", "0,1", "--cone-inner", "0.2,0.8", "--N-range", "5..3"]) == 2
         assert "argument --N-range: N range 5..3 is empty" in capsys.readouterr().err
+        # a ValueError in a parse helper shows its message, not the helper's name
+        assert main(["moser", "--cone", "0,7", "--cone-inner", "0.2,0.8", "--N-range", "1..2"]) == 2
+        assert ("argument --cone: cone must satisfy 0 < theta2 - theta1 <= 2*pi"
+                in capsys.readouterr().err)
+        assert main(["sweep", "--R", "5,abc"]) == 2
+        assert ("argument --R: could not convert string to float: 'abc'"
+                in capsys.readouterr().err)
+        assert main(["moser", "--cone", "0,1", "--cone-inner", "0.2,0.8", "--N-range", "1..x"]) == 2
+        assert ("argument --N-range: invalid literal for int() with base 10: 'x'"
+                in capsys.readouterr().err)
         assert main(["moser", "--cone", "0", "--cone-inner", "0.2,0.8", "--N-range", "1..2"]) == 2
         assert "cone needs two comma-separated angles" in capsys.readouterr().err
         assert main(["moser", "--cone", "0,1", "--cone-inner", "0.2,0.8", "--N-range", "5"]) == 2
@@ -556,6 +591,10 @@ class TestCli:
         ({"type": "polygon", "vertices": [[1, 1], [-1, 1], [1, -1], [-1, -1]]},
          "non-strict convex turn sign"),
         ({"type": "disc", "radius": -1}, "disc radius -1.0 not positive"),
+        ({"type": "polygon", "vertices": []}, "polygon has no vertices"),
+        # json writes and reads inf as Infinity
+        ({"type": "polygon", "vertices": [[math.inf, 1], [-1, 1], [-math.inf, -1], [1, -1]]},
+         "non-finite vertex coordinate"),
         # malformed specs name the bad field
         ({"type": "polygon"}, "body spec has no 'vertices' field"),
         ({"type": "disc"}, "body spec has no 'radius' field"),

@@ -437,6 +437,11 @@ class TestDirectionClasses:
         b = Segment((2.0, 1e-12), (3.0, 1e-12))
         assert direction_line_classes(IntersectionResult((), (a, b))) == 2
 
+    @pytest.mark.parametrize("p", [(1.0, 2.0), (Fraction(1, 3), 0)])
+    def test_segment_needs_two_endpoints(self, p):
+        with pytest.raises(ValueError, match="segment endpoints must differ"):
+            Segment(p, p)
+
 
 MISS = "segment 0: line's distance from u misses alpha times its distance from 0 by "
 
