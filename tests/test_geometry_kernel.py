@@ -997,6 +997,11 @@ class TestRandomSymmetricPolygon:
         with pytest.raises(ValueError):
             random_symmetric_polygon(1, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_prng_below_needs_a_positive_bound(self, n):
+        with pytest.raises(ValueError, match="below\\(\\) needs n >= 1"):
+            Xorshift64Star(7).below(n)
+
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 12), seed=st.integers(0, 2**64 - 1))
     @example(n=5, seed=9283)  # a negated zero coordinate

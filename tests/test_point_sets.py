@@ -13,7 +13,6 @@ from gaugedist import (
     separation_constant,
     well_distributed_check,
 )
-from gaugedist.prng import Xorshift64Star
 
 from oracles import brute_min_pairwise_euclid
 
@@ -76,23 +75,15 @@ class TestGenerate:
         # a file set has no spacing to count steps in
         GeneratorSpec(kind="file", R=1e300, path="p.csv")
 
-    def test_pointset_rejects_escapees(self):
-        with pytest.raises(ValueError):
-            PointSet(np.array([[0.0, 3.0]]), 2.0)
-
     @pytest.mark.parametrize("points, R, message", [
+        (np.array([[0.0, 3.0]]), 2.0, "points fall outside the declared window"),
         (np.zeros((2, 3)), 1.0, r"points must have shape \(n, 2\)"),
         ([[math.nan, 0.0]], 1.0, "points contain non-finite coordinates"),
         ([[0.0, 0.0]], 0, "window radius 0.0 must be positive"),
     ])
-    def test_pointset_rejects_malformed_input(self, points, R, message):
+    def test_pointset_rejects_escapees(self, points, R, message):
         with pytest.raises(ValueError, match=message):
             PointSet(points, R)
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_prng_below_needs_a_positive_bound(self, n):
-        with pytest.raises(ValueError, match="below\\(\\) needs n >= 1"):
-            Xorshift64Star(7).below(n)
 
 
 class TestSeparation:
