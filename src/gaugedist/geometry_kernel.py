@@ -392,10 +392,9 @@ def _scan_bounds(body, alpha: float, x_norm: float) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=8)
 def _first_pass_points(body) -> np.ndarray:
-    """The body's boundary points at the first-pass angles, column-major and read-only:
-    one table per body (equal bodies share it) for the few bodies kept."""
-    # column-major: the first pass's (table - x) / alpha keeps the layout, and gauge_many
-    # reads it a column at a time
+    """The body's boundary points at the first-pass angles, read-only: one
+    table per body (equal bodies share it) for the few bodies kept."""
+    # column-major, kept by the first pass's (table - x) / alpha: gauge_many reads columns
     pts = np.asfortranarray(boundary_points(body, np.arange(0, _SAMPLES, _STRIDE) * _STEP))
     pts.setflags(write=False)
     return pts
