@@ -14,8 +14,9 @@ largest of them (``min_s``, ``max_s``) and the K medians themselves
 (``process_medians_s``).  The layers are the ones the
 roadmap tracks: ``gauge_many`` per body, ``gauge_exact``, the exact polygon
 keys of ``_exact_keys`` on the 321,201 difference vectors (dx, dy) of a
-401 x 401 grid with 0 <= dx <= 400 (int64 keys for the square and the
-diamond, Python ints for a random 12-gon), exact and float
+401 x 401 grid with 0 <= dx <= 400, in the dtype that the key law's bound
+picks (int64 keys for the square and the diamond, Python ints for a random
+12-gon), exact and float
 ``grid_distance_set`` (exact also on the 801 x 801 disc grid, with 195,114
 distinct roots to round), the ``distance_set`` pair loop (exact under the
 square, also on the 2,000 dyadic points of ``gauge_exact``, and under the
@@ -87,9 +88,12 @@ def _layers(gd):
     diffs = np.stack((dx.ravel(), dy.ravel()), axis=1)
     for name, body in (("square", bodies["square"]), ("diamond", gd.diamond()),
                        ("random12", gd.random_symmetric_polygon(6, seed=1))):
+        # the key dtype that grid_distance_set picks from the law's bound
+        law = gd.distance_sets._key_law(body)
+        dtype = gd.distance_sets._int_dtype(law.w * 400**law.e)
         layers[f"exact_keys.{name}"] = (
             f"_exact_keys of the {len(diffs)} difference vectors of a 401 x 401 grid",
-            lambda body=body: gd.distance_sets._exact_keys(body, diffs),
+            lambda law=law, dtype=dtype: gd.distance_sets._exact_keys(law.rows, diffs, dtype),
         )
     for name in ("square", "disc"):
         layers[f"grid_distance_set.exact.{name}"] = (

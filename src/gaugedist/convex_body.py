@@ -187,7 +187,10 @@ def diamond(radius: float = 1.0) -> SymmetricPolygon:
 
 def _ratio(x) -> tuple[int, int]:
     # numpy integers have no as_integer_ratio; Fraction takes any rational
-    return (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
+    try:
+        return (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinity or a nan
+        raise ValueError(f"coordinate {x} is not a finite rational") from None
 
 
 def _scale_to_ints(*point_lists):

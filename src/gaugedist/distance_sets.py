@@ -5,19 +5,21 @@ including the zero from coincident pairs.  One builder, :func:`_distance_set`,
 makes it from the values of difference vectors, every pair once by one walk
 or a grid's closed-form multiset with pair counts, and one routine,
 :func:`_cluster`, sorts and groups the values of every distance set and
-distance list.  Floating mode
-groups gauge values greedily into clusters of spread <= tol (distinctness at
-double precision needs a tolerance); exact mode takes integer vectors and a
-rational scale, and groups them at tol 0 by an integer key, q * gauge in the
-polygon's integer form or the disc's squared length, so lattice counts are
-tolerance-free.  Integers are int64 when a bound rules out overflow and Python
-ints otherwise (:func:`_int_dtype`), except that a disc set's squared lengths
-past int64 of differences within int64 are held exactly as two uint64 limbs
-(:func:`_disc_limbs`).  A :class:`DistanceSet` holds numpy arrays
-(float clusters, polygon keys or rounded disc roots, with counts) and builds
-Python values only when a caller reads them.  Every request is checked by
-:func:`_check_request` before any work: an exact set needs a polygon or disc
-body and takes no tolerance, and a float tolerance must be finite and >= 0.
+distance list.  Floating mode groups gauge values greedily into clusters of
+spread <= tol (distinctness at double precision needs a tolerance).  Exact
+mode groups integer keys at tol 0, so lattice counts are tolerance-free, by
+one law per body (:func:`_key_law`): an integer vector v at common
+denominator d has gauge(v / d) = (c * k(v)) ** (1 / e).  The law has three
+parts: the key k, max_i |<coef_i, v>| over a polygon's integer rows or
+x**2 + y**2 for the disc; e and c, 1 and 1/(q d) for a polygon, 2 and
+1/(r d)**2 for the disc; and a bound 0 <= k(v) <= w * max(max|v|, 1)**e, w
+the largest |a_i| + |b_i| or 2, which fixes the keys' dtype once per set:
+int64 below 2**63 and Python ints otherwise (:func:`_int_dtype`).  A
+:class:`DistanceSet` holds numpy arrays (float clusters, polygon keys or
+rounded disc roots, with counts) and builds Python values only when a caller
+reads them.  Every request is checked by :func:`_check_request` before any
+work: an exact set needs a body with a key law and takes no tolerance, and a
+float tolerance must be finite and >= 0.
 
 The annulus/cone counts of :func:`moser_count_check` take one pass over the
 point set: the gauges and the inner-cone mask are computed once, and every
@@ -27,6 +29,7 @@ annulus count is two binary searches in the sorted gauges of the cone.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -62,6 +65,7 @@ __all__ = [
 # pairs per evaluator call in the pair walk: large enough that numpy's
 # per-call overhead is small, small enough that the buffers stay in cache
 _PAIR_BLOCK = 2**14
+_KeyLaw = namedtuple("_KeyLaw", "rows e c w")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +130,7 @@ def _cluster(vals: np.ndarray, tol: Optional[float], weights=None) -> tuple:
     where either limb changes, and their firsts are limbs too.
     """
     if vals.ndim == 2:
-        hi, lo = vals
-        vals = vals[:, np.lexsort((lo, hi))]
+        vals = vals[:, np.lexsort((vals[1], vals[0]))]
         brk = np.empty(vals.shape[1], dtype=bool)
         brk[0] = True
         np.any(vals[:, 1:] != vals[:, :-1], axis=0, out=brk[1:])
@@ -175,30 +178,36 @@ def _runs(brk: np.ndarray) -> tuple:
     return starts, sizes
 
 
-def _has_exact_keys(body: ConvexBody) -> bool:
-    """Whether exact distance sets serve the body: a polygon or a disc."""
-    return isinstance(body, (SymmetricPolygon, Disc))
+def _key_law(body: ConvexBody) -> Optional[_KeyLaw]:
+    """The key law (rows, e, c, w) of the module docstring, with c at d = 1, for
+    a polygon or disc body (no rows for the disc); None for a p-ball."""
+    if isinstance(body, SymmetricPolygon):
+        coef, q = body._integer_form
+        return _KeyLaw(coef, 1, Fraction(1, q), max(abs(a) + abs(b) for a, b in coef))
+    if isinstance(body, Disc):
+        return _KeyLaw(None, 2, 1 / Fraction(body.radius) ** 2, 2)
+    return None
 
 
-def _check_request(body: ConvexBody, tol: Optional[float], exact: bool) -> None:
+def _check_request(body: ConvexBody, tol: Optional[float], exact: bool) -> Optional[_KeyLaw]:
     """Raise ``ValueError`` unless the request can be served: an exact set needs
-    a polygon or disc body and takes no tol, and a float tol is None or finite
-    and >= 0.  Every distance set and list checks this before any work."""
+    a body with a key law, which is returned, and takes no tol, and a float tol
+    is None or finite and >= 0.  Every distance set and list checks this first."""
+    law = _key_law(body) if exact else None
     if exact:
-        if not _has_exact_keys(body):
+        if law is None:
             raise ValueError("exact distance sets need a polygon or disc body")
         if tol is not None:
             raise ValueError(f"exact distance sets take no clustering tolerance, got {tol}")
     elif tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"clustering tolerance {tol} must be finite and >= 0")
+    return law
 
 
 def _int_dtype(bound: int):
     """np.int64 if ``bound``, a bound on the absolute value of every integer the
     caller forms, is below 2**63; object (Python ints, the same arithmetic)
-    otherwise.  The one exception is the disc keys of :func:`distance_set`:
-    past int64 they are Python ints only when the differences are, and uint64
-    limbs (:func:`_disc_limbs`) otherwise."""
+    otherwise."""
     return np.int64 if bound < 2**63 else object
 
 
@@ -213,23 +222,16 @@ def _as_points(source) -> np.ndarray:
     return pts
 
 
-def _exact_keys(body: ConvexBody, V: np.ndarray) -> np.ndarray:
-    """Exact integer keys of the integer vectors V, shape (m, 2): q * gauge =
-    max_i |<coef_i, v>| over a polygon's n integer rows, or a disc's squared length.
-
-    The keys are int64 when a bound rules out overflow and Python ints (object
-    dtype) otherwise (:func:`_int_dtype`).
-    """
-    vmax = int(np.abs(V).max()) if len(V) else 0
-    if not isinstance(body, SymmetricPolygon):
-        x, y = V.astype(_int_dtype(2 * vmax * vmax)).T
+def _exact_keys(rows, V: np.ndarray, dtype) -> np.ndarray:
+    """The key law's keys (:func:`_key_law`) of the integer vectors V, shape
+    (m, 2), in the dtype, int64 or object, that the law's bound picks:
+    max_i |<row_i, v>| over a polygon's rows, or with no rows x**2 + y**2."""
+    x, y = V.astype(dtype).T
+    if rows is None:
         return x * x + y * y
-    coef, _ = body._integer_form
-    # max(vmax, 1): the coefficients themselves must fit as well
-    x, y = V.astype(_int_dtype(max(vmax, 1) * max(abs(a) + abs(b) for a, b in coef))).T
     # one row at a time, as gauge_many; elementwise, as matmul has no object path
     out = None
-    for a, b in coef.tolist():
+    for a, b in rows.tolist():
         v = x * a
         v += y * b
         np.abs(v, out=v)
@@ -330,23 +332,23 @@ def _disc_roots(keys: np.ndarray, c: Fraction) -> np.ndarray:
     return roots
 
 
-def _distance_set(body, n: int, vals, weights, tol, scale=None) -> DistanceSet:
+def _distance_set(n: int, vals, weights, tol, law=None, scale=None) -> DistanceSet:
     """Distance set of n points from the values of their difference vectors,
     ``vals[0] = 0`` standing for the coincident pairs.  Without weights each
     value is one pair, and the other n - 1 coincident pairs join the zero
     cluster; weights (pair counts) start with n.  Values are clustered within
-    tol.  With a scale, vals are exact keys (:func:`_exact_keys`), at tol 0, of
-    vectors ``scale`` times the differences, and each distinct key is valued
-    once: ``key * scale / q`` for a polygon, or the disc's root
-    ``sqrt(key) * scale / radius`` (:func:`_disc_roots`)."""
+    tol.  With a key law, vals are its keys, at tol 0, of vectors ``scale``
+    times the differences, and each distinct key k is valued once by the law:
+    k * c * scale, one ``Fraction`` unit, for e = 1, or the root
+    sqrt(k * c * scale**e) (:func:`_disc_roots`) for e = 2."""
     reps, counts, tol = _cluster(vals, tol, weights)
     if weights is None:
         counts[0] += n - 1
-    if scale is None:
+    if law is None:
         return DistanceSet(reps, counts, tol)
-    if isinstance(body, SymmetricPolygon):
-        return DistanceSet(reps, counts, tol, scale / body._integer_form[1])
-    values = _disc_roots(reps, scale * scale / Fraction(body.radius) ** 2)
+    if law.e == 1:
+        return DistanceSet(reps, counts, tol, law.c * scale)
+    values = _disc_roots(reps, law.c * scale**law.e)
     # rounded roots need not follow their keys; order by (value, key), so
     # distinct keys whose roots round to one double stay separate equal values
     order = np.argsort(values, kind="stable")
@@ -364,10 +366,11 @@ def distance_set(
     Floating mode defaults tol to 1e-9 times the largest distance, and a tol
     that is not finite and >= 0 raises ``ValueError``.  Exact mode groups by
     integer key, so it takes no tol (one raises ``ValueError``) and reports tol
-    0.0; it supports polygon bodies for any rational points and the disc via
-    exact squared distances, and the p-ball, which has no exact evaluator,
-    raises ``ValueError``.  Both are checked before any pair is built.  A
-    non-finite coordinate raises ``ValueError`` in either mode.
+    0.0; it serves the bodies with a key law, a polygon or the disc, and the
+    p-ball raises ``ValueError``.  Both are checked before any pair is built.
+    Points are read as doubles in either mode, as a :class:`PointSet` stores
+    them, so exact mode counts a ``Fraction(1, 3)`` coordinate as the double
+    nearest 1/3.  A non-finite coordinate raises ``ValueError`` in either mode.
 
     Both modes walk the pairs by cyclic shift, (i, (i + s) mod n), in blocks
     of about ``_PAIR_BLOCK`` pairs per call of :func:`gauge_many` (floats) or
@@ -377,7 +380,7 @@ def distance_set(
     fl(a - b) = -fl(b - a), so its difference is the exact negation of
     p_j - p_i; every body is symmetric, so the value is the same.
     """
-    _check_request(body, tol, exact)
+    law = _check_request(body, tol, exact)
     pts = _as_points(points)
     n = len(pts)
     if n == 0:
@@ -390,11 +393,11 @@ def distance_set(
         x0, y0 = min(xs), min(ys)
         vmax = max(max(xs) - x0, max(ys) - y0)
         cols = np.array([(x - x0, y - y0) for x, y in ints], dtype=_int_dtype(vmax)).T
-        # all keys take the widest difference's key dtype; narrower blocks widen
-        dtype = _exact_keys(body, np.array([[vmax, 0]], dtype=object)).dtype
-        evaluate, tol, scale = partial(_exact_keys, body), 0, Fraction(1, den)
-        if isinstance(body, Disc) and dtype == object and cols.dtype == np.int64:
-            # disc keys past int64 of int64 differences: exact as uint64 limbs
+        # every key takes the law's dtype for the widest difference
+        dtype = _int_dtype(law.w * max(vmax, 1) ** law.e)
+        evaluate, tol, scale = partial(_exact_keys, law.rows, dtype=dtype), 0, Fraction(1, den)
+        if law.e == 2 and dtype == object and cols.dtype == np.int64:
+            # squared lengths past int64 of int64 differences: uint64 limbs, not Python ints
             evaluate, dtype = _disc_limbs, np.uint64
     else:
         cols, dtype, evaluate, scale = pts.T, float, partial(gauge_many, body), None
@@ -420,7 +423,7 @@ def distance_set(
                 np.subtract(win[s : s + k, :w], win[0, :w], out=buf[: k * w, c].reshape(k, w))
             vals[..., pos : pos + k * w] = evaluate(buf[: k * w])
             pos += k * w
-    return _distance_set(body, n, vals, None, tol, scale)
+    return _distance_set(n, vals, None, tol, law, scale)
 
 
 def grid_distance_set(
@@ -442,7 +445,7 @@ def grid_distance_set(
     at a spacing that is not dyadic the values can differ in their last bits
     from the pair loop's, which rounds k1 * spacing - k2 * spacing.
     """
-    _check_request(body, tol, exact)
+    law = _check_request(body, tol, exact)
     if n_cols < 1 or n_rows < 1:
         raise ValueError("grid must have at least one point per side")
     if not (math.isfinite(spacing) and spacing > 0):
@@ -456,10 +459,12 @@ def grid_distance_set(
     mult = (n_cols - dx) * (n_rows - np.abs(dy))
     reps = np.stack((dx, dy), axis=1)
     if exact:
-        return _distance_set(body, total, _exact_keys(body, reps), mult, 0, Fraction(spacing))
+        vmax = max(n_cols, n_rows) - 1  # the widest representative
+        keys = _exact_keys(law.rows, reps, _int_dtype(law.w * max(vmax, 1) ** law.e))
+        return _distance_set(total, keys, mult, 0, law, Fraction(spacing))
     with np.errstate(over="ignore", invalid="ignore"):  # _cluster raises on overflow
         vals = gauge_many(body, reps * spacing)
-    return _distance_set(body, total, vals, mult, tol)
+    return _distance_set(total, vals, mult, tol)
 
 
 def min_gap(ds: DistanceSet):
@@ -468,9 +473,7 @@ def min_gap(ds: DistanceSet):
     if len(ds) < 2:
         return None
     gap = np.diff(ds.keys).min()
-    if ds.unit is None:
-        return float(gap)
-    return Fraction(int(gap) * ds.unit.numerator, ds.unit.denominator)
+    return float(gap) if ds.unit is None else int(gap) * ds.unit
 
 
 @dataclass(frozen=True)
@@ -539,11 +542,10 @@ def distance_lists_from_two_points(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Distinct (tol-clustered) gauge distances from P and from Q to every subset point."""
     _check_request(body, tol, exact=False)
+    if len(subset) == 0:
+        return (), ()
     out = []
     for base in (P, Q):
-        if len(subset) == 0:
-            out.append(())
-            continue
         with np.errstate(over="ignore", invalid="ignore"):  # _cluster raises on overflow
             vals = gauge_many(body, subset.points - np.asarray(base, dtype=float))
         reps, _, _ = _cluster(vals, tol)

@@ -38,7 +38,7 @@ from .convex_body import (
 from .distance_sets import (
     Annulus,
     Cone,
-    _has_exact_keys,
+    _key_law,
     distance_set,
     grid_distance_set,
     min_gap,
@@ -144,24 +144,21 @@ def erdos_bound(body: ConvexBody, N: int, seed: int = 0) -> dict:
     pts = np.array([[rng.uniform(0.0, n), rng.uniform(0.0, n)] for _ in range(N)])
     random_ds = distance_set(body, pts, tol=1e-12 * n)
     # exact where the body allows it; only a float set takes a tolerance
-    exact = _has_exact_keys(body)
+    exact = _key_law(body) is not None
     lattice_ds = grid_distance_set(body, n, n, 1.0, tol=None if exact else 1e-12 * n, exact=exact)
     out = {"N": N, "seed": seed, "witnesses": {}}
-    flagged = False
     for name, ds, count in (
         ("random", random_ds, N),
         ("lattice", lattice_ds, n * n),
     ):
         ratio = len(ds) / math.sqrt(N)
-        flag = ratio < 0.5
-        flagged = flagged or flag
         out["witnesses"][name] = {
             "n_points": count,
             "n_distances": len(ds),
             "ratio_to_sqrt_N": ratio,
-            "below_half": flag,
+            "below_half": ratio < 0.5,
         }
-    out["flagged"] = flagged
+    out["flagged"] = any(w["below_half"] for w in out["witnesses"].values())
     return out
 
 
@@ -336,8 +333,6 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, Fraction):
-        v = float(v)
     return repr(float(v))
 
 

@@ -28,7 +28,7 @@ from gaugedist import (
     validate,
 )
 from gaugedist.convex_body import _scale_to_ints
-from gaugedist.distance_sets import _exact_keys
+from gaugedist.distance_sets import _exact_keys, _int_dtype, _key_law
 
 from oracles import (
     exact_polygon_gauge,
@@ -372,7 +372,10 @@ int_vectors = st.lists(
 @example(body=square(), vecs=[(3, -4), (0, 0), (-5, 2)])  # int64 keys
 @example(body=random_symmetric_polygon(3, 0), vecs=[(3, -4), (0, 0), (-5, 2)])  # object keys
 def test_exact_keys_match_full_row_oracle(body, vecs):
-    keys = _exact_keys(body, np.array(vecs, dtype=np.int64))
+    law = _key_law(body)
+    vmax = max(abs(c) for v in vecs for c in v)
+    dtype = _int_dtype(law.w * max(vmax, 1))
+    keys = _exact_keys(law.rows, np.array(vecs, dtype=np.int64), dtype)
     assert keys.tolist() == full_integer_keys(body.vertices, vecs)
 
 

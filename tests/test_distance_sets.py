@@ -21,6 +21,7 @@ from gaugedist import (
     distance_lists_from_two_points,
     distance_set,
     gauge,
+    gauge_exact,
     gauge_many,
     generate,
     grid_distance_set,
@@ -30,7 +31,7 @@ from gaugedist import (
     square,
 )
 from gaugedist import distance_sets
-from gaugedist.distance_sets import _cluster, _disc_roots, _exact_keys
+from gaugedist.distance_sets import _cluster, _disc_roots, _exact_keys, _int_dtype, _key_law
 
 from oracles import (
     brute_exact_counts,
@@ -531,9 +532,9 @@ def assert_pair_loop_matches_rows(body, pts):
     for bit, and its tol-0 set is the oracle's values clustered."""
     seen, build = [], distance_sets._distance_set
 
-    def capture(body, n, vals, *rest):
+    def capture(n, vals, *rest):
         seen.append(np.sort(vals))
-        return build(body, n, vals, *rest)
+        return build(n, vals, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distance_sets, "_distance_set", capture)
@@ -617,9 +618,9 @@ def test_exact_pair_walk_with_one_shift_per_block(monkeypatch, n, scale, tiny, k
     monkeypatch.setattr(distance_sets, "_PAIR_BLOCK", 8)
     seen, build = [], distance_sets._distance_set
 
-    def capture(body, n, vals, *rest):
+    def capture(n, vals, *rest):
         seen.append(vals.dtype.kind)
-        return build(body, n, vals, *rest)
+        return build(n, vals, *rest)
 
     monkeypatch.setattr(distance_sets, "_distance_set", capture)
     pts = [(scale * int(a) / 64, scale * int(b) / 64)
@@ -705,9 +706,9 @@ def test_exact_disc_key_form_and_roots(monkeypatch, radius, pts, form, by_limbs)
     and EXACT_DISC_REPRO's two keys with one root stay two equal values."""
     seen, build, limb_roots = [], distance_sets._distance_set, distance_sets._limb_roots
 
-    def capture(body, n, vals, *rest):
+    def capture(n, vals, *rest):
         seen.append("limbs" if vals.ndim == 2 and vals.dtype == np.uint64 else vals.dtype.name)
-        return build(body, n, vals, *rest)
+        return build(n, vals, *rest)
 
     def spy(*args):
         seen.append("by limbs")
@@ -1025,8 +1026,8 @@ class TestIntegerKeys:
         assert_matches_oracle(body, pts)
 
     # (body, |largest vector coordinate| just below the bound, just at it):
-    # keys are at most max|V| * max_i(|coef_i,x| + |coef_i,y|) for a polygon
-    # (row sums 2 and 4 here) and 2 * max|V|**2 for the disc
+    # the key law's bound is max|V| * max_i(|coef_i,x| + |coef_i,y|) for a
+    # polygon (row sums 2 and 4 here) and 2 * max|V|**2 for the disc
     BOUNDS = [
         (diamond(), 2**62 - 1, 2**62),
         (diamond(0.5), 2**61 - 1, 2**61),
@@ -1035,16 +1036,22 @@ class TestIntegerKeys:
 
     @pytest.mark.parametrize("body, below, at", BOUNDS, ids=["diamond", "diamond-half", "disc"])
     def test_key_dtype_switches_at_the_int64_bound(self, body, below, at):
+        """The key law's bound w * max(max|V|, 1)**e holds every key and picks
+        int64 just below the switch and Python ints at it; int64 keys computed
+        under it do not wrap, and the keys come near it."""
+        law = _key_law(body)
         for c, dtype in ((below, np.int64), (at, object)):
             V = np.array([[c, c], [-c, 1], [0, 0]], dtype=object)
-            keys = _exact_keys(body, V)
+            bound = law.w * max(c, 1) ** law.e
+            assert _int_dtype(bound) is dtype
+            keys = _exact_keys(law.rows, V, dtype)
             assert keys.dtype == dtype
             if isinstance(body, Disc):
                 expected = [x * x + y * y for x, y in V.tolist()]
             else:
                 expected = full_integer_keys(body.vertices, V.tolist())
             assert keys.tolist() == expected
-            assert max(expected) >= 2**63 - 2**33  # the keys do reach the bound
+            assert 2**63 - 2**33 <= max(expected) <= bound  # the keys do reach the bound
 
     @pytest.mark.parametrize(
         "body, pts",
@@ -1068,6 +1075,13 @@ class TestIntegerKeys:
         ds = distance_set(Disc(0.75), np.array(pts), exact=True)
         assert list(ds.values) == sorted(ds.values)
         assert_matches_oracle(Disc(0.75), pts)
+
+    def test_points_are_read_as_doubles(self):
+        """Exact mode counts the distances of the points' doubles: a Fraction
+        coordinate is rounded first, unlike gauge_exact, which reads it exactly."""
+        ds = distance_set(square(), [(Fraction(1, 3), 0), (0, 0)], exact=True)
+        assert ds.values == (0, Fraction(1 / 3)) == (0, Fraction(6004799503160661, 2**54))
+        assert gauge_exact(square(), (Fraction(1, 3), 0)) == Fraction(1, 3)
 
     @pytest.mark.parametrize("body", [square(), diamond(), BIG_POLYGON])
     def test_polygon_values_are_fractions(self, body):

@@ -20,6 +20,7 @@ from gaugedist import (
     diamond,
     direction_line_classes,
     gauge,
+    gauge_exact,
     gauge_many,
     random_symmetric_polygon,
     square,
@@ -272,6 +273,20 @@ def homothety(draw, alphas=(0.5, 1.0, 2.0, 3.0)):
 def polygon_and_translate():
     """Vertices of G and of alpha*G + u, from :func:`homothety`."""
     return homothety().map(lambda case: (case[0].vertices, transform_polygon(*case)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda bad: gauge_exact(square(), (bad, 0.0)),
+    lambda bad: boundary_intersection(square(), [(bad, 0.0), (0.0, 1.0), (-1.0, 0.0)]),
+    lambda bad: concurrence_check(
+        IntersectionResult((), (Segment((0.0, 0.0), (bad, 1.0)),)), 0.5, (1.0, 0.0)),
+], ids=["gauge_exact", "boundary_intersection", "concurrence_check"])
+def test_exact_evaluators_reject_non_finite_coordinates(call, bad):
+    """A non-finite coordinate, which has no integer ratio, raises ``ValueError``
+    (not ``OverflowError``) wherever points are scaled to integers."""
+    with pytest.raises(ValueError, match="is not a finite rational"):
+        call(bad)
 
 
 class TestIntersectionOracle:
